@@ -12,6 +12,17 @@ holds that path to three promises:
   ``--max-latency-ratio`` (default 1.5x) of the same query at
   ``--base-records`` (default 100k): ingest volume must not bend query
   latency;
+* **flat writes at scale** — a single-record session ``UPDATE`` and a
+  ``BEGIN; INSERT; COMMIT`` at 100 000 records must each stay within
+  2x of the same statement at 10 000, journaled with ``sync=True`` as a
+  served system runs them (ROADMAP item 2: a write costs what it
+  touches, not what the file holds).  The bound is not the 1.5x of the
+  query row because one O(file) term is left by design — the pending
+  version's pointer copy, ~0.1-0.3 ms at the 12 500 records a backend
+  holds of the written file — which puts the transaction at 1.5x of its
+  0.6 ms; a per-UPDATE index rebuild or deep copy reads 10x and more.
+  The same pair without a WAL is reported ungated and shows that term
+  alone;
 * **equivalence** — the post-load farm (stores, routing counters, index
   report) must be bit-identical to the incremental path under the
   serial, thread, and process engines.
@@ -42,8 +53,15 @@ from pathlib import Path
 if __package__ in (None, ""):  # runnable as a plain script, too
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.abdl.ast import InsertRequest, RetrieveRequest, TargetItem
+from repro.abdl.ast import (
+    InsertRequest,
+    Modifier,
+    RetrieveRequest,
+    TargetItem,
+    UpdateRequest,
+)
 from repro.abdm.predicate import Conjunction, Predicate, Query
+from repro.abdm.record import Record
 from repro.core.mlds import MLDS
 from repro.ingest import bulk_load, stream_university_records
 from repro.mbds.placement import HashShardPlacement
@@ -60,6 +78,11 @@ SHARD_KEYS = {
 }
 
 ENGINES = [("serial", None), ("threads", 2), ("process", 2)]
+
+#: Record counts and bound of the write-flatness row (ROADMAP item 2).
+WRITE_BASE_RECORDS = 10_000
+WRITE_SCALE_RECORDS = 100_000
+WRITE_MAX_RATIO = 2.0
 
 
 def farm_fingerprint(mlds: MLDS) -> dict:
@@ -152,11 +175,14 @@ def run_bulk(
     }
 
 
-def point_query(record_id: int) -> RetrieveRequest:
-    query = Query(
+def student_with(record_id: int) -> Query:
+    return Query(
         [Conjunction([Predicate("FILE", "=", "student"), Predicate("ID", "=", record_id)])]
     )
-    return RetrieveRequest(query, (TargetItem("ID"),))
+
+
+def point_query(record_id: int) -> RetrieveRequest:
+    return RetrieveRequest(student_with(record_id), (TargetItem("ID"),))
 
 
 def measure_latency(mlds: MLDS, ids: list[int]) -> dict:
@@ -198,6 +224,84 @@ def run_latency_flatness(
         "base_p50_ms": at_base["p50_ms"],
         "scale_p50_ms": at_scale["p50_ms"],
         "latency_ratio": at_scale["p50_ms"] / max(at_base["p50_ms"], 1e-9),
+    }
+
+
+def timed_writes(mlds: MLDS, session, record_id: int, fresh_id: int, n: int) -> tuple:
+    """Milliseconds of one single-record session UPDATE and of one
+    BEGIN; INSERT; COMMIT.
+
+    The UPDATE rewrites an indexed attribute, so it pays the index patch
+    as well as the copy-on-write swap; the transaction pays the pending
+    pre-image and the write-set bookkeeping.
+    """
+    kds = mlds.kds
+    update = UpdateRequest(student_with(record_id), Modifier("gpa", 2.0 + n % 200 / 100))
+    start = time.perf_counter()
+    trace = kds.execute(update, session=session)
+    update_ms = (time.perf_counter() - start) * 1000.0
+    assert trace.result.count == 1, f"UPDATE missed ID {record_id}"
+    record = Record.from_pairs(
+        [("FILE", "student"), ("ID", fresh_id), ("name", f"late {n}"), ("gpa", 3.0)]
+    )
+    start = time.perf_counter()
+    kds.session_begin(session)
+    kds.execute(InsertRequest(record), session=session)
+    kds.session_commit(session)
+    return update_ms, (time.perf_counter() - start) * 1000.0
+
+
+def run_write_flatness(
+    backends: int, batch: int, samples: int, wal_dir: Path | None = None
+) -> dict:
+    """The same writes against a 10 000- and a 100 000-record system.
+
+    The two systems take turns statement by statement, so a drift in the
+    box's speed (or its fsync) lands on both.  With *wal_dir* every write
+    is journaled and fsynced — what a served system pays — into a fresh
+    log segment, as after a checkpoint; without, the figures are the
+    kernel's alone.
+    """
+    sizes = (WRITE_BASE_RECORDS, WRITE_SCALE_RECORDS)
+    ids = [(i * (sizes[0] // (samples * 20)) * 20) % sizes[0] for i in range(samples)]
+    systems = []
+    timings: dict = {size: ([], []) for size in sizes}
+    try:
+        for size in sizes:
+            wal = WalManager(wal_dir / str(size), backends, sync=True) if wal_dir else None
+            mlds = MLDS(
+                backend_count=backends,
+                placement=HashShardPlacement(dict(SHARD_KEYS)),
+                wal=wal,
+            )
+            systems.append((size, mlds, mlds.kds.create_session("bench-writer")))
+            mlds.kds.controller.add_index("ID", "gpa")
+            bulk_load(mlds.kds, stream_university_records(size), batch_size=batch)
+            if wal is not None:
+                wal.start_new_segment()
+        for n, record_id in enumerate(ids):
+            for size, mlds, session in systems:
+                update_ms, txn_ms = timed_writes(mlds, session, record_id, size + n, n)
+                timings[size][0].append(update_ms)
+                timings[size][1].append(txn_ms)
+    finally:
+        for _, mlds, _ in systems:
+            mlds.kds.shutdown()
+    p50 = {
+        size: {
+            "update_p50_ms": statistics.median(updates),
+            "txn_p50_ms": statistics.median(txns),
+        }
+        for size, (updates, txns) in timings.items()
+    }
+    base, scale = p50[sizes[0]], p50[sizes[1]]
+    return {
+        "base_records": sizes[0],
+        "scale_records": sizes[1],
+        "base": base,
+        "scale": scale,
+        "update_ratio": scale["update_p50_ms"] / max(base["update_p50_ms"], 1e-9),
+        "txn_ratio": scale["txn_p50_ms"] / max(base["txn_p50_ms"], 1e-9),
     }
 
 
@@ -248,9 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="required bulk/incremental throughput ratio (0 disables)")
     parser.add_argument("--max-latency-ratio", type=float, default=1.5,
-                        help="max tolerated query-latency growth at scale (0 disables)")
+                        help="max tolerated query-latency growth at scale "
+                        "(0 disables it and the write-flatness gate)")
     parser.add_argument("--skip-scale", action="store_true",
-                        help="skip the latency-flatness section")
+                        help="skip the latency-flatness sections")
     parser.add_argument("--out", default="BENCH_ingest.json")
     args = parser.parse_args(argv)
 
@@ -304,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
             / max(prefetch_row["generate_ms"], 1e-9),
         }
 
-    latency = None
+    latency = writes = None
     if not args.skip_scale:
         latency = run_latency_flatness(
             args.base_records,
@@ -312,6 +417,13 @@ def main(argv: list[str] | None = None) -> int:
             args.backends,
             args.batch,
             args.queries,
+        )
+        with tempfile.TemporaryDirectory(prefix="bench-ingest-") as wal_dir:
+            writes = run_write_flatness(
+                args.backends, args.batch, args.queries, Path(wal_dir)
+            )
+        writes["kernel_only"] = run_write_flatness(
+            args.backends, args.batch, args.queries
         )
 
     equivalence = run_equivalence(
@@ -347,6 +459,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{latency['scale_records']:,} ({latency['latency_ratio']:.2f}x, "
             f"gate <= {args.max_latency_ratio}x)"
         )
+    if writes is not None:
+        for kind, label in (("update", "single-record UPDATE"), ("txn", "BEGIN; INSERT; COMMIT")):
+            print(
+                f"{label} p50: {writes['base'][f'{kind}_p50_ms']:.3f} ms at "
+                f"{writes['base_records']:,} -> "
+                f"{writes['scale'][f'{kind}_p50_ms']:.3f} ms at "
+                f"{writes['scale_records']:,} ({writes[f'{kind}_ratio']:.2f}x, "
+                f"gate <= {WRITE_MAX_RATIO}x; without a WAL "
+                f"{writes['kernel_only'][f'{kind}_ratio']:.2f}x)"
+            )
     for row in equivalence:
         print(f"engine {row['engine']}: bulk == incremental: {row['identical']}")
 
@@ -357,6 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         "prefetch": prefetch,
         "rows": rows,
         "latency": latency,
+        "write_latency": writes,
         "equivalence": equivalence,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
@@ -381,6 +504,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
+    if writes is not None and args.max_latency_ratio > 0:
+        for kind in ("update", "txn"):
+            if writes[f"{kind}_ratio"] > WRITE_MAX_RATIO:
+                print(
+                    f"FAIL: {kind} latency grew {writes[f'{kind}_ratio']:.2f}x from "
+                    f"{writes['base_records']:,} to {writes['scale_records']:,} "
+                    f"records, above {WRITE_MAX_RATIO}x",
+                    file=sys.stderr,
+                )
+                failed = True
     for row in equivalence:
         if not row["identical"]:
             print(

@@ -378,6 +378,12 @@ class ClusteredStore(ABStore):
             self._rebuild_clusters(query.file_names())
         return updated
 
+    def rollback_pending(self, files=None) -> list[str]:
+        rolled = super().rollback_pending(files)
+        if rolled:
+            self._rebuild_clusters(rolled)
+        return rolled
+
     def _rebuild_clusters(self, file_names: Iterable[str]) -> None:
         names = list(file_names) or self.file_names()
         for file_name in names:

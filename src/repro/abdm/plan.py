@@ -17,9 +17,20 @@ Nulls and NaNs stay out of the sorted arrays because the kernel's
 ordering semantics (:func:`repro.abdm.values.compare`) never satisfy an
 ordering predicate against either; their buckets still exist for
 equality probes and for the aggregate digests.  Both arrays are
-maintained incrementally with :mod:`bisect` on insert — a new key costs
-one binary search — and rebuilt wholesale on delete/update, exactly like
-the hash buckets they annotate.
+maintained incrementally with :mod:`bisect` — a new key costs one binary
+search on insert (:meth:`AttributeIndex.add`), and an UPDATE drops and
+re-places only the entries of the records it changed
+(:meth:`AttributeIndex.remove` / :meth:`AttributeIndex.place`).  DELETE
+still rebuilds the file's index wholesale, because it compacts the
+record list and so renumbers every later seq.
+
+Two invariants make the incremental index equal to a fresh rebuild:
+every bucket lists its ``(seq, record)`` entries in seq order, and a
+bucket's key object is the value of its *first* entry.  The second
+matters because ``1`` and ``1.0`` (and ``0`` / ``0.0`` / ``-0.0``) hash
+and compare equal, so they share one bucket — and the MIN/MAX digest
+fast path returns the key object, which must be the value a scan would
+meet first, not a representative whose record has since moved away.
 
 :func:`plan_conjunction` is the per-clause access planner.  It collects
 every *indexable* predicate of a DNF clause — an equality probe per
@@ -135,18 +146,74 @@ class AttributeIndex:
             # distinct buckets; they are kept out of the sorted arrays
             # (no predicate but != can ever select them).
             self.buckets[value] = [(seq, record)]
-            domain = order_domain(value)
-            if domain == "num":
-                insort(self.numeric, value)  # type: ignore[arg-type]
-            elif domain == "str":
-                insort(self.strings, value)  # type: ignore[arg-type]
+            keys = self._sorted_keys(value)
+            if keys is not None:
+                insort(keys, value)  # type: ignore[arg-type]
         else:
             bucket.append((seq, record))
+        self._count(value, 1)
+
+    def place(self, value: Value, seq: int, record: "Record") -> None:
+        """Put *record* at *seq* in *value*'s bucket, keeping seq order.
+
+        Unlike :meth:`add`, *seq* need not be the highest in the bucket:
+        UPDATE re-keys a record that keeps its position in the file.  An
+        entry already at *seq* is replaced (the copy-on-write swap of a
+        record whose key did not change); counters move only when an
+        entry is actually added.
+        """
+        bucket = self.buckets.get(value)
+        if bucket is None:
+            self.add(value, seq, record)
+            return
+        at = bisect_left(bucket, (seq,))
+        if at < len(bucket) and bucket[at][0] == seq:
+            bucket[at] = (seq, record)
+            return
+        bucket.insert(at, (seq, record))
+        if at == 0:
+            self._rekey(bucket, value)
+        self._count(value, 1)
+
+    def remove(self, value: Value, seq: int, attribute: str) -> None:
+        """Drop the entry at *seq* from *value*'s bucket.
+
+        An emptied bucket goes, with its sorted-array key.  When the
+        bucket's first entry goes and others remain, the bucket is
+        re-keyed to the new first record's value of *attribute*.
+        """
+        bucket = self.buckets[value]
+        at = bisect_left(bucket, (seq,))
+        del bucket[at]
+        if not bucket:
+            del self.buckets[value]
+            keys = self._sorted_keys(value)
+            if keys is not None:
+                del keys[bisect_left(keys, value)]  # type: ignore[arg-type]
+        elif at == 0:
+            self._rekey(bucket, bucket[0][1].get(attribute))
+        self._count(value, -1)
+
+    def _count(self, value: Value, delta: int) -> None:
         if value is None:
-            self.nulls += 1
+            self.nulls += delta
         elif is_nan(value):
-            self.nans += 1
-        self.entries += 1
+            self.nans += delta
+        self.entries += delta
+
+    def _sorted_keys(self, value: Value) -> Optional[list[Value]]:
+        domain = order_domain(value)
+        if domain == "num":
+            return self.numeric
+        return self.strings if domain == "str" else None
+
+    def _rekey(self, bucket: list[tuple[int, "Record"]], head: Value) -> None:
+        """Make *head* (the first entry's value) the bucket's key object."""
+        del self.buckets[head]
+        self.buckets[head] = bucket
+        keys = self._sorted_keys(head)
+        if keys is not None:
+            keys[bisect_left(keys, head)] = head  # type: ignore[arg-type]
 
     def add_deferred(self, value: Value, seq: int, record: "Record") -> None:
         """Index *record* without maintaining sorted order (bulk load).
@@ -162,20 +229,13 @@ class AttributeIndex:
         bucket = self.buckets.get(value)
         if bucket is None:
             self.buckets[value] = [(seq, record)]
-            domain = order_domain(value)
-            if domain == "num":
-                self.numeric.append(value)
-                self._dirty = True
-            elif domain == "str":
-                self.strings.append(value)
+            keys = self._sorted_keys(value)
+            if keys is not None:
+                keys.append(value)
                 self._dirty = True
         else:
             bucket.append((seq, record))
-        if value is None:
-            self.nulls += 1
-        elif is_nan(value):
-            self.nans += 1
-        self.entries += 1
+        self._count(value, 1)
 
     def finalize(self) -> None:
         """Sort the key arrays after a run of deferred adds (idempotent)."""

@@ -31,7 +31,7 @@ many stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.abdm.plan import (
     EMPTY_DIGEST,
@@ -144,6 +144,14 @@ class ABFile:
 
     def __repr__(self) -> str:
         return f"ABFile({self.name!r}, {len(self._records)} records)"
+
+
+#: Stands for "the record has no such attribute" where None is a value.
+_ABSENT: Any = object()
+
+
+def _records(entries: list[tuple[int, Record]]) -> list[Record]:
+    return [record for _, record in entries]
 
 
 #: One file's indexes: attribute -> AttributeIndex (hash buckets + sorted
@@ -401,29 +409,35 @@ class ABStore:
         self.stats.records_touched += len(found)
         return found
 
-    def restore_file(self, name: str, records: Iterable[Record]) -> None:
-        """Replace *name*'s live records (transaction abort).
+    def rollback_pending(self, files: Optional[Iterable[str]] = None) -> list[str]:
+        """Undo the uncommitted writes to *files* (None = every file).
 
-        Discards the aborted transaction's pending version entry but
-        preserves the committed chain and trim horizon — concurrent
-        snapshot readers must still be able to reconstruct states older
-        than the one being restored.
+        A pending version entry *is* the committed state its transaction
+        must return to on abort: its record pointers are copied back into
+        the live list (never aliased — readers may still hold the entry),
+        the file's index is rebuilt once, and the entry is discarded.  The
+        sealed chain and the trim horizon stay, so concurrent snapshot
+        readers keep reconstructing older states.  An empty pre-image
+        means the transaction created the file, which is dropped.
+        Returns the names of the files rolled back.
         """
-        self.discard_pending([name])
-        chain = self._versions.pop(name, None)
-        trimmed = self._trimmed_below.pop(name, None)
-        capture = self._capture
-        self._capture = False
-        try:
-            self.drop_file(name)
-            for record in records:
-                self.insert(record)
-        finally:
-            self._capture = capture
-        if chain:
-            self._versions[name] = chain
-        if trimmed is not None:
-            self._trimmed_below[name] = trimmed
+        names = sorted(files) if files is not None else sorted(self._versions)
+        rolled: list[str] = []
+        for name in names:
+            chain = self._versions.get(name)
+            if not chain or chain[-1].superseded_at is not None:
+                continue
+            committed = chain.pop().records
+            if not chain:
+                del self._versions[name]
+            if committed:
+                self.file(name).records()[:] = committed
+            else:
+                self._files.pop(name, None)
+            self._bump_epoch(name)
+            self._rebuild_index(name)
+            rolled.append(name)
+        return rolled
 
     def version_depths(self) -> dict[str, int]:
         """Chain length per file (tests and the ``.versions`` diagnostics)."""
@@ -498,6 +512,7 @@ class ABStore:
                     table[attribute].add(record.get(attribute), seq, record)
         self._indexes[file_name] = table
         self._index_seq[file_name] = len(abfile)
+        self._obs.metrics.inc("abdm.index.rebuilds")
 
     def _index_add(self, file_name: str, record: Record) -> None:
         table = self._indexes.setdefault(
@@ -538,8 +553,9 @@ class ABStore:
 
     def _plan_candidates(
         self, file_name: str, query: Query
-    ) -> Optional[tuple[list[Record], frozenset[str]]]:
-        """Records the planner narrows *query* down to, in file order.
+    ) -> Optional[tuple[list[tuple[int, Record]], frozenset[str]]]:
+        """The ``(seq, record)`` entries the planner narrows *query* down
+        to, in file order (a record's seq is its position in the file).
 
         Returns ``(candidates, kinds)`` where *kinds* names the access
         paths used (``'hash'`` / ``'range'``), or None when no plan beats
@@ -591,11 +607,11 @@ class ABStore:
                 entries = [(s, record) for s, record in entries if s in (keep or ())]
             for seq, record in entries:
                 by_seq.setdefault(seq, record)
-        return [by_seq[seq] for seq in sorted(by_seq)], frozenset(kinds)
+        return sorted(by_seq.items()), frozenset(kinds)
 
     def _served_candidates(
         self, file_name: str, query: Query
-    ) -> tuple[Optional[list[Record]], str]:
+    ) -> tuple[Optional[list[tuple[int, Record]]], str]:
         """:meth:`_plan_candidates` plus the per-pair stats charge.
 
         Returns ``(candidates, label)`` where *label* names the access
@@ -676,7 +692,7 @@ class ABStore:
         for abfile in self._candidate_files(query):
             candidates, label = self._served_candidates(abfile.name, query)
             paths.add(label)
-            for record in abfile if candidates is None else candidates:
+            for record in abfile if candidates is None else _records(candidates):
                 self.stats.records_examined += 1
                 if matches(record):
                     found.append(record)
@@ -707,7 +723,7 @@ class ABStore:
                     records[:] = kept
             else:
                 victims = []
-                for record in candidates:
+                for record in _records(candidates):
                     self.stats.records_examined += 1
                     if matches(record):
                         victims.append(record)
@@ -729,75 +745,88 @@ class ABStore:
         query: Query,
         modify: Callable[[Record], None],
     ) -> int:
-        """Apply *modify* in place to every record satisfying *query*.
+        """Apply *modify* to every record satisfying *query*.
 
-        Under version capture the update goes copy-on-write instead: the
-        chain's shallow pre-images share record objects with the live
-        list, so matched records are cloned, modified, and swapped into
-        the live list at their position, leaving the shared originals
-        untouched for snapshot readers.
+        Outside version capture (WAL replay, recovery, direct store use)
+        records are modified in place.  Under capture the update goes
+        copy-on-write instead: the chain's shallow pre-images share
+        record objects with the live list, so each match is cloned,
+        modified, and swapped into the live list at its seq, leaving the
+        shared original untouched for snapshot readers.  The pre-image
+        is captured lazily at the first match, while the live list is
+        still pristine.
+
+        Either way the cost is what the statement touches: the planner
+        hands back each candidate's seq, which *is* its live position,
+        and only the changed records' index entries are patched (see
+        :meth:`_index_patch`).  A statement that changes more than a
+        quarter of the file stops patching and rebuilds the file's index
+        once instead — per record a rebuild is the cheaper of the two.
         """
         updated = 0
         matches = self.matcher(query)
         for abfile in self._candidate_files(query):
-            candidates, _ = self._served_candidates(abfile.name, query)
+            name = abfile.name
+            live = abfile.records()
+            candidates, _ = self._served_candidates(name, query)
+            table = self._indexes.get(name, {})
+            patch_limit = len(live) // 4
+            cow = self._capture
             touched = 0
-            if self._capture:
-                touched = self._update_cow(abfile, candidates, matches, modify)
-            else:
-                for record in abfile if candidates is None else candidates:
-                    self.stats.records_examined += 1
-                    if matches(record):
-                        modify(record)
-                        touched += 1
+            for seq, record in enumerate(live) if candidates is None else candidates:
+                self.stats.records_examined += 1
+                if not matches(record):
+                    continue
+                keys = record.keyword_map()
+                before = [keys.get(attribute, _ABSENT) for attribute in table]
+                if cow:
+                    if not touched:
+                        self._ensure_pending(name)
+                    record = record.copy()
+                modify(record)
+                if cow:
+                    live[seq] = record
+                touched += 1
+                if table and touched <= patch_limit:
+                    self._index_patch(table, seq, before, record, swapped=cow)
             if touched:
-                self._bump_epoch(abfile.name)
-                if self._indexed:
-                    # Modifiers may rewrite indexed keywords; re-derive.
-                    self._rebuild_index(abfile.name)
+                self._bump_epoch(name)
+                if touched > patch_limit:
+                    self._rebuild_index(name)
             updated += touched
         self.stats.records_touched += updated
         return updated
 
-    def _update_cow(
+    def _index_patch(
         self,
-        abfile: ABFile,
-        candidates: Optional[list[Record]],
-        matches: Callable[[Record], bool],
-        modify: Callable[[Record], None],
-    ) -> int:
-        """Copy-on-write update of one file (version capture active).
+        table: _FileIndex,
+        seq: int,
+        before: list[Any],
+        record: Record,
+        swapped: bool,
+    ) -> None:
+        """Re-index the one record an UPDATE changed at *seq*.
 
-        The pre-image is captured lazily at the first match, while the
-        live list is still pristine; every match is then replaced by a
-        modified clone at its original position, so record order (and
-        the index rebuild that follows) is identical to the in-place
-        path.
+        *before* holds the record's indexed values as they stood before
+        the modifier ran (``_ABSENT`` where it lacked the attribute — a
+        null value is a key like any other).  An attribute whose value
+        object is unchanged keeps its bucket; its entry only needs
+        pointing at *record* when the copy-on-write path *swapped* a new
+        object into the file.
         """
-        live = abfile.records()
-        touched = 0
-        if candidates is None:
-            for index, record in enumerate(live):
-                self.stats.records_examined += 1
-                if matches(record):
-                    if not touched:
-                        self._ensure_pending(abfile.name)
-                    clone = record.copy()
-                    modify(clone)
-                    live[index] = clone
-                    touched += 1
-        else:
-            positions = {id(record): i for i, record in enumerate(live)}
-            for record in candidates:
-                self.stats.records_examined += 1
-                if matches(record):
-                    if not touched:
-                        self._ensure_pending(abfile.name)
-                    clone = record.copy()
-                    modify(clone)
-                    live[positions[id(record)]] = clone
-                    touched += 1
-        return touched
+        keys = record.keyword_map()
+        patched = 0
+        for (attribute, index), old in zip(table.items(), before):
+            new = keys.get(attribute, _ABSENT)
+            if new is old and (new is _ABSENT or not swapped):
+                continue
+            if new is not old and old is not _ABSENT:
+                index.remove(old, seq, attribute)
+            if new is not _ABSENT:
+                index.place(new, seq, record)
+            patched += 1
+        if patched:
+            self._obs.metrics.inc("abdm.index.patched_entries", patched)
 
     # -- introspection ----------------------------------------------------------
 

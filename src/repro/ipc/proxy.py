@@ -374,23 +374,6 @@ class ProcessBackend:
         self._summary_cache = None
         self._call({"cmd": "restore", "image": codec.encode_image(image)})
 
-    def file_names(self) -> list[str]:
-        return list(self._call({"cmd": "file_names"})["files"])
-
-    def capture_file(self, file_name: str) -> list:
-        reply = self._call({"cmd": "capture_file", "file": file_name})
-        return [codec.decode_record(r) for r in reply["records"]]
-
-    def restore_file(self, file_name: str, records: list) -> None:
-        self._summary_cache = None
-        self._call(
-            {
-                "cmd": "restore_file",
-                "file": file_name,
-                "records": [codec.encode_record(r) for r in records],
-            }
-        )
-
     # -- version chains (MVCC snapshot reads) ----------------------------------
 
     def seal_versions(
@@ -416,6 +399,10 @@ class ProcessBackend:
                 "files": list(files) if files is not None else None,
             }
         )
+
+    def rollback(self, files: Optional[list]) -> int:
+        self._summary_cache = None
+        return self._call({"cmd": "rollback", "files": files})["rolled"]
 
     # -- content summary (broadcast pruning) -----------------------------------
 

@@ -142,21 +142,6 @@ class _Worker:
         if cmd == "restore":
             backend.restore_image(codec.decode_image(message["image"]))
             return {"ok": True}
-        if cmd == "file_names":
-            return {"files": backend.file_names()}
-        if cmd == "capture_file":
-            return {
-                "records": [
-                    codec.encode_record(r)
-                    for r in backend.capture_file(message["file"])
-                ]
-            }
-        if cmd == "restore_file":
-            backend.restore_file(
-                message["file"],
-                [codec.decode_record(r) for r in message["records"]],
-            )
-            return {"ok": True}
         if cmd == "seal_versions":
             backend.seal_versions(
                 message["files"], message["seq"], message["watermark"]
@@ -165,6 +150,8 @@ class _Worker:
         if cmd == "discard_pending":
             backend.discard_pending(message["files"])
             return {"ok": True}
+        if cmd == "rollback":
+            return {"rolled": backend.rollback(message["files"])}
         if cmd == "summary":
             return {"summary": codec.encode_summary(backend.summary())}
         if cmd == "rebuild_counts":

@@ -53,6 +53,12 @@ from repro.qc import runtime as qc_runtime
 #: scan store for a directory-clustered one (see repro.abdm.directory).
 StoreFactory = Callable[[], ABStore]
 
+#: Largest result (in records) the result cache admits.  An entry holds
+#: its own copy of every record and raw record, so without a per-entry
+#: limit the cache's memory is set by the widest SELECT anyone ever ran
+#: (one 4 000-row read held 6 MB of peak RSS), not by its entry count.
+RESULT_CACHE_MAX_RECORDS = 256
+
 #: Request types that can change what a backend's slice contains (and so
 #: invalidate its cached content summary).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
@@ -202,6 +208,8 @@ class Backend:
                 return self._replay_cached(entry)
             touched_before = self.store.stats.records_touched
             backend_result = self._execute_locked(request, snapshot)
+            if backend_result.result.count > RESULT_CACHE_MAX_RECORDS:
+                return backend_result
             touched = self.store.stats.records_touched - touched_before
             self._result_cache.put(
                 key,
@@ -351,40 +359,6 @@ class Backend:
             self._summary = None
             self._summaries.invalidate()
 
-    def file_names(self) -> list[str]:
-        """Names of the files resident on this backend's slice (sorted)."""
-        with self._lock:
-            return self.store.file_names()
-
-    def capture_file(self, file_name: str) -> list:
-        """Deep-copy one file's records (a session transaction's pre-image).
-
-        Session transactions undo at file granularity — the same granule
-        the :class:`~repro.mbds.locks.LockManager` protects — so an abort
-        only rebuilds the files the transaction actually touched instead
-        of the whole slice.  Returns ``[]`` for a file this backend does
-        not hold (restoring ``[]`` later just drops it again).
-        """
-        with self._lock:
-            if not self.store.has_file(file_name):
-                return []
-            return [record.copy() for record in self.store.file(file_name).records()]
-
-    def restore_file(self, file_name: str, records: list) -> None:
-        """Roll one file back to a captured pre-image (session abort).
-
-        Goes through :meth:`ABStore.restore_file` so the aborted
-        transaction's pending version entry is discarded while the
-        committed version chain (which concurrent snapshot readers may
-        still be reconstructing from) survives the rebuild.
-        """
-        with self._lock:
-            self.store.restore_file(
-                file_name, [record.copy() for record in records]
-            )
-            self._summary = None
-            self._summaries.invalidate([file_name])
-
     # -- version chains (MVCC snapshot reads) ------------------------------------
 
     def seal_versions(
@@ -395,9 +369,25 @@ class Backend:
             self.store.seal_versions(files, seq, watermark)
 
     def discard_pending(self, files: Optional[list] = None) -> None:
-        """Drop pending version entries after a failed/aborted mutation."""
+        """Drop pending version entries after a failed mutation."""
         with self._lock:
             self.store.discard_pending(files)
+
+    def rollback(self, files: Optional[list]) -> int:
+        """Undo a session transaction's writes to *files* (session abort).
+
+        *files* is the transaction's write set (None = it wrote
+        unpinned, under the global exclusive lock, so every pending
+        entry is its own).  The store restores each from the pending
+        pre-image it parked at the first write; returns how many files
+        this slice rolled back.
+        """
+        with self._lock:
+            rolled = self.store.rollback_pending(files)
+            if rolled:
+                self._summary = None
+                self._summaries.invalidate(rolled)
+            return len(rolled)
 
     # -- content summary (broadcast pruning) ------------------------------------
 

@@ -298,36 +298,28 @@ class KernelDatabaseSystem:
     def session_abort(self, session: KernelSession) -> None:
         """Abort *session*'s transaction: WAL abort plus file-level undo.
 
-        Undo restores exactly the files the transaction captured
-        pre-images for — still under the transaction's exclusive locks,
-        so no other session can have observed the rolled-back state —
-        then rolls back placement routing for the transaction's INSERTs
-        and finally releases the locks.
+        Undo rolls back exactly the transaction's write set: each backend
+        restores those files from the pending pre-images its store parked
+        at the first write — still under the transaction's exclusive
+        locks, so no other session can have observed the rolled-back
+        state.  Placement routing for the transaction's INSERTs is rolled
+        back too, and finally the locks are released.
         """
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to abort")
         if self.wal is not None:
             self.wal.abort(txn=session.wal_txn)
-        touched = bool(session.undo) or bool(session.wildcard_backends)
-        backends = self.controller.backends
-        for (backend_id, file_name), records in sorted(session.undo.items()):
-            backends[backend_id].restore_file(file_name, records)
-        for backend_id in sorted(session.wildcard_backends):
-            captured = {
-                name for owner_id, name in session.undo if owner_id == backend_id
-            }
-            for file_name in backends[backend_id].file_names():
-                if file_name not in captured:
-                    # Never captured on a fully-captured backend: the
-                    # file was created by this transaction; drop it.
-                    backends[backend_id].restore_file(file_name, [])
-        if touched:
+        files = self._session_seal_files(session)
+        if files is None or files:
+            rolled = sum(
+                backend.rollback(files) for backend in self.controller.backends
+            )
+            self.obs.metrics.inc("kds.abort.files_rolled_back", rolled)
             with self.controller.placement_lock:
                 observe = getattr(self.controller.placement, "observe_abort", None)
                 if observe is not None:
                     for file_name, backend_id in session.placed:
                         observe(file_name, backend_id)
-            self.controller.invalidate_summaries()
         session.end_transaction()
         session.aborts += 1
         self.locks.release_all(session.owner)
@@ -351,39 +343,8 @@ class KernelDatabaseSystem:
         else:
             self.session_commit(session)
 
-    def _capture_undo(self, session: KernelSession, request: Request) -> None:
-        """Lazily capture pre-images of the files *request* may mutate.
-
-        Pinned requests capture the named files on every backend (cheap:
-        a backend without the file contributes ``[]``).  An unpinned
-        mutation can touch anything, so the session captures every file
-        currently on every backend and marks those backends wildcard.
-        Captures happen at most once per (backend, file) per transaction
-        — the first mutation wins, preserving the true pre-image.
-        """
-        if isinstance(request, InsertRequest):
-            name = request.record.file_name
-            files = [name] if name is not None else None
-        elif isinstance(request, BulkInsertRequest):
-            names = {record.file_name for record in request.records}
-            files = sorted(names) if None not in names else None  # type: ignore[type-var]
-        else:
-            pinned = affected_files(request.query)  # type: ignore[attr-defined]
-            files = sorted(pinned) if pinned is not None else None
-        for backend in self.controller.backends:
-            backend_id = backend.backend_id
-            if backend_id in session.wildcard_backends:
-                continue
-            capture = backend.file_names() if files is None else files
-            for file_name in capture:
-                key = (backend_id, file_name)
-                if key not in session.undo:
-                    session.undo[key] = backend.capture_file(file_name)
-            if files is None:
-                session.wildcard_backends.add(backend_id)
-
     def _execute_session(self, request: Request, session: KernelSession) -> ExecutionTrace:
-        """Session-tagged execution: lock, (maybe) capture undo, run.
+        """Session-tagged execution: lock, note the write set, run.
 
         Outside a transaction, locks span just this request and a
         mutation auto-commits under a session-owned WAL transaction,
@@ -405,8 +366,8 @@ class KernelDatabaseSystem:
             self.snapshot_reads
             and not mutating
             and isinstance(request, (RetrieveRequest, RetrieveCommonRequest))
-            and not session.undo
-            and not session.wildcard_backends
+            and not session.written
+            and not session.wrote_unpinned
         ):
             trace = self._execute_snapshot_read(request, session)
             if trace is not None:
@@ -419,7 +380,11 @@ class KernelDatabaseSystem:
                 session.owner, lock_items(request), session.lock_timeout
             )
             if mutating and session.in_transaction:
-                self._capture_undo(session, request)
+                files = self._request_files(request)
+                if files is None:
+                    session.wrote_unpinned = True
+                else:
+                    session.written.update(files)
             with self.obs.tracer.span("kds.execute") as span:
                 try:
                     if isinstance(request, RetrieveRequest) and request.has_aggregates:
@@ -537,9 +502,9 @@ class KernelDatabaseSystem:
     def _request_files(request: Request) -> Optional[list]:
         """The files a mutating request can touch (None = unpinned: any).
 
-        The same granule :meth:`_capture_undo` captures; an unpinned
-        mutation holds the global exclusive lock, so sealing every
-        pending entry (None) cannot steal another session's.
+        The granule the lock manager protects; an unpinned mutation
+        holds the global exclusive lock, so settling every pending
+        entry (None) cannot steal another session's.
         """
         if isinstance(request, InsertRequest):
             name = request.record.file_name
@@ -552,16 +517,12 @@ class KernelDatabaseSystem:
 
     @staticmethod
     def _session_seal_files(session: KernelSession) -> Optional[list]:
-        """The files a committing session's transaction may have mutated.
+        """The transaction's write set: what commit seals, abort rolls back.
 
-        Derived from the undo captures — every mutated file was captured
-        first, at the same file granule.  A wildcard capture means the
-        session held the global exclusive lock, so every pending entry
-        anywhere is its own: seal all (None).
+        An unpinned write means the session held the global exclusive
+        lock, so every pending entry anywhere is its own: all (None).
         """
-        if session.wildcard_backends:
-            return None
-        return sorted({name for _, name in session.undo})
+        return None if session.wrote_unpinned else sorted(session.written)
 
     def _execute_snapshot_read(
         self, request: Request, session: KernelSession
@@ -933,7 +894,7 @@ class KernelDatabaseSystem:
         placement, and the resulting store state are identical to
         inserting the records one request at a time.  With a *session*,
         the batch runs under kernel concurrency control exactly like any
-        other mutating request (file locks, undo capture, commit-order
+        other mutating request (file locks, write-set tracking, commit-order
         stamping).
         """
         return self.execute(BulkInsertRequest(records), session=session)

@@ -81,8 +81,10 @@ class RoundRobinPlacement:
         # abort — no other session's placement interleaved on this file.
         key = file_name or ""
         count = self._counters.get(key, 0)
-        if count > 0:
+        if count > 1:
             self._counters[key] = count - 1
+        else:
+            self._counters.pop(key, None)  # as if the file was never placed
 
 
 class FileAffinityPlacement:

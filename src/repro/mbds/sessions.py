@@ -14,14 +14,14 @@ Transaction-scoped fields:
 
 * ``wal_txn`` — the session's open WAL transaction id (None without a
   WAL or outside a transaction).
-* ``undo`` — ``(backend_id, file_name) -> pre-image records``, captured
-  lazily at the first mutation touching that file in this transaction.
-  Undo is file-granular, the same granule the lock manager protects, so
-  an abort rebuilds only what the transaction touched.
-* ``wildcard_backends`` — backends whose *entire* slice was captured
-  because an unpinned mutation could touch any file; on abort, files on
-  those backends that were never captured must have been created by
-  this transaction and are dropped.
+* ``written`` — the names of the files this transaction's mutations
+  pinned: its write set, at the granule the lock manager protects.  The
+  pre-images themselves stay in the stores, as the pending version
+  entries the first write to each file parked; commit seals exactly
+  these files and abort rolls exactly these back.
+* ``wrote_unpinned`` — a mutation left the file open, so it could touch
+  any file (and held the global exclusive lock): commit and abort then
+  settle every pending entry on the farm.
 * ``placed`` — ``(file_name, backend_id)`` for every routed INSERT, so
   an abort can also roll back placement-policy counters (keeping future
   placement identical to a history in which the transaction never ran).
@@ -30,7 +30,7 @@ Transaction-scoped fields:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 
 @dataclass
@@ -42,8 +42,8 @@ class KernelSession:
     lock_timeout: Optional[float] = None
     wal_txn: Optional[int] = None
     in_transaction: bool = False
-    undo: Dict[Tuple[int, str], list] = field(default_factory=dict)
-    wildcard_backends: Set[int] = field(default_factory=set)
+    written: Set[str] = field(default_factory=set)
+    wrote_unpinned: bool = False
     placed: List[Tuple[Optional[str], int]] = field(default_factory=list)
     #: Lifetime accounting (the server's quota bookkeeping reads these).
     requests_executed: int = 0
@@ -54,8 +54,8 @@ class KernelSession:
         """Drop transaction-scoped state (after commit or abort)."""
         self.wal_txn = None
         self.in_transaction = False
-        self.undo = {}
-        self.wildcard_backends = set()
+        self.written = set()
+        self.wrote_unpinned = False
         self.placed = []
 
     def __repr__(self) -> str:

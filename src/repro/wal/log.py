@@ -78,7 +78,10 @@ class _StreamWriter:
     def append(self, record: dict, sync: Optional[bool] = None) -> None:
         if self._handle is None:
             self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        # Compact separators: the default ", " / ": " padding is an eighth
+        # of every journal line and carries nothing a reader parses.
+        line = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        self._handle.write(line + "\n")
         self._handle.flush()
         if self.sync if sync is None else (sync and self.sync):
             self._fsync()

@@ -143,7 +143,7 @@ class TestGarbageCollection:
         assert len(store.records_at("pay", 4)) == 7  # still reconstructable
         assert not store.snapshot_live(["pay"], 0)  # too old, not "live"
 
-    def test_restore_file_keeps_the_trim_horizon(self):
+    def test_rollback_pending_keeps_the_trim_horizon(self):
         store = seeded_store()
         store.version_retain = 1
         for seq in (1, 2, 3):
@@ -151,8 +151,10 @@ class TestGarbageCollection:
         before = [r.pairs() for r in store.records_at("pay", 3)]
         store._capture = True
         store.insert(make_record("pay", "pay$doomed", x=99))
-        store.restore_file("pay", [Record.from_pairs(p) for p in before])
+        depth = store.version_depths()["pay"]
+        assert store.rollback_pending(["pay"]) == ["pay"]
         store._capture = False
+        assert store.version_depths()["pay"] == depth - 1  # only the pending entry went
         with pytest.raises(SnapshotTooOld):
             store.records_at("pay", 0)  # horizon survived the abort
         assert [r.pairs() for r in store.find(Query.single("FILE", "=", "pay"))] == before

@@ -2,9 +2,9 @@
 
 These tests drive :class:`~repro.mbds.kds.KernelDatabaseSystem`'s
 session protocol directly (no server, no language front-ends): locks
-scoped to requests or transactions, lazy file-granular undo on abort —
-including wildcard captures for unpinned mutations and dropping files a
-transaction created — and placement-counter rollback so an aborted
+scoped to requests or transactions, file-granular undo on abort —
+including unpinned mutations (every pending file rolls back) and dropping
+files a transaction created — and placement-counter rollback so an aborted
 history places future records exactly like one where the transaction
 never ran.
 """
@@ -156,8 +156,8 @@ class TestAbortUndo:
         )
 
     def test_abort_undoes_unpinned_mutation(self, kds):
-        # No FILE pin: the wildcard path captures every file on every
-        # backend, and abort restores all of them.
+        # No FILE pin: the write could land anywhere, so abort rolls back
+        # every file with a pending pre-image on every backend.
         kds.execute(insert("g", b=7))
         before = image(kds)
         session = kds.create_session()

@@ -64,6 +64,22 @@ class TestHits:
         assert first.response.total_ms == second.response.total_ms
         assert first.response.backend_ms == second.response.backend_ms
 
+    def test_results_over_the_entry_limit_are_not_admitted(self, mlds, monkeypatch):
+        """An entry copies every record, so the widest result anyone asks
+        for must not decide the cache's memory: it is recomputed."""
+        from repro.mbds import backend
+
+        monkeypatch.setattr(backend, "RESULT_CACHE_MAX_RECORDS", 2)
+        wide = ("FILE", "=", "alpha"), ("n", ">=", 0)  # 6 records per backend
+        first = mlds.kds.execute(retrieve(*wide))
+        second = mlds.kds.execute(retrieve(*wide))
+        assert result_image(first) == result_image(second)
+        assert first.response.total_ms == second.response.total_ms
+        assert total_result_snapshot(mlds)["hits"] == 0
+        mlds.kds.execute(retrieve(("FILE", "=", "alpha"), ("n", "=", 3)))
+        mlds.kds.execute(retrieve(("FILE", "=", "alpha"), ("n", "=", 3)))
+        assert total_result_snapshot(mlds)["hits"] >= 1
+
     def test_hit_replays_scan_statistics(self):
         cached = MLDS(backend_count=2)
         uncached = MLDS(backend_count=2)

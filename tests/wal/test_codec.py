@@ -54,6 +54,17 @@ def test_insert_text_survives_where_rendered_abdl_drops_it():
     assert roundtrip(InsertRequest(record)).record.text == "textual portion"
 
 
+def test_keys_the_decoder_defaults_are_not_journaled():
+    record = Record.from_pairs([("FILE", "f"), ("a", 1)])
+    assert encode_request(InsertRequest(record))["record"] == {
+        "pairs": [["FILE", "f"], ["a", 1]]
+    }
+    assert roundtrip(InsertRequest(record)).record.text == ""
+    set_null = UpdateRequest(query(("FILE", "=", "f")), Modifier("a"))
+    assert encode_request(set_null)["modifier"] == {"attribute": "a"}
+    assert roundtrip(set_null) == set_null
+
+
 def test_delete_roundtrips_multi_clause_query():
     dnf = Query(
         [
