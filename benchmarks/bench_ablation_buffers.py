@@ -32,13 +32,13 @@ def build():
 def iterate_with_buffers(session) -> tuple[int, int]:
     session.execute("MOVE 'computer_science' TO dname IN department")
     session.execute("FIND ANY department USING dname IN department")
-    before = len(session.request_log)
+    before = session.kc.mark()
     members = 0
     result = session.execute("FIND FIRST faculty WITHIN dept")
     while result.ok:
         members += 1
         result = session.execute("FIND NEXT faculty WITHIN dept")
-    return members, len(session.request_log) - before
+    return members, session.kc.mark() - before
 
 
 def iterate_without_buffers(session) -> tuple[int, int]:
@@ -46,13 +46,13 @@ def iterate_without_buffers(session) -> tuple[int, int]:
     session.execute("MOVE 'computer_science' TO dname IN department")
     dept = session.execute("FIND ANY department USING dname IN department")
     adapter = session.engine.adapter
-    before = len(session.request_log)
+    before = session.kc.mark()
     # First fetch to learn the membership count, then one re-fetch per
     # step, which is what FIND NEXT would cost without an RB.
     members = len(adapter.member_records("dept", dept.dbkey))
     for _ in range(members):
         adapter.member_records("dept", dept.dbkey)
-    return members, len(session.request_log) - before
+    return members, session.kc.mark() - before
 
 
 @pytest.fixture(scope="module")

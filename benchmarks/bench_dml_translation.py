@@ -1,10 +1,15 @@
-"""CLAIM-VI: translation cost per CODASYL-DML statement type.
+"""CLAIM-VI: translation cost per CODASYL-DML and DAPLEX statement type.
 
 Chapter VI maps each statement into one or more ABDL requests (several
 auxiliary retrieves for STORE and ERASE).  This bench measures the
 end-to-end statement cost against the AB(functional) University database
 and reports, per statement, the number of ABDL requests its translation
 issued — the one-to-many correspondence the thesis calls out in III.A.
+
+The DAPLEX rows run each ``FOR EACH`` shape (direct, inherited, nested,
+aggregate) at 8 and at 64 result rows: the engine evaluates a path step
+once for the whole candidate set, so the request count is a property of
+the statement and must not move with the rows.
 """
 
 from __future__ import annotations
@@ -62,6 +67,71 @@ def request_counts():
         rows,
     )
     return dict(rows)
+
+
+DAPLEX_ROWS = (8, 64)
+
+#: shape -> the loop body; a gpa bound in front selects the row count.
+DAPLEX_SHAPES = {
+    "direct": "PRINT gpa(s), major(s);",
+    "inherited": "PRINT name(s), gpa(s);",
+    "nested": "PRINT dname(dept(advisor(s)));",
+    "aggregate": "PRINT COUNT(enrollment(s)), MAXIMUM(salary(advisor(s)));",
+}
+
+
+@pytest.fixture(scope="module")
+def daplex():
+    """One DAPLEX session for every (read-only) FOR EACH row below."""
+    mlds = MLDS(backend_count=4)
+    load_university(mlds, generate_university(persons=200, courses=12, seed=5))
+    return mlds.open_daplex_session("university")
+
+
+def daplex_statement(session, shape: str, rows: int) -> str:
+    """FOR EACH over the *rows* students with the lowest gpa."""
+    gpas = sorted(
+        row["gpa(s)"] for row in session.execute("FOR EACH s IN student PRINT gpa(s);").rows
+    )
+    assert gpas[rows - 1] < gpas[rows], "a gpa tie straddles the cut; pick another seed"
+    return f"FOR EACH s IN student SUCH THAT gpa(s) < {gpas[rows]!r} {DAPLEX_SHAPES[shape]}"
+
+
+@pytest.fixture(scope="module")
+def daplex_request_counts(daplex):
+    """ABDL requests per FOR EACH shape, at each row count."""
+    counts = {}
+    for shape in DAPLEX_SHAPES:
+        for rows in DAPLEX_ROWS:
+            result = daplex.execute(daplex_statement(daplex, shape, rows))
+            assert len(result.rows) == rows
+            counts[shape, rows] = len(result.requests)
+    print_series(
+        "CLAIM-VI  ABDL requests per DAPLEX FOR EACH",
+        ["shape", *(f"{rows} rows" for rows in DAPLEX_ROWS)],
+        [(shape, *(counts[shape, rows] for rows in DAPLEX_ROWS)) for shape in DAPLEX_SHAPES],
+    )
+    return counts
+
+
+class TestDaplexFanOut:
+    def test_request_count_is_independent_of_rows(self, daplex_request_counts):
+        for shape in DAPLEX_SHAPES:
+            assert len({daplex_request_counts[shape, rows] for rows in DAPLEX_ROWS}) == 1
+
+    def test_one_request_per_step_off_the_candidates(self, daplex_request_counts):
+        rows = DAPLEX_ROWS[0]
+        assert daplex_request_counts["direct", rows] == 1     # candidates carry it all
+        assert daplex_request_counts["inherited", rows] == 2  # + person
+        assert daplex_request_counts["nested", rows] == 3     # + faculty + department
+        assert daplex_request_counts["aggregate", rows] == 2  # + employee (salary)
+
+    @pytest.mark.parametrize("shape", DAPLEX_SHAPES)
+    @pytest.mark.parametrize("rows", DAPLEX_ROWS)
+    def test_for_each_latency(self, benchmark, daplex, shape, rows):
+        statement = daplex_statement(daplex, shape, rows)
+        benchmark(lambda: daplex.execute(statement))
+        benchmark.extra_info["statement"] = f"FOR EACH ({shape}, {rows} rows)"
 
 
 class TestFanOut:

@@ -110,11 +110,11 @@ def overhead_series():
             (
                 kind,
                 members,
-                len(session.request_log),
+                session.kc.mark(),
                 round(mlds.kds.clock.total_ms, 1),
             )
         )
-        measurements[kind] = (len(session.request_log), mlds.kds.clock.total_ms)
+        measurements[kind] = (session.kc.mark(), mlds.kds.clock.total_ms)
     print_series(
         "E2E  department scan: native network vs transformed functional",
         ["target", "members", "ABDL requests", "sim kernel ms"],

@@ -18,6 +18,13 @@ A third, ungated row times the epoch-guarded backend result cache on the
 same workload for context (it short-circuits the scan entirely, so its
 speedup is workload-dependent and usually much larger).
 
+**Key lists.**  A batched fetch — DAPLEX's frontier, DL/I's child
+lookup, a CODASYL one-to-many set — is a DNF of ``(FILE = t AND t = k)``
+clauses, which the compiler folds into one set probe.  Three more rows
+(8 / 64 / 256 clauses over a 400-record file) time that shape compiled
+against interpreted, check the selections are identical, and sit under
+the same ``--min-speedup`` gate.
+
 Run standalone (writes ``BENCH_compile.json``)::
 
     PYTHONPATH=src python benchmarks/bench_query_compile.py
@@ -36,6 +43,8 @@ if __package__ in (None, ""):  # runnable as a plain script, too
 
 from repro.abdl.ast import ALL_ATTRIBUTES, RetrieveRequest
 from repro.abdm.predicate import Conjunction, Predicate, Query
+from repro.abdm.record import Record
+from repro.abdm.store import ABStore
 from repro.core.mlds import MLDS
 from repro.qc import runtime as qc_runtime
 from repro.university import generate_university, load_university
@@ -197,6 +206,53 @@ def time_modes(
     return best
 
 
+KEY_LIST_FILE_RECORDS = 400
+KEY_LIST_CLAUSES = (8, 64, 256)
+
+
+def time_key_lists(rounds: int, repeat: int) -> list[dict]:
+    """Key-list DNFs over one file: interpreted vs compiled ``find``."""
+    config = qc_runtime.config
+    store = ABStore()
+    for i in range(KEY_LIST_FILE_RECORDS):
+        store.insert(
+            Record.from_pairs([("FILE", "entity"), ("entity", f"entity${i}"), ("x", i % 97)])
+        )
+    rows = []
+    for clauses in KEY_LIST_CLAUSES:
+        step = KEY_LIST_FILE_RECORDS // clauses
+        query = Query(
+            Conjunction(
+                [Predicate("FILE", "=", "entity"), Predicate("entity", "=", f"entity${i * step}")]
+            )
+            for i in range(clauses)
+        )
+        best = {"interpreted": float("inf"), "compiled": float("inf")}
+        found = {}
+        for _ in range(repeat):
+            for mode in best:
+                config.compile_enabled = mode == "compiled"
+                found[mode] = store.find(query)  # warm (first compile is one-off)
+                start = time.perf_counter()
+                for _ in range(rounds):
+                    store.find(query)
+                best[mode] = min(best[mode], (time.perf_counter() - start) / rounds)
+        config.compile_enabled = True
+        rows.append(
+            {
+                "clauses": clauses,
+                "records": KEY_LIST_FILE_RECORDS,
+                "selected": len(found["compiled"]),
+                "identical": found["compiled"] == found["interpreted"]
+                and len(found["compiled"]) == clauses,
+                "interpreted_ms": best["interpreted"] * 1e3,
+                "compiled_ms": best["compiled"] * 1e3,
+                "speedup_x": best["interpreted"] / max(best["compiled"], 1e-9),
+            }
+        )
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backends", type=int, default=2)
@@ -264,6 +320,17 @@ def main(argv: list[str] | None = None) -> int:
             f"{ratio:>7.2f}x"
         )
 
+    key_lists = time_key_lists(args.rounds, args.repeat)
+    print(f"=== key-list DNFs ({KEY_LIST_FILE_RECORDS}-record file) ===")
+    header = f"{'clauses':>8}  {'interpreted ms':>15}  {'compiled ms':>12}  {'speedup':>8}"
+    print(header)
+    print("-" * len(header))
+    for row in key_lists:
+        print(
+            f"{row['clauses']:>8}  {row['interpreted_ms']:>15.3f}  "
+            f"{row['compiled_ms']:>12.3f}  {row['speedup_x']:>7.1f}x"
+        )
+
     report = {
         "benchmark": "query_compile",
         "backends": args.backends,
@@ -277,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         "wall_s": best,
         "compiled_speedup_x": speedup,
         "result_cache_speedup_x": cache_speedup,
+        "key_lists": key_lists,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -297,6 +365,21 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
+    for row in key_lists:
+        if not row["identical"]:
+            print(
+                f"FAIL: {row['clauses']}-clause key list selects differently "
+                f"compiled and interpreted",
+                file=sys.stderr,
+            )
+            failed = True
+        if args.min_speedup > 0 and row["speedup_x"] < args.min_speedup:
+            print(
+                f"FAIL: {row['clauses']}-clause key list compiled speedup "
+                f"{row['speedup_x']:.2f}x is below --min-speedup {args.min_speedup}",
+                file=sys.stderr,
+            )
+            failed = True
     return 1 if failed else 0
 
 

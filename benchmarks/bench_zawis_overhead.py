@@ -97,7 +97,7 @@ def zawis_series():
             (
                 label,
                 f"{counts[0]}/{counts[1]}/{counts[2]}",
-                len(session.request_log),
+                session.kc.mark(),
                 round(mlds.kds.clock.total_ms, 1),
             )
         )

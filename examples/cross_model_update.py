@@ -108,7 +108,7 @@ def main() -> None:
     s.execute("MOVE 'Grace Hopper' TO name IN person")
     s.execute("FIND ANY person USING name IN person")
     print(f"ERASE person  -> {s.execute('ERASE person').status.value}")
-    print(f"\nsession issued {len(s.request_log)} ABDL requests in total")
+    print(f"\nsession issued {s.kc.mark()} ABDL requests in total")
 
 
 if __name__ == "__main__":

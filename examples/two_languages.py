@@ -75,8 +75,8 @@ def main() -> None:
     trace = mlds.kds.execute(parse_request("RETRIEVE (FILE = student) (MIN(gpa))"))
     print(f"MIN(gpa) = {trace.result.records[0].get('MIN(gpa)')}")
 
-    print(f"\nDAPLEX session issued {len(daplex.request_log)} ABDL requests; "
-          f"CODASYL session issued {len(codasyl.request_log)}")
+    print(f"\nDAPLEX session issued {daplex.kc.mark()} ABDL requests; "
+          f"CODASYL session issued {codasyl.kc.mark()}")
 
 
 if __name__ == "__main__":

@@ -224,6 +224,8 @@ class ABStore:
         if compiled is MISSING:
             with self._obs.tracer.span("qc.compile", query=key[0]):
                 compiled = compile_query(query)
+            if compiled.inset_groups:
+                self._obs.metrics.inc("qc.compile.inset_groups", compiled.inset_groups)
             self._compiled.put(key, compiled)
         return compiled.matches
 

@@ -6,6 +6,10 @@ execution (thesis I.B.1).  This implementation additionally keeps a
 *request log* — the rendered text of every request executed on behalf of
 the run-unit — which is how the test suite asserts that a CODASYL-DML
 statement translated into exactly the ABDL the thesis's chapters show.
+The log keeps the most recent :data:`REQUEST_LOG_CAP` texts: a served
+connection lives for millions of statements, so each engine brackets a
+statement with :meth:`KernelController.mark` /
+:meth:`~KernelController.since` and takes its requests from there.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from repro.abdm.predicate import Query
 from repro.abdm.record import Record
 from repro.mbds.kds import KernelDatabaseSystem
 
+#: Request texts the log retains once a statement's capture has closed.
+REQUEST_LOG_CAP = 1024
+
 
 class KernelController:
     """Executes ABDL requests on the shared KDS for one run-unit.
@@ -46,8 +53,10 @@ class KernelController:
     ) -> None:
         self.kds = kds
         self.session = session
-        #: Rendered text of every request executed (oldest first).
+        #: Rendered text of the most recent requests executed (oldest
+        #: first); trimmed to REQUEST_LOG_CAP whenever a capture closes.
         self.request_log: list[str] = []
+        self._trimmed = 0  # entries dropped from the front of the log
 
     @property
     def obs(self):
@@ -89,9 +98,27 @@ class KernelController:
         """Convenience retrieval returning the projected records."""
         return self.execute(RetrieveRequest(query, target, by)).records
 
+    def mark(self) -> int:
+        """Open a statement-scoped capture: the count of requests so far."""
+        return self._trimmed + len(self.request_log)
+
+    def since(self, mark: int) -> list[str]:
+        """Every request text logged after *mark*, then trim the log.
+
+        Trimming happens only here, so a statement's own requests are
+        all still present when it asks for them, however many it issued.
+        """
+        captured = self.request_log[max(mark - self._trimmed, 0):]
+        excess = len(self.request_log) - REQUEST_LOG_CAP
+        if excess > 0:
+            del self.request_log[:excess]
+            self._trimmed += excess
+        return captured
+
     def last_requests(self, count: int) -> list[str]:
         """The most recent *count* logged request texts."""
         return self.request_log[-count:]
 
     def clear_log(self) -> None:
+        self._trimmed += len(self.request_log)
         self.request_log.clear()

@@ -9,11 +9,23 @@ by updating through one interface and observing through the other.
 Translation outline:
 
 * ``FOR EACH t SUCH THAT ...`` — comparisons over functions *declared on
-  the iterated type* compile into the RETRIEVE's query; comparisons over
-  inherited functions or nested paths are evaluated per candidate with
-  auxiliary retrieves (value inheritance walks the supertype chain via
-  the shared database key);
-* ``PRINT`` projects paths the same way, one output row per entity;
+  the iterated type* compile into the candidate RETRIEVE's query; the
+  rest of the condition (inherited functions, nested paths, a
+  disjunction) filters the candidates afterwards;
+* ``PRINT`` projects paths and aggregates, one output row per entity;
+* paths are evaluated **set-at-a-time**, as the kernel is set-oriented:
+  each step ``fn`` is applied to the whole frontier of database keys at
+  once — one DNF RETRIEVE ``(FILE = t AND t = k1) OR (FILE = t AND t =
+  k2) …`` against the file of the type declaring ``fn`` (value
+  inheritance: the supertype shares the database key), at most
+  :data:`FRONTIER_CHUNK` keys a request — and the records land in a
+  per-statement map ``declaring type → dbkey → records`` that the
+  candidate RETRIEVE seeds.  A statement therefore costs one request
+  plus one per distinct (declaring type, step) the map does not already
+  cover, whatever the row count;
+* a loop that writes (``LET`` / ``DESTROY``) runs one candidate at a time
+  through the same evaluator and drops the map's entries for every file
+  it writes, so iteration *j* reads what iteration *i* wrote;
 * ``LET fn(x) = v`` becomes ``UPDATE ((FILE = type) AND (type = key))
   (fn = v)`` against the declaring type's file;
 * ``FOR A NEW`` mints a key (base entity) or extends a supertype entity
@@ -26,10 +38,11 @@ Translation outline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.abdl.ast import DeleteRequest, InsertRequest, Modifier, UpdateRequest
-from repro.abdm.predicate import Predicate, Query
+from repro.abdm.predicate import Conjunction, Predicate, Query
+from repro.abdm.record import Record
 from repro.abdm.values import Value, compare
 from repro.errors import ConstraintViolation, ExecutionError, SchemaError, TranslationError
 from repro.functional import daplex_dml as dml
@@ -38,6 +51,11 @@ from repro.kc.controller import KernelController
 from repro.mapping.fun_to_abdm import ABFunctionalMapping
 from repro.qc.lru import MISSING
 from repro.qc import runtime as qc_runtime
+
+#: Database keys one frontier RETRIEVE carries.  Fixed, so no request
+#: text — and with it no cache key, log line or IPC frame — grows with
+#: the table; a larger frontier is sent as several requests.
+FRONTIER_CHUNK = 256
 
 
 @dataclass
@@ -63,6 +81,9 @@ class DaplexEngine:
         self._splits = qc_runtime.new_cache("translate", prefix="qc.translate")
         if kc.obs.enabled:
             self._splits.bind_metrics(kc.obs.metrics)
+        #: declaring type -> dbkey -> that entity's AB records, for the
+        #: statement being executed (see :meth:`_entity_records`).
+        self._entities: dict[str, dict[str, list[Record]]] = {}
 
     def invalidate_translations(self) -> None:
         """Drop cached condition splits (schema change)."""
@@ -77,14 +98,17 @@ class DaplexEngine:
         if isinstance(statement, str):
             statement = dml.parse_statement(statement)
         with self.kc.obs.tracer.span("kms.translate") as span:
-            log_start = len(self.kc.request_log)
-            if isinstance(statement, dml.ForEach):
-                result = self._for_each(statement)
-            elif isinstance(statement, dml.ForNew):
-                result = self._for_new(statement)
-            else:
-                raise TranslationError(f"unknown statement {type(statement).__name__}")
-            result.requests = self.kc.request_log[log_start:]
+            log_start = self.kc.mark()
+            try:
+                if isinstance(statement, dml.ForEach):
+                    result = self._for_each(statement)
+                elif isinstance(statement, dml.ForNew):
+                    result = self._for_new(statement)
+                else:
+                    raise TranslationError(f"unknown statement {type(statement).__name__}")
+            finally:
+                self._entities.clear()
+            result.requests = self.kc.since(log_start)
             if span:
                 span.record(
                     language="daplex",
@@ -105,24 +129,33 @@ class DaplexEngine:
         direct, deferred = self._split_condition(statement, type_name)
         candidates = self._candidates(type_name, direct)
         result = DaplexResult(statement.type_name)
-        for dbkey in candidates:
-            if not self._deferred_holds(deferred, type_name, dbkey):
+        # A read-only loop is one batch.  A loop that writes goes one
+        # candidate at a time: iteration j must see iteration i's write.
+        writes = any(
+            isinstance(action, (dml.LetAction, dml.DestroyAction))
+            for action in statement.actions
+        )
+        for batch in [[key] for key in candidates] if writes else [candidates]:
+            selected = self._holding(deferred, type_name, batch)
+            if not selected:
                 continue
+            printed: list[list[dict[str, Value]]] = []
             for action in statement.actions:
                 if isinstance(action, dml.PrintAction):
-                    row = {
-                        expr.render(): self._evaluate_print(expr, type_name, dbkey)
-                        for expr in action.expressions
-                    }
-                    result.rows.append(row)
+                    printed.append(self._print_rows(action, type_name, selected))
                 elif isinstance(action, dml.LetAction):
-                    self._let(action, type_name, dbkey)
-                    result.touched += 1
+                    for dbkey in selected:
+                        self._let(action, type_name, dbkey)
+                    result.touched += len(selected)
                 elif isinstance(action, dml.DestroyAction):
-                    self._destroy(type_name, dbkey)
-                    result.touched += 1
+                    for dbkey in selected:
+                        self._destroy(type_name, dbkey)
+                    result.touched += len(selected)
                 else:
                     raise TranslationError(f"unknown action {type(action).__name__}")
+            # One row per entity per PRINT, entity-major as the loop reads.
+            for rows in zip(*printed):
+                result.rows.extend(rows)
         return result
 
     def _split_condition(
@@ -174,35 +207,47 @@ class DaplexEngine:
         return direct_query, deferred
 
     def _candidates(self, type_name: str, direct: Optional[Query]) -> list[str]:
-        query = direct or Query.single("FILE", "=", type_name)
-        records = self.kc.retrieve(query)
-        key_attribute = self.mapping.dbkey_attribute(type_name)
-        seen: list[str] = []
-        for record in records:
-            key = record.get(key_attribute)
-            if isinstance(key, str) and key not in seen:
-                seen.append(key)
-        return seen
+        """Database keys the candidate RETRIEVE selects, in file order.
 
-    def _deferred_holds(
+        Its records seed the statement's map.  A direct query only tests
+        single-valued functions, on which an entity's duplicated AB
+        records agree (LET and the loader write every duplicate), so the
+        records it selects are all of each selected entity's records.
+        """
+        query = direct or Query.single("FILE", "=", type_name)
+        groups = self.mapping.group_by_dbkey(type_name, self.kc.retrieve(query))
+        self._entities[type_name] = groups
+        return list(groups)
+
+    def _holding(
         self,
         deferred: Optional[dml.Condition],
         type_name: str,
-        dbkey: str,
-    ) -> bool:
+        dbkeys: Sequence[str],
+    ) -> list[str]:
+        """The *dbkeys* satisfying the post-filter, in their order.
+
+        Evaluation narrows as ``or`` / ``and`` short-circuit: a clause
+        is only tried on the entities no earlier clause admitted, and a
+        comparison only on those every earlier comparison of its clause
+        admitted.
+        """
         if deferred is None:
-            return True
+            return list(dbkeys)
+        admitted: set[str] = set()
+        undecided = list(dbkeys)
         for clause in deferred.clauses:
-            if all(
-                compare(
-                    self._evaluate_path(c.path, type_name, dbkey),
-                    c.value,
-                    c.operator,
-                )
-                for c in clause
-            ):
-                return True
-        return False
+            alive = undecided
+            for comparison in clause:
+                values = self._evaluate_path(comparison.path, type_name, alive)
+                alive = [
+                    dbkey
+                    for dbkey, value in zip(alive, values)
+                    if compare(value, comparison.value, comparison.operator)
+                ]
+            admitted.update(alive)
+            undecided = [dbkey for dbkey in undecided if dbkey not in admitted]
+        return [dbkey for dbkey in dbkeys if dbkey in admitted]
 
     # -- path evaluation (value inheritance) ----------------------------------------------
 
@@ -215,59 +260,85 @@ class DaplexEngine:
                 return candidate, function
         raise SchemaError(f"{type_name!r} has no function {function_name!r}")
 
-    def _raw_function_values(
+    def _entity_records(
         self,
-        type_name: str,
-        function_name: str,
-        dbkey: str,
+        declaring: str,
+        dbkeys: Sequence[str],
+    ) -> dict[str, list[Record]]:
+        """The statement's ``dbkey → AB records`` map of *declaring*'s
+        file, covering every one of *dbkeys* (no records: an empty list).
+
+        Keys the map lacks are fetched together, one DNF RETRIEVE per
+        :data:`FRONTIER_CHUNK` of them.
+        """
+        known = self._entities.setdefault(declaring, {})
+        missing = [dbkey for dbkey in dict.fromkeys(dbkeys) if dbkey not in known]
+        file_predicate = Predicate("FILE", "=", declaring)
+        metrics = self.kc.obs.metrics
+        for start in range(0, len(missing), FRONTIER_CHUNK):
+            chunk = missing[start : start + FRONTIER_CHUNK]
+            records = self.kc.retrieve(
+                Query(
+                    Conjunction([file_predicate, Predicate(declaring, "=", dbkey)])
+                    for dbkey in chunk
+                )
+            )
+            groups = self.mapping.group_by_dbkey(declaring, records)
+            for dbkey in chunk:
+                known[dbkey] = groups.get(dbkey, [])
+            metrics.inc("kms.daplex.frontier_fetches")
+            metrics.inc("kms.daplex.frontier_keys", len(chunk))
+        return known
+
+    def _apply(
+        self,
+        declaring: str,
+        function: Function,
+        keys: Sequence[Value],
     ) -> list[Value]:
-        """Distinct non-null fn(entity) values (one element unless fn is
-        multi-valued), read from the declaring type's file."""
-        declaring, _ = self._declaring_type(type_name, function_name)
-        records = self.kc.retrieve(
-            Query.conjunction(
-                [
-                    Predicate("FILE", "=", declaring),
-                    Predicate(declaring, "=", dbkey),
-                ]
-            )
-        )
-        values: list[Value] = []
-        for record in records:
-            value = record.get(function_name)
-            if value is not None and value not in values:
-                values.append(value)
-        return values
+        """One path step over a whole frontier: fn(key) where *key* is a
+        database key — read from the file of the type declaring *function*,
+        a multi-valued one as a joined list — and None where an earlier
+        step found no entity."""
+        live = [key for key in keys if isinstance(key, str)]
+        groups = self._entity_records(declaring, live)
+        values: dict[str, Value] = {}
+        for dbkey in live:
+            records = groups[dbkey]
+            if function.set_valued:
+                distinct = self.mapping.distinct_values(records, function.name)
+                values[dbkey] = ", ".join(str(v) for v in distinct) if distinct else None
+            else:
+                values[dbkey] = records[0].get(function.name) if records else None
+        return [values[key] if isinstance(key, str) else None for key in keys]
 
-    def _function_value(self, type_name: str, function_name: str, dbkey: str) -> Value:
-        """Read fn(entity), walking up the ISA chain for inherited functions."""
-        declaring, function = self._declaring_type(type_name, function_name)
-        if function.set_valued:
-            # Multi-valued: render the distinct values as a joined list.
-            values = self._raw_function_values(type_name, function_name, dbkey)
-            return ", ".join(str(v) for v in values) if values else None
-        records = self.kc.retrieve(
-            Query.conjunction(
-                [
-                    Predicate("FILE", "=", declaring),
-                    Predicate(declaring, "=", dbkey),
-                ]
+    def _print_rows(
+        self,
+        action: dml.PrintAction,
+        type_name: str,
+        dbkeys: Sequence[str],
+    ) -> list[dict[str, Value]]:
+        """One output row per entity: each expression is a path or an
+        aggregate over one, evaluated for all of *dbkeys* together."""
+        columns = {
+            expr.render(): (
+                self._evaluate_aggregate(expr, type_name, dbkeys)
+                if isinstance(expr, dml.AggregateExpr)
+                else self._evaluate_path(expr, type_name, dbkeys)
             )
-        )
-        return records[0].get(function_name) if records else None
-
-    def _evaluate_print(self, expr, type_name: str, dbkey: str) -> Value:
-        """Evaluate a PRINT expression: a path or an aggregate over one."""
-        if isinstance(expr, dml.AggregateExpr):
-            return self._evaluate_aggregate(expr, type_name, dbkey)
-        return self._evaluate_path(expr, type_name, dbkey)
+            for expr in action.expressions
+        }
+        return [
+            {name: values[row] for name, values in columns.items()}
+            for row in range(len(dbkeys))
+        ]
 
     def _evaluate_aggregate(
         self,
         expr: "dml.AggregateExpr",
         type_name: str,
-        dbkey: str,
-    ) -> Value:
+        dbkeys: Sequence[str],
+    ) -> list[Value]:
         """COUNT/TOTAL/AVERAGE/MAXIMUM/MINIMUM over a function application.
 
         The outermost function of the path supplies the value set (its
@@ -278,11 +349,11 @@ class DaplexEngine:
         if not path.functions:
             raise TranslationError("aggregates need a function application")
         current_type = type_name
-        current_key: Value = dbkey
+        keys: list[Value] = list(dbkeys)
         for function_name in reversed(path.functions[1:]):
-            if not isinstance(current_key, str):
-                return None
-            _, function = self._declaring_type(current_type, function_name)
+            if not any(isinstance(key, str) for key in keys):
+                return [None] * len(keys)
+            declaring, function = self._declaring_type(current_type, function_name)
             if function.set_valued:
                 raise TranslationError(
                     f"{function_name!r} is multi-valued; only the outermost "
@@ -292,46 +363,44 @@ class DaplexEngine:
                 raise TranslationError(
                     f"{function_name!r} is scalar and cannot be dereferenced"
                 )
-            current_key = self._function_value(current_type, function_name, current_key)
+            keys = self._apply(declaring, function, keys)
             current_type = function.range_type_name or ""
-        if not isinstance(current_key, str):
-            return None
-        values = self._raw_function_values(current_type, path.functions[0], current_key)
-        if expr.operator == "COUNT":
-            return len(values)
-        numeric = [v for v in values if isinstance(v, (int, float))]
-        if not numeric:
-            return None
-        if expr.operator == "TOTAL":
-            return sum(numeric)
-        if expr.operator == "AVERAGE":
-            return sum(numeric) / len(numeric)
-        if expr.operator == "MAXIMUM":
-            return max(numeric)
-        return min(numeric)
+        live = [key for key in keys if isinstance(key, str)]
+        if not live:
+            return [None] * len(keys)
+        outermost = path.functions[0]
+        declaring, _ = self._declaring_type(current_type, outermost)
+        groups = self._entity_records(declaring, live)
+        return [
+            _aggregate(expr.operator, self.mapping.distinct_values(groups[key], outermost))
+            if isinstance(key, str)
+            else None
+            for key in keys
+        ]
 
-    def _evaluate_path(self, path: dml.FunctionPath, type_name: str, dbkey: str) -> Value:
-        if not path.functions:
-            return dbkey
+    def _evaluate_path(
+        self,
+        path: dml.FunctionPath,
+        type_name: str,
+        dbkeys: Sequence[str],
+    ) -> list[Value]:
+        """Per entity, the value of *path* (None once a step finds no
+        entity to apply the next function to)."""
+        keys: list[Value] = list(dbkeys)
         current_type = type_name
-        current_key: Value = dbkey
         # Apply innermost-first; entity-valued steps switch the type.
-        for index, function_name in enumerate(reversed(path.functions)):
-            if not isinstance(current_key, str):
-                return None
+        steps = list(reversed(path.functions))
+        for index, function_name in enumerate(steps):
+            if not any(isinstance(key, str) for key in keys):
+                return [None] * len(keys)
             declaring, function = self._declaring_type(current_type, function_name)
-            value = self._function_value(current_type, function_name, current_key)
-            is_last = index == len(path.functions) - 1
-            if function.is_entity_valued and not is_last:
-                current_type = function.range_type_name or ""
-                current_key = value
-            elif is_last:
-                return value
-            else:
+            keys = self._apply(declaring, function, keys)
+            if index < len(steps) - 1 and not function.is_entity_valued:
                 raise TranslationError(
                     f"{function_name!r} is scalar and cannot be dereferenced further"
                 )
-        return current_key
+            current_type = function.range_type_name or ""
+        return keys
 
     # -- LET ----------------------------------------------------------------------------
 
@@ -356,6 +425,7 @@ class DaplexEngine:
                 Modifier(function_name, value=action.value),
             )
         )
+        self._entities.pop(declaring, None)
 
     # -- FOR A NEW ------------------------------------------------------------------------
 
@@ -404,26 +474,16 @@ class DaplexEngine:
             )
         probe = dml.ForEach(selector.type_name, selector.type_name, selector.condition, [])
         direct, deferred = self._split_condition(probe, selector.type_name)
-        keys = [
-            key
-            for key in self._candidates(selector.type_name, direct)
-            if self._deferred_holds(deferred, selector.type_name, key)
-        ]
+        keys = self._holding(
+            deferred, selector.type_name, self._candidates(selector.type_name, direct)
+        )
         if len(keys) != 1:
             raise ExecutionError(
                 f"the OF clause selected {len(keys)} {selector.type_name!r} "
                 f"entities; FOR A NEW needs exactly one"
             )
         dbkey = keys[0]
-        existing = self.kc.retrieve(
-            Query.conjunction(
-                [
-                    Predicate("FILE", "=", statement.type_name),
-                    Predicate(statement.type_name, "=", dbkey),
-                ]
-            )
-        )
-        if existing:
+        if self._entity_records(statement.type_name, [dbkey])[dbkey]:
             raise ConstraintViolation(
                 f"entity {dbkey!r} is already a {statement.type_name!r}"
             )
@@ -449,17 +509,13 @@ class DaplexEngine:
     # -- DESTROY ----------------------------------------------------------------------------
 
     def _destroy(self, type_name: str, dbkey: str) -> None:
-        # DAPLEX constraint: abort when the entity is referenced by any
-        # database function (the rule the thesis's ERASE honours).
+        # DAPLEX constraint: abort when the entity is a value of any
+        # entity-valued function in the database (the rule the thesis's
+        # ERASE honours), whatever that function's range.
         for holder_name in self.schema.type_names():
             holder = self.schema.entity_or_subtype(holder_name)
             for function in holder.functions:
                 if not function.is_entity_valued:
-                    continue
-                range_name = function.range_type_name or ""
-                hierarchy = {type_name, *self.schema.hierarchy_below(type_name)}
-                chain = {range_name, *self.schema.supertype_chain(type_name)}
-                if range_name not in hierarchy and range_name not in chain:
                     continue
                 found = self.kc.retrieve(
                     Query.conjunction(
@@ -486,3 +542,20 @@ class DaplexEngine:
                     )
                 )
             )
+            self._entities.pop(member, None)
+
+
+def _aggregate(operator: str, values: list[Value]) -> Value:
+    """One aggregate over an entity's distinct function values."""
+    if operator == "COUNT":
+        return len(values)
+    numeric = [v for v in values if isinstance(v, (int, float))]
+    if not numeric:
+        return None
+    if operator == "TOTAL":
+        return sum(numeric)
+    if operator == "AVERAGE":
+        return sum(numeric) / len(numeric)
+    if operator == "MAXIMUM":
+        return max(numeric)
+    return min(numeric)

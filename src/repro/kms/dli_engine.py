@@ -89,7 +89,7 @@ class DliEngine:
         if isinstance(call, str):
             call = dli.parse_call(call)
         with self.kc.obs.tracer.span("kms.translate") as span:
-            log_start = len(self.kc.request_log)
+            log_start = self.kc.mark()
             if isinstance(call, dli.SetField):
                 self.io_area[call.name] = call.value
                 result = DliResult(call.render())
@@ -107,7 +107,7 @@ class DliEngine:
                 result = self._delete(call)
             else:
                 raise TranslationError(f"unknown DL/I call {type(call).__name__}")
-            result.requests = self.kc.request_log[log_start:]
+            result.requests = self.kc.since(log_start)
             if span:
                 span.record(
                     language="dli",

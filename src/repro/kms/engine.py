@@ -51,9 +51,9 @@ class DMLEngine:
             statement = dml.parse_statement(statement)
         kc = self.adapter.kc
         with kc.obs.tracer.span("kms.translate") as span:
-            log_start = len(kc.request_log)
+            log_start = kc.mark()
             result = self._dispatch(statement)
-            result.requests = kc.request_log[log_start:]
+            result.requests = kc.since(log_start)
             if span:
                 span.record(
                     language="codasyl",

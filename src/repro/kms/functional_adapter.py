@@ -263,12 +263,13 @@ class FunctionalTargetAdapter(TargetAdapter):
                 ]
             )
         )
-        values: list[str] = []
-        for record in records:
-            value = record.get(set_name)
-            if isinstance(value, str) and value not in values:
-                values.append(value)
-        return values
+        return list(
+            dict.fromkeys(
+                value
+                for record in records
+                if isinstance(value := record.get(set_name), str)
+            )
+        )
 
     def set_memberships(self, record_type: str, record: Record) -> dict[str, Optional[str]]:
         memberships: dict[str, Optional[str]] = {}

@@ -97,7 +97,7 @@ class SqlEngine:
             source = statement
             statement = sql.parse_statement(statement)
         with self.kc.obs.tracer.span("kms.translate") as span:
-            log_start = len(self.kc.request_log)
+            log_start = self.kc.mark()
             if isinstance(statement, sql.Select):
                 result = self._select(statement, source)
             elif isinstance(statement, sql.Insert):
@@ -108,7 +108,7 @@ class SqlEngine:
                 result = self._delete(statement)
             else:
                 raise TranslationError(f"unknown statement {type(statement).__name__}")
-            result.requests = self.kc.request_log[log_start:]
+            result.requests = self.kc.since(log_start)
             if span:
                 span.record(
                     language="sql",

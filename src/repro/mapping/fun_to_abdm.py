@@ -150,15 +150,22 @@ class ABFunctionalMapping:
         values[type_name] = records[0].get(type_name)
         for function in node.functions:
             if function.set_valued:
-                seen: list[Value] = []
-                for record in records:
-                    value = record.get(function.name)
-                    if value is not None and value not in seen:
-                        seen.append(value)
-                values[function.name] = seen
+                values[function.name] = self.distinct_values(records, function.name)
             else:
                 values[function.name] = records[0].get(function.name)
         return values
+
+    @staticmethod
+    def distinct_values(records: Iterable[Record], function_name: str) -> list[Value]:
+        """The distinct non-null values *function_name* takes across one
+        instance's AB records, in order of first appearance."""
+        return list(
+            dict.fromkeys(
+                value
+                for record in records
+                if (value := record.get(function_name)) is not None
+            )
+        )
 
     def group_by_dbkey(
         self,

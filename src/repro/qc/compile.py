@@ -24,6 +24,16 @@ proven against :mod:`repro.abdm.values` semantics:
   numbers against numbers, nulls and absences against nothing.  A
   predicate ordering against a null value can never be satisfied and
   compiles to a constant ``False``.
+* **Key lists.**  Clauses of one DNF that are identical except for the
+  value of one ``=`` predicate on the same attribute — the shape every
+  batched fetch sends, ``(FILE = t AND t = k1) OR (FILE = t AND t = k2)
+  …`` — compile to the shared predicates plus *one* ``frozenset``
+  membership test, so matching costs O(1) per record however many keys
+  ride in the request.  Set membership is ``is`` or (equal hash and
+  ``==``), which on int/float/str/None is exactly ``==`` (``1``/``1.0``
+  and ``0``/``-0.0`` hash alike) — except that a NaN *is* itself while
+  never equalling itself, so a clause whose varying value is NaN, or
+  anything outside those four types, stays on the clause-by-clause path.
 
 The module is pure — caching lives with the callers (each store keeps a
 bounded LRU from :mod:`repro.qc.runtime` keyed on the rendered query).
@@ -32,7 +42,7 @@ bounded LRU from :mod:`repro.qc.runtime` keyed on the rendered query).
 from __future__ import annotations
 
 import operator as _op
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.abdm.predicate import Conjunction, Predicate, Query
 from repro.abdm.record import Record
@@ -100,9 +110,9 @@ def compile_predicate(predicate: Predicate) -> MatchFn:
     return order_num
 
 
-def compile_conjunction(clause: Conjunction) -> MatchFn:
-    """Compile one DNF clause (an empty clause matches everything)."""
-    fns = tuple(compile_predicate(p) for p in clause.predicates)
+def _conjoin(fns: Sequence[MatchFn]) -> MatchFn:
+    """AND of compiled predicates (none: matches everything)."""
+    fns = tuple(fns)
     if not fns:
         return _true
     if len(fns) == 1:
@@ -124,20 +134,90 @@ def compile_conjunction(clause: Conjunction) -> MatchFn:
     return conj
 
 
+def compile_conjunction(clause: Conjunction) -> MatchFn:
+    """Compile one DNF clause (an empty clause matches everything)."""
+    return _conjoin([compile_predicate(p) for p in clause.predicates])
+
+
+def _in_set(attribute: str, members: Sequence[Value]) -> MatchFn:
+    """``attribute = m1 OR attribute = m2 …`` as one hash probe."""
+    values = frozenset(members)
+
+    def in_set(m: Mapping[str, Value]) -> bool:
+        v = m.get(attribute, _MISSING)
+        try:
+            return v in values
+        except TypeError:  # an unhashable record value: compare one by one
+            return any(v == member for member in values)
+
+    return in_set
+
+
+def _set_member(value: Value) -> bool:
+    """True when ``x in {value}`` is exactly ``x == value`` for every x."""
+    kind = type(value)
+    return kind is str or kind is int or value is None or (kind is float and value == value)
+
+
+def _factor_key_lists(clauses: Sequence[Conjunction]) -> tuple[list[MatchFn], int]:
+    """Compile *clauses*, folding key-list groups into set probes.
+
+    A group is two or more clauses identical except for the value of one
+    ``=`` predicate at one position (see the module docstring).  Returns
+    the matchers to OR together and how many groups were folded.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for number, clause in enumerate(clauses if len(clauses) > 1 else ()):
+        predicates = clause.predicates
+        for position, predicate in enumerate(predicates):
+            if predicate.operator == "=" and _set_member(predicate.value):
+                shape = (position, predicates[:position], predicate.attribute,
+                         predicates[position + 1:])
+                try:
+                    groups.setdefault(shape, []).append(number)
+                except TypeError:  # a shared predicate holds an unhashable value
+                    break
+    fns: list[MatchFn] = []
+    folded: set[int] = set()
+    # Largest group first, so a clause that fits two shapes joins the one
+    # that saves the most comparisons; ties keep first-seen order.
+    for shape, numbers in sorted(groups.items(), key=lambda item: -len(item[1])):
+        numbers = [n for n in numbers if n not in folded]
+        if len(numbers) < 2:
+            continue
+        position, before, attribute, after = shape
+        probe = _in_set(attribute, [clauses[n].predicates[position].value for n in numbers])
+        fns.append(
+            _conjoin(
+                [*map(compile_predicate, before), probe, *map(compile_predicate, after)]
+            )
+        )
+        folded.update(numbers)
+    groups_folded = len(fns)
+    fns.extend(
+        compile_conjunction(clause)
+        for number, clause in enumerate(clauses)
+        if number not in folded
+    )
+    return fns, groups_folded
+
+
 class CompiledQuery:
     """A query flattened into a single matcher closure.
 
     ``matches`` accepts a :class:`~repro.abdm.record.Record` (mirroring
     ``Query.matches``); ``fn`` is the raw closure over a keyword map for
-    callers already holding one.
+    callers already holding one; ``inset_groups`` counts the key-list
+    groups that compiled to a set probe.
     """
 
-    __slots__ = ("query", "source", "fn")
+    __slots__ = ("query", "source", "fn", "inset_groups")
 
     def __init__(self, query: Query) -> None:
         self.query = query
         self.source = query.render()
-        clause_fns = tuple(compile_conjunction(c) for c in query.clauses)
+        fns, self.inset_groups = _factor_key_lists(query.clauses)
+        clause_fns = tuple(fns)
         if not clause_fns:
             # An empty disjunction selects nothing (any(()) is False).
             self.fn: MatchFn = _false
