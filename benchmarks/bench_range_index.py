@@ -245,7 +245,9 @@ def check_engine_fidelity(
     threaded_kds.controller.add_index("gpa", "age", "major", "credits", "semester")
     # Replay the serial farm's exact contents into the threaded farm.
     for backend, source in zip(threaded_kds.controller.backends, serial.controller.backends):
-        backend.restore_image(source.capture_image())
+        backend.store.bulk_insert(
+            record.copy() for record in source.store.all_records()
+        )
     left = run_once(serial, requests)
     right = run_once(threaded_kds, requests)
     identical = all(

@@ -13,12 +13,14 @@ requests the chapters show.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.abdm.predicate import Query
 from repro.abdm.record import Record
 from repro.abdm.values import Value, render
+from repro.errors import ExecutionError
 
 #: Aggregate operations allowed in a RETRIEVE target list.
 AGGREGATE_OPERATIONS = ("AVG", "SUM", "COUNT", "MIN", "MAX")
@@ -119,6 +121,14 @@ class DeleteRequest(Request):
         return f"DELETE {self.query.render()}"
 
 
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
 @dataclass(frozen=True)
 class Modifier:
     """An UPDATE modifier: set *attribute* to a constant or simple expression.
@@ -128,12 +138,35 @@ class Modifier:
     * ``attribute = <constant>`` (including ``NULL``),
     * ``attribute = attribute <op> <constant>`` for ``+ - * /`` (the ABDL
       "function of the old value" modifier).
+
+    A modifier that could only fail once it meets a record — an unknown
+    operator, a zero divisor — is refused here, at construction: an
+    UPDATE is journaled before it is applied, and a journaled request
+    that cannot apply would make the log unreplayable.
     """
 
     attribute: str
     value: Value = None
     arithmetic: Optional[str] = None  # one of + - * / when self-referential
     operand: Value = None
+
+    def __post_init__(self) -> None:
+        if self.arithmetic is None:
+            return
+        if self.arithmetic not in _ARITHMETIC:
+            raise ExecutionError(
+                f"unknown arithmetic operator {self.arithmetic!r} in the "
+                f"modifier of {self.attribute!r}"
+            )
+        if (
+            self.arithmetic == "/"
+            and isinstance(self.operand, (int, float))
+            and self.operand == 0
+        ):
+            raise ExecutionError(
+                f"the modifier ({self.attribute} = {self.attribute} / 0) "
+                "divides by zero"
+            )
 
     def apply(self, record: Record) -> None:
         """Apply the modification to *record* in place."""
@@ -145,16 +178,7 @@ class Modifier:
             # Arithmetic over non-numbers (or nulls) leaves the keyword
             # unchanged: the kernel never coerces domains.
             return
-        if self.arithmetic == "+":
-            record.set(self.attribute, old + self.operand)
-        elif self.arithmetic == "-":
-            record.set(self.attribute, old - self.operand)
-        elif self.arithmetic == "*":
-            record.set(self.attribute, old * self.operand)
-        elif self.arithmetic == "/":
-            record.set(self.attribute, old / self.operand)
-        else:
-            raise ValueError(f"unknown arithmetic operator {self.arithmetic!r}")
+        record.set(self.attribute, _ARITHMETIC[self.arithmetic](old, self.operand))
 
     def render(self) -> str:
         if self.arithmetic is None:

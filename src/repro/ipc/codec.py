@@ -10,8 +10,8 @@ verbatim and adds what a *live* backend conversation needs on top:
 * the reply side — :class:`~repro.abdl.executor.RequestResult` and
   :class:`~repro.mbds.backend.BackendResult` with their scan-statistics
   deltas;
-* backend images (transaction pre-images), pruning summaries, aggregate
-  index digests, and observability span trees.
+* pruning summaries, aggregate index digests, and observability span
+  trees.
 
 Every encoder returns data ``json.dumps`` accepts directly (dicts, lists,
 strings, numbers, booleans, None) and every decoder inverts its encoder
@@ -38,7 +38,7 @@ from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.errors import ExecutionError
-from repro.mbds.backend import BackendImage, BackendResult
+from repro.mbds.backend import BackendResult
 from repro.mbds.summary import AttributeRange, BackendSummary, FileSummary
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
@@ -157,31 +157,6 @@ def decode_backend_result(payload: Mapping[str, Any]) -> BackendResult:
         payload["elapsed_ms"],
         payload["wall_ms"],
         payload["records_examined"],
-        payload["index_hits"],
-        payload["range_hits"],
-        payload["fallback_scans"],
-    )
-
-
-# -- backend images (transaction pre-images) -----------------------------------
-
-
-def encode_image(image: BackendImage) -> dict[str, Any]:
-    return {
-        "records": [encode_record(r) for r in image.records],
-        "examined": image.examined,
-        "touched": image.touched,
-        "index_hits": image.index_hits,
-        "range_hits": image.range_hits,
-        "fallback_scans": image.fallback_scans,
-    }
-
-
-def decode_image(payload: Mapping[str, Any]) -> BackendImage:
-    return BackendImage(
-        [decode_record(r) for r in payload["records"]],
-        payload["examined"],
-        payload["touched"],
         payload["index_hits"],
         payload["range_hits"],
         payload["fallback_scans"],

@@ -137,11 +137,6 @@ class _Worker:
         if cmd == "replay":
             backend.replay(codec.decode_any_request(message["request"]))
             return {"ok": True}
-        if cmd == "capture":
-            return {"image": codec.encode_image(backend.capture_image())}
-        if cmd == "restore":
-            backend.restore_image(codec.decode_image(message["image"]))
-            return {"ok": True}
         if cmd == "seal_versions":
             backend.seal_versions(
                 message["files"], message["seq"], message["watermark"]

@@ -42,8 +42,8 @@ class KernelController:
     :meth:`repro.mbds.kds.KernelDatabaseSystem.create_session`): every
     request then executes under kernel concurrency control — two-phase
     locks and session-owned WAL transactions — so many run-units can
-    share the kernel simultaneously.  Without one, requests take the
-    legacy single-caller path unchanged.
+    share the kernel simultaneously.  Without one, requests run on the
+    kernel's own session, under the same protocol.
     """
 
     def __init__(
@@ -78,15 +78,16 @@ class KernelController:
         """Group the requests executed inside into one kernel transaction.
 
         Commits on normal exit, aborts (journal and in-memory) on error —
-        see :meth:`repro.mbds.kds.KernelDatabaseSystem.transaction`.  A
-        session-bound run-unit gets its session's concurrent transaction
-        protocol (locks held to commit, file-granular undo on abort).
+        see :meth:`repro.mbds.kds.KernelDatabaseSystem.session_transaction`
+        (locks held to commit, file-granular undo on abort).  A run-unit
+        without a session of its own runs on the kernel's.
         """
-        if self.session is not None:
-            with self.kds.session_transaction(self.session):
-                yield
-            return
-        with self.kds.transaction():
+        scope = (
+            self.kds.transaction()
+            if self.session is None
+            else self.kds.session_transaction(self.session)
+        )
+        with scope:
             yield
 
     def retrieve(

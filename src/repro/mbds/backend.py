@@ -65,23 +65,6 @@ _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateReq
 
 
 @dataclass
-class BackendImage:
-    """Deep pre-image of a backend's store, for transaction rollback.
-
-    Records are copied (UPDATE mutates records in place, so a shallow
-    reference would alias the post-image); restoring re-inserts them
-    through the store so hash indexes and clustering rebuild themselves.
-    """
-
-    records: list
-    examined: int
-    touched: int
-    index_hits: int = 0
-    range_hits: int = 0
-    fallback_scans: int = 0
-
-
-@dataclass
 class _CachedRetrieve:
     """One result-cache entry: the result plus its full cost accounting.
 
@@ -331,34 +314,6 @@ class Backend:
             self.executor.execute(request)
             self._invalidate_for(request)
 
-    def capture_image(self) -> BackendImage:
-        """Deep-copy the store contents (a transaction's pre-image)."""
-        with self._lock:
-            return BackendImage(
-                [record.copy() for record in self.store.all_records()],
-                self.store.stats.records_examined,
-                self.store.stats.records_touched,
-                self.store.stats.index_hits,
-                self.store.stats.range_hits,
-                self.store.stats.fallback_scans,
-            )
-
-    def restore_image(self, image: BackendImage) -> None:
-        """Roll the store back to *image* (transaction abort)."""
-        with self._lock:
-            self.store.clear()
-            for record in image.records:
-                self.store.insert(record.copy())
-            # Reinserting bumps the touched counter; put the accounting
-            # back where the pre-image left it.
-            self.store.stats.records_examined = image.examined
-            self.store.stats.records_touched = image.touched
-            self.store.stats.index_hits = image.index_hits
-            self.store.stats.range_hits = image.range_hits
-            self.store.stats.fallback_scans = image.fallback_scans
-            self._summary = None
-            self._summaries.invalidate()
-
     # -- version chains (MVCC snapshot reads) ------------------------------------
 
     def seal_versions(
@@ -374,7 +329,7 @@ class Backend:
             self.store.discard_pending(files)
 
     def rollback(self, files: Optional[list]) -> int:
-        """Undo a session transaction's writes to *files* (session abort).
+        """Undo a transaction's writes to *files* (session abort).
 
         *files* is the transaction's write set (None = it wrote
         unpinned, under the global exclusive lock, so every pending

@@ -27,7 +27,6 @@ record to exactly one backend.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,13 +39,12 @@ from repro.abdl.ast import (
     Request,
     RetrieveCommonRequest,
     RetrieveRequest,
-    Transaction,
     UpdateRequest,
 )
 from repro.abdl.executor import RequestResult
 from repro.abdm.record import Record
-from repro.errors import ExecutionError
-from repro.mbds.backend import Backend, BackendImage, BackendResult, StoreFactory
+from repro.errors import ExecutionError, WalError
+from repro.mbds.backend import Backend, BackendResult, StoreFactory
 from repro.mbds.engine import EngineSpec, ExecutionEngine, make_engine
 from repro.mbds.placement import PlacementPolicy, RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
@@ -79,14 +77,6 @@ _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateReq
 
 
 @dataclass
-class ControllerImage:
-    """Pre-image of the whole farm plus placement state (for rollback)."""
-
-    backends: list[BackendImage]
-    placement: PlacementPolicy
-
-
-@dataclass
 class ExecutionTrace:
     """Merged outcome of one request across all backends.
 
@@ -107,10 +97,10 @@ class ExecutionTrace:
     wall_ms: float = 0.0
     per_backend_wall_ms: list[float] = field(default_factory=list)
     phases: list[BroadcastPhase] = field(default_factory=list)
-    #: Global commit order stamped by the KDS for session auto-commits
-    #: (None for reads, legacy execution, and in-transaction requests —
-    #: those get their order from session_commit).  Serial replay of
-    #: mutations in commit_seq order reproduces the farm bit-identically.
+    #: Global commit order stamped by the KDS for auto-commits (None for
+    #: reads and in-transaction requests — those get their order from
+    #: session_commit).  Serial replay of mutations in commit_seq order
+    #: reproduces the farm bit-identically.
     commit_seq: Optional[int] = None
     #: The commit seq a lock-free snapshot read pinned (None when the
     #: request ran on the ordinary locking path).  A retrieval with a
@@ -201,11 +191,12 @@ class BackendController:
         the per-backend span names, so the two can never disagree (the
         KDS passes ``left``/``right`` for RETRIEVE-COMMON's halves).
 
-        *session* identifies a concurrent kernel session: its mutations
-        journal under the session's own WAL transaction (or a per-request
-        auto-commit transaction owned by the session) instead of the
-        legacy single transaction slot.  The KDS is responsible for
-        having acquired the request's locks before calling in.
+        *session* identifies the calling kernel session: its mutations
+        journal under the session's open WAL transaction, or a
+        per-request auto-commit transaction the session owns.  The KDS
+        always passes one (its own for session-less callers) and is
+        responsible for having acquired the request's locks before
+        calling in; only a controller without a WAL runs without.
 
         *snapshot* (a commit seq) makes a RETRIEVE / RETRIEVE-COMMON
         read the committed state at that seq via the stores' version
@@ -220,53 +211,46 @@ class BackendController:
             request, label or PHASE_BROADCAST, session, snapshot
         )
 
-    def execute_transaction(self, transaction: Transaction) -> list[ExecutionTrace]:
-        """Execute requests sequentially, as ABDL transactions require."""
-        return [self.execute(request) for request in transaction]
-
     def _journal(
         self,
-        request: Request,
-        targets: Sequence[Backend],
-        session: Optional[KernelSession] = None,
+        ops: Sequence[tuple[Backend, Request]],
+        session: Optional[KernelSession],
     ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Journal *request* for *targets* ahead of applying it.
+        """Journal each ``(backend, request)`` of *ops* ahead of applying it.
 
-        Opens a single-request (auto-commit) transaction when no explicit
-        transaction is in progress and returns ``(commit, abort)``
-        thunks: *commit* (None when no commit is due) writes that
-        transaction's commit record after the request applied; *abort*
-        (None unless this call opened a transaction) writes its abort
-        record if the apply fails, so the auto-commit slot — the
-        session's owner slot or the legacy single slot — is never left
-        occupied by a request that will neither commit nor be retried.
-        Session requests journal under the session's open owned
-        transaction, or an owned auto-commit transaction (committed
-        without counts — concurrent sessions make whole-farm record
-        counts unstable).
+        A BULK-INSERT shard is one log record per target backend — one
+        journal line per backend per batch, instead of one per record.
+        Inside *session*'s open transaction the ops join it and
+        ``(None, None)`` is returned.  Otherwise they open an auto-commit
+        transaction the session owns, and the ``(commit, abort)`` thunks
+        returned settle it: *commit* writes its commit record after the
+        request applied (with the record-count checksum when the session
+        is ``counted``); *abort* writes its abort record if the apply
+        fails, so the owner's slot is never left occupied by a request
+        that will neither commit nor be retried.
         """
-        if self.wal is None:
+        wal = self.wal
+        if wal is None:
             return None, None
-        if session is not None:
-            if session.wal_txn is not None:
-                for backend in targets:
-                    self.wal.log_op(backend.backend_id, request, txn=session.wal_txn)
-                return None, None
-            txn = self.wal.begin(owner=session.owner)
-            for backend in targets:
-                self.wal.log_op(backend.backend_id, request, txn=txn)
-            return (
-                lambda: self.wal.commit(txn=txn),
-                lambda: self.wal.abort(txn=txn),
-            )
-        auto = not self.wal.in_transaction
+        if session is None:
+            raise WalError("a journaled request needs a kernel session")
+        txn = session.wal_txn
+        auto = txn is None
         if auto:
-            self.wal.begin()
-        for backend in targets:
-            self.wal.log_op(backend.backend_id, request)
-        if auto:
-            return lambda: self.wal.commit(self.distribution()), self.wal.abort
-        return None, None
+            txn = wal.begin(session.owner)
+        for backend, request in ops:
+            if isinstance(request, BulkInsertRequest):
+                wal.log_bulk(backend.backend_id, request, txn)
+            else:
+                wal.log_op(backend.backend_id, request, txn)
+        if not auto:
+            return None, None
+        return (
+            lambda: wal.commit(
+                txn, self.distribution() if session.counted else None
+            ),
+            lambda: wal.abort(txn),
+        )
 
     def _apply_journaled(
         self,
@@ -333,7 +317,7 @@ class BackendController:
             index = self.placement.place(request.record, self.backend_count)
         if session is not None and session.in_transaction:
             session.placed.append((request.record.file_name, index))
-        commit, abort = self._journal(request, [self.backends[index]], session)
+        commit, abort = self._journal([(self.backends[index], request)], session)
         backend_result = self._apply_journaled(
             lambda: self.engine.execute_one(self.backends[index], request, label),
             abort,
@@ -355,43 +339,6 @@ class BackendController:
             per_backend_wall_ms=[backend_result.wall_ms],
             phases=[phase],
         )
-
-    def _journal_bulk(
-        self,
-        shards: Sequence[BulkInsertRequest],
-        targets: Sequence[Backend],
-        session: Optional[KernelSession] = None,
-    ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Journal one per-backend bulk shard per target, as :meth:`_journal`.
-
-        Each target backend receives exactly the records routed to it as a
-        single BULK-INSERT log record — one journal line per backend per
-        batch, instead of one per record.  The transaction cases (open
-        session transaction / owned auto-commit / legacy slot) mirror
-        :meth:`_journal` exactly.
-        """
-        if self.wal is None:
-            return None, None
-        if session is not None:
-            if session.wal_txn is not None:
-                for backend, shard in zip(targets, shards):
-                    self.wal.log_bulk(backend.backend_id, shard, txn=session.wal_txn)
-                return None, None
-            txn = self.wal.begin(owner=session.owner)
-            for backend, shard in zip(targets, shards):
-                self.wal.log_bulk(backend.backend_id, shard, txn=txn)
-            return (
-                lambda: self.wal.commit(txn=txn),
-                lambda: self.wal.abort(txn=txn),
-            )
-        auto = not self.wal.in_transaction
-        if auto:
-            self.wal.begin()
-        for backend, shard in zip(targets, shards):
-            self.wal.log_bulk(backend.backend_id, shard)
-        if auto:
-            return lambda: self.wal.commit(self.distribution()), self.wal.abort
-        return None, None
 
     def _execute_bulk_insert(
         self,
@@ -427,7 +374,7 @@ class BackendController:
         indices = sorted(groups)
         targets = [self.backends[i] for i in indices]
         shards = [BulkInsertRequest(groups[i]) for i in indices]
-        commit, abort = self._journal_bulk(shards, targets, session)
+        commit, abort = self._journal(list(zip(targets, shards)), session)
         # The apply span covers store mutation AND the deferred index
         # finalize (sort-once), which runs inside each backend's store.
         with self.obs.tracer.span("bulk.apply"):
@@ -478,7 +425,9 @@ class BackendController:
                 if observe is not None:
                     observe(request)
         if mutating:
-            commit, abort = self._journal(request, targets, session)
+            commit, abort = self._journal(
+                [(backend, request) for backend in targets], session
+            )
             partials = self._apply_journaled(
                 lambda: self.engine.run(targets, request, label) if targets else [],
                 abort,
@@ -577,27 +526,6 @@ class BackendController:
             if skipped:
                 metrics.inc("prune.skipped_backends", skipped)
         return pruned
-
-    # -- transaction rollback ----------------------------------------------------
-
-    def capture_state(self) -> ControllerImage:
-        """Deep pre-image of every backend plus the placement policy.
-
-        Taken at explicit transaction begin so that an abort can roll the
-        in-memory farm back to exactly the pre-transaction state —
-        matching what recovery would reconstruct from the log, where the
-        aborted transaction is discarded.
-        """
-        return ControllerImage(
-            [backend.capture_image() for backend in self.backends],
-            copy.deepcopy(self.placement),
-        )
-
-    def restore_state(self, image: ControllerImage) -> None:
-        """Roll every backend (and placement state) back to *image*."""
-        for backend, backend_image in zip(self.backends, image.backends):
-            backend.restore_image(backend_image)
-        self.placement = image.placement
 
     # -- maintenance -------------------------------------------------------------
 

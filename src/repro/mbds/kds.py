@@ -18,7 +18,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import ContextManager, Iterator, Optional, Sequence
 
 from repro.abdl.ast import (
     ALL_ATTRIBUTES,
@@ -28,19 +28,14 @@ from repro.abdl.ast import (
     Request,
     RetrieveCommonRequest,
     RetrieveRequest,
-    Transaction,
     UpdateRequest,
 )
 from repro.abdl.aggregates import digest_plan, merge_digests
 from repro.abdl.executor import RequestResult, merge_common, project
 from repro.abdm.record import Record
 from repro.errors import ExecutionError, SnapshotTooOld, WalError, WorkerCrashed
-from repro.mbds.controller import (
-    BackendController,
-    ControllerImage,
-    ExecutionTrace,
-)
-from repro.mbds.engine import EngineSpec
+from repro.mbds.controller import BackendController, ExecutionTrace
+from repro.mbds.engine import EngineSpec, ProcessPoolEngine
 from repro.mbds.locks import LockManager, lock_items
 from repro.mbds.placement import PlacementPolicy
 from repro.mbds.sessions import KernelSession
@@ -60,6 +55,10 @@ from repro.wal.log import WalManager
 
 #: The request types that mutate store state (everything else is a read).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
+
+#: Owner name of the kernel's own session, on which every session-less
+#: call runs; :meth:`KernelDatabaseSystem.create_session` refuses it.
+KERNEL_OWNER = "kernel"
 
 #: How many times a lock-free read retries at a fresher snapshot after
 #: GC trimmed its pinned one away, before falling back to a locking read.
@@ -101,11 +100,11 @@ class KernelDatabaseSystem:
         real disk stalls (see :class:`~repro.mbds.backend.Backend`).
         *wal* attaches a write-ahead log: mutating requests are journaled
         before applying and grouped into transactions (see
-        :meth:`transaction`).  *obs* attaches an
+        :meth:`session_transaction`).  *obs* attaches an
         :class:`~repro.obs.Observability` bundle (tracing + metrics +
         slow log); the default is the no-op null bundle.
         *snapshot_reads* enables the lock-free MVCC read path for
-        session-tagged RETRIEVEs (see :meth:`_execute_session`);
+        RETRIEVEs (see :meth:`_execute_session`);
         *version_retain* caps the per-file version-chain depth on
         in-process stores (process-engine workers keep the library
         default; their chains still garbage-collect by watermark)."""
@@ -126,9 +125,12 @@ class KernelDatabaseSystem:
         self.clock = ResponseTime()
         #: Count of requests executed (for the benchmark harnesses).
         self.requests_executed = 0
-        #: Farm pre-image captured at explicit transaction begin.
-        self._txn_image: Optional[ControllerImage] = None
-        #: Kernel concurrency control for session-tagged execution.
+        #: The kernel's own session: every call made without a session
+        #: runs on it, under the same locks, journal and commit protocol
+        #: as any other.  Its callers are one at a time, so its commits
+        #: carry the record-count checksum recovery verifies.
+        self._own = KernelSession(KERNEL_OWNER, counted=True)
+        #: Kernel concurrency control: every request locks through here.
         self.locks = LockManager(lock_timeout)
         #: Guards the shared accounting (clock, counters) across sessions.
         self._state_lock = threading.Lock()
@@ -177,78 +179,42 @@ class KernelDatabaseSystem:
         return self.controller.obs
 
     # -- transactions ------------------------------------------------------------
+    #
+    # There is one transaction protocol, the session one below.  Each
+    # :class:`KernelSession` carries its own WAL transaction, its write
+    # set, and a lock owner identity; requests acquire two-phase locks
+    # (see repro.mbds.locks), so concurrent RETRIEVEs proceed in parallel
+    # while mutations serialize per file, and every history is
+    # conflict-equivalent to the commit order the kernel stamps
+    # (``commit_seq``).  The session-less API is that protocol on the
+    # kernel's own session.
 
     @property
     def in_transaction(self) -> bool:
-        return self._txn_image is not None
+        return self._own.in_transaction
 
     def begin_transaction(self) -> None:
-        """Open an explicit kernel transaction.
-
-        Until :meth:`commit_transaction`, every mutating request journals
-        under one WAL transaction (recovery applies all of it or none),
-        and :meth:`abort_transaction` can roll the in-memory farm back to
-        this point.  Without a WAL the in-memory rollback still works.
-        """
-        if self._txn_image is not None:
-            raise WalError("a kernel transaction is already open (no nesting)")
-        self._txn_image = self.controller.capture_state()
-        if self.wal is not None:
-            self.wal.begin()
+        """:meth:`session_begin` on the kernel's own session."""
+        self.session_begin(self._own)
 
     def commit_transaction(self) -> None:
-        """Make the open transaction durable (writes the commit record)."""
-        if self._txn_image is None:
-            raise WalError("no kernel transaction to commit")
-        if self.wal is not None:
-            self.wal.commit(self.controller.distribution())
-        self._txn_image = None
+        """:meth:`session_commit` on the kernel's own session."""
+        self.session_commit(self._own)
 
     def abort_transaction(self) -> None:
-        """Discard the open transaction: journal-level and in-memory.
+        """:meth:`session_abort` on the kernel's own session."""
+        self.session_abort(self._own)
 
-        The WAL records an abort (recovery skips the ops) and every
-        backend store is rolled back to the pre-transaction image, so the
-        live system and a recovered one agree.
-        """
-        if self._txn_image is None:
-            raise WalError("no kernel transaction to abort")
-        if self.wal is not None:
-            self.wal.abort()
-        self.controller.restore_state(self._txn_image)
-        self._txn_image = None
-
-    @contextmanager
-    def transaction(self) -> Iterator[None]:
-        """Scope a kernel transaction: commit on success, abort on error.
-
-        An :class:`~repro.wal.faults.InjectedCrash` is *not* handled —
-        a crashed machine writes no abort record; it just dies.
-        """
-        self.begin_transaction()
-        try:
-            yield
-        except InjectedCrash:
-            raise
-        except BaseException:
-            self.abort_transaction()
-            raise
-        else:
-            self.commit_transaction()
-
-    # -- concurrent sessions -----------------------------------------------------
-    #
-    # The legacy transaction API above assumes one caller at a time (one
-    # farm-wide pre-image, the WAL's single slot).  Kernel sessions are
-    # the concurrent protocol: each carries its own WAL transaction, its
-    # own file-granular undo, and a lock owner identity.  Requests tagged
-    # with a session acquire two-phase locks (see repro.mbds.locks), so
-    # concurrent RETRIEVEs proceed in parallel while mutations serialize
-    # per file, and every history is conflict-equivalent to the commit
-    # order the kernel stamps (``commit_seq``).
+    def transaction(self) -> ContextManager[KernelSession]:
+        """:meth:`session_transaction` on the kernel's own session."""
+        return self.session_transaction(self._own)
 
     def create_session(self, name: Optional[str] = None) -> KernelSession:
         """Register a new concurrent caller of this kernel."""
+        if name == KERNEL_OWNER:
+            raise ExecutionError(
+                f"session name {KERNEL_OWNER!r} is reserved for the kernel's own session"
+            )
         with self._state_lock:
             self._session_counter += 1
             owner = name or f"session-{self._session_counter}"
@@ -267,7 +233,7 @@ class KernelDatabaseSystem:
                 "(no nesting)"
             )
         if self.wal is not None:
-            session.wal_txn = self.wal.begin(owner=session.owner)
+            session.wal_txn = self.wal.begin(session.owner)
         session.in_transaction = True
 
     def session_commit(self, session: KernelSession) -> int:
@@ -283,13 +249,9 @@ class KernelDatabaseSystem:
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to commit")
         if self.wal is not None:
-            self.wal.commit(txn=session.wal_txn)
-            self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-        seq = self._next_commit_seq()
-        self._seal_backends(self._session_seal_files(session), seq)
-        if self.wal is not None:
-            self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-        self._mark_stable(seq)
+            counts = self.controller.distribution() if session.counted else None
+            self.wal.commit(session.wal_txn, counts)
+        seq = self._seal(self._session_seal_files(session))
         session.end_transaction()
         session.commits += 1
         self.locks.release_all(session.owner)
@@ -308,7 +270,7 @@ class KernelDatabaseSystem:
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to abort")
         if self.wal is not None:
-            self.wal.abort(txn=session.wal_txn)
+            self.wal.abort(session.wal_txn)
         files = self._session_seal_files(session)
         if files is None or files:
             rolled = sum(
@@ -328,8 +290,7 @@ class KernelDatabaseSystem:
     def session_transaction(self, session: KernelSession) -> Iterator[KernelSession]:
         """Scope a session transaction: commit on success, abort on error.
 
-        As with :meth:`transaction`, an
-        :class:`~repro.wal.faults.InjectedCrash` is *not* handled — a
+        An :class:`~repro.wal.faults.InjectedCrash` is *not* handled — a
         crashed machine writes no abort record; it just dies.
         """
         self.session_begin(session)
@@ -344,7 +305,7 @@ class KernelDatabaseSystem:
             self.session_commit(session)
 
     def _execute_session(self, request: Request, session: KernelSession) -> ExecutionTrace:
-        """Session-tagged execution: lock, note the write set, run.
+        """Execute one request for *session*: lock, note the write set, run.
 
         Outside a transaction, locks span just this request and a
         mutation auto-commits under a session-owned WAL transaction,
@@ -371,7 +332,7 @@ class KernelDatabaseSystem:
         ):
             trace = self._execute_snapshot_read(request, session)
             if trace is not None:
-                self._account_session(trace, session)
+                self._account(trace, session)
                 return trace
             # GC kept trimming the pinned snapshot away: locking read.
         release_after = not session.in_transaction
@@ -385,50 +346,63 @@ class KernelDatabaseSystem:
                     session.wrote_unpinned = True
                 else:
                     session.written.update(files)
-            with self.obs.tracer.span("kds.execute") as span:
-                try:
-                    if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                        trace = self._execute_aggregate(request)
-                    elif isinstance(request, RetrieveCommonRequest):
-                        trace = self._execute_common(request)
-                    else:
-                        trace = self.controller.execute(request, session=session)
-                except InjectedCrash:
-                    raise
-                except BaseException:
-                    if mutating and release_after:
-                        # The auto-commit mutation failed (and the WAL
-                        # already aborted it); drop the pending version
-                        # entries it may have opened so a later commit
-                        # cannot seal a pre-image that isn't its own.
-                        # In-transaction failures keep their pendings:
-                        # the captured pre-image is still the committed
-                        # state, and commit/abort settles them.
-                        self._discard_pending(self._request_files(request))
-                    raise
-                if span:
-                    span.record(
-                        simulated_ms=trace.response.total_ms,
-                        op=trace.result.operation,
-                        records=trace.result.count,
-                        session=session.owner,
-                    )
+            try:
+                trace = self._dispatch(request, session)
+            except InjectedCrash:
+                raise
+            except BaseException:
+                if mutating and release_after:
+                    # The auto-commit mutation failed (and the WAL
+                    # already aborted it); drop the pending version
+                    # entries it may have opened so a later commit
+                    # cannot seal a pre-image that isn't its own.
+                    # In-transaction failures keep their pendings:
+                    # the captured pre-image is still the committed
+                    # state, and commit/abort settles them.
+                    self._discard_pending(self._request_files(request))
+                raise
             if mutating and release_after:
-                if self.wal is not None:
-                    self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-                seq = self._next_commit_seq()
-                self._seal_backends(self._request_files(request), seq)
-                if self.wal is not None:
-                    self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-                self._mark_stable(seq)
-                trace.commit_seq = seq
-            self._account_session(trace, session)
+                trace.commit_seq = self._seal(self._request_files(request))
+            self._account(trace, session)
             return trace
         finally:
             if release_after:
                 self.locks.release_all(session.owner)
 
-    def _account_session(self, trace: ExecutionTrace, session: KernelSession) -> None:
+    def _dispatch(
+        self, request: Request, session: KernelSession, snapshot: Optional[int] = None
+    ) -> ExecutionTrace:
+        """Run *request* on the farm, live or at *snapshot*, under one span.
+
+        Aggregate RETRIEVEs and RETRIEVE-COMMON cannot be answered by
+        concatenating per-backend partials (an average of averages is
+        wrong; join partners may live on different backends), so both are
+        evaluated here from broadcast raw retrievals.
+        """
+        with self.obs.tracer.span("kds.execute") as span:
+            if isinstance(request, RetrieveRequest) and request.has_aggregates:
+                trace = self._execute_aggregate(request, snapshot)
+            elif isinstance(request, RetrieveCommonRequest):
+                trace = self._execute_common(request, snapshot)
+            else:
+                trace = self.controller.execute(
+                    request, session=session, snapshot=snapshot
+                )
+            if span:
+                # The span's simulated time IS the timing model's report
+                # for this request — copied, never recomputed, so span
+                # totals stay bit-identical to the engine's clock.
+                span.record(
+                    simulated_ms=trace.response.total_ms,
+                    op=trace.result.operation,
+                    records=trace.result.count,
+                    session=session.owner,
+                )
+                if snapshot is not None:
+                    span.record(snapshot=snapshot)
+        return trace
+
+    def _account(self, trace: ExecutionTrace, session: KernelSession) -> None:
         """Fold one finished request into the shared kernel accounting."""
         with self._state_lock:
             self.clock = self.clock + trace.response
@@ -444,15 +418,16 @@ class KernelDatabaseSystem:
 
     # -- MVCC snapshots ----------------------------------------------------------
     #
-    # Every commit unit — a session commit, a session auto-commit, or a
-    # legacy single-caller mutation — seals the pending version-chain
-    # entries it opened with its commit seq (repro.abdm.store keeps the
-    # chains), then publishes the seq as *stable* once every earlier seq
-    # is sealed too.  A lock-free read pins the stable seq; the stores
-    # reconstruct that committed state from their chains.  The pin holds
-    # the GC watermark down so the entries the read needs cannot be
-    # trimmed out from under it (and a retain-cap trim that gets there
-    # anyway surfaces as SnapshotTooOld, answered by retrying fresher).
+    # Every commit unit — a session commit or a session auto-commit —
+    # seals the pending version-chain entries it opened exactly once,
+    # after its commit record, with its commit seq (repro.abdm.store
+    # keeps the chains), then publishes the seq as *stable* once every
+    # earlier seq is sealed too.  A lock-free read pins the stable seq;
+    # the stores reconstruct that committed state from their chains.  The
+    # pin holds the GC watermark down so the entries the read needs
+    # cannot be trimmed out from under it (and a retain-cap trim that
+    # gets there anyway surfaces as SnapshotTooOld, answered by retrying
+    # fresher).
 
     @property
     def stable_seq(self) -> int:
@@ -488,11 +463,21 @@ class KernelDatabaseSystem:
                 return min(self._active_snapshots.values())
             return self._stable_seq
 
-    def _seal_backends(self, files: Optional[list], seq: int) -> None:
-        """Seal pending chain entries at *seq* on every backend (then GC)."""
+    def _seal(self, files: Optional[list]) -> int:
+        """A commit unit's last step, its commit record already written:
+        stamp the next commit seq, seal *files*' pending chain entries
+        with it on every backend (then GC), and publish it as stable.
+        Called with the unit's locks still held."""
+        if self.wal is not None:
+            self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
+        seq = self._next_commit_seq()
         watermark = self._gc_watermark()
         for backend in self.controller.backends:
             backend.seal_versions(files, seq, watermark)
+        if self.wal is not None:
+            self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
+        self._mark_stable(seq)
+        return seq
 
     def _discard_pending(self, files: Optional[list]) -> None:
         for backend in self.controller.backends:
@@ -538,23 +523,7 @@ class KernelDatabaseSystem:
         for _ in range(_SNAPSHOT_RETRIES):
             token, seq = self._open_snapshot()
             try:
-                with self.obs.tracer.span("kds.execute") as span:
-                    if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                        trace = self._execute_aggregate(request, snapshot=seq)
-                    elif isinstance(request, RetrieveCommonRequest):
-                        trace = self._execute_common(request, snapshot=seq)
-                    else:
-                        trace = self.controller.execute(
-                            request, session=session, snapshot=seq
-                        )
-                    if span:
-                        span.record(
-                            simulated_ms=trace.response.total_ms,
-                            op=trace.result.operation,
-                            records=trace.result.count,
-                            session=session.owner,
-                            snapshot=seq,
-                        )
+                trace = self._dispatch(request, session, seq)
             except SnapshotTooOld:
                 if metrics.enabled:
                     metrics.inc("kds.snapshot_retries")
@@ -612,16 +581,12 @@ class KernelDatabaseSystem:
     ) -> ExecutionTrace:
         """Execute one ABDL request.
 
-        Aggregate RETRIEVEs and RETRIEVE-COMMON cannot be answered by
-        concatenating per-backend partials (an average of averages is
-        wrong; join partners may live on different backends), so both are
-        evaluated at the controller from broadcast raw retrievals.
-
-        With a *session* (see :meth:`create_session`) the request runs
-        under kernel concurrency control: two-phase locks, session-owned
-        WAL transactions, and commit-order stamping.  Without one, the
-        legacy single-caller path is byte-identical to what it always
-        was.
+        Every request runs under kernel concurrency control (see
+        :meth:`_execute_session`): two-phase locks, a session-owned WAL
+        transaction, commit-order stamping.  *session* names the caller
+        (see :meth:`create_session`); without one the request runs on
+        the kernel's own session, so a session-less caller is one more
+        session, not a second protocol.
 
         If a worker process dies mid-request under the process engine,
         the kernel *heals* when it safely can — no transaction open
@@ -632,64 +597,19 @@ class KernelDatabaseSystem:
         as before: a half-applied transaction is only recoverable by
         full recovery.
         """
+        session = session or self._own
         try:
-            return self._execute_inner(request, session)
+            return self._execute_session(request, session)
         except WorkerCrashed:
-            if not self._try_heal(session):
+            if not self._try_heal():
                 self.controller.engine.shutdown()
                 raise
             try:
-                return self._execute_inner(request, session)
+                return self._execute_session(request, session)
             except WorkerCrashed:
                 # Crashed again straight after a heal: stop retrying.
                 self.controller.engine.shutdown()
                 raise
-
-    def _execute_inner(
-        self, request: Request, session: Optional[KernelSession] = None
-    ) -> ExecutionTrace:
-        if session is not None:
-            return self._execute_session(request, session)
-        with self.obs.tracer.span("kds.execute") as span:
-            if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                trace = self._execute_aggregate(request)
-            elif isinstance(request, RetrieveCommonRequest):
-                trace = self._execute_common(request)
-            else:
-                trace = self.controller.execute(request)
-            if span:
-                # The span's simulated time IS the timing model's report
-                # for this request — copied, never recomputed, so span
-                # totals stay bit-identical to the engine's clock.
-                span.record(
-                    simulated_ms=trace.response.total_ms,
-                    op=trace.result.operation,
-                    records=trace.result.count,
-                )
-        if isinstance(request, _MUTATING_REQUESTS):
-            # Legacy callers have no commit protocol of their own: each
-            # mutation is its own commit unit, so it seals the version
-            # chains under its own seq — snapshot reads from concurrent
-            # sessions then see exactly the committed prefix.
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-            seq = self._next_commit_seq()
-            self._seal_backends(self._request_files(request), seq)
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-            self._mark_stable(seq)
-            trace.commit_seq = seq
-        with self._state_lock:
-            self.clock = self.clock + trace.response
-            self.requests_executed += 1
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.inc("kds.requests")
-            metrics.inc(f"kds.requests.{trace.result.operation.lower()}")
-            metrics.observe("kds.request.simulated_ms", trace.response.total_ms)
-            metrics.observe("kds.request.wall_ms", trace.wall_ms)
-            metrics.set_gauge("kds.requests_executed", self.requests_executed)
-        return trace
 
     def _execute_common(
         self, request: RetrieveCommonRequest, snapshot: Optional[int] = None
@@ -742,21 +662,6 @@ class KernelDatabaseSystem:
             ],
             phases=[*left.phases, *right.phases],
         )
-
-    def execute_transaction(self, transaction: Transaction) -> list[ExecutionTrace]:
-        """Execute an ABDL transaction as one kernel transaction.
-
-        With a WAL attached, a mutating multi-request transaction maps
-        onto exactly one WAL transaction (the thesis's transaction
-        boundary), unless the caller already opened one explicitly.
-        """
-        mutating = any(
-            isinstance(request, _MUTATING_REQUESTS) for request in transaction
-        )
-        if mutating and self.wal is not None and not self.in_transaction:
-            with self.transaction():
-                return [self.execute(request) for request in transaction]
-        return [self.execute(request) for request in transaction]
 
     def _aggregate_from_digests(
         self, request: RetrieveRequest, snapshot: Optional[int] = None
@@ -912,33 +817,36 @@ class KernelDatabaseSystem:
 
     # -- farm healing ------------------------------------------------------------
 
-    def _try_heal(self, session: Optional[KernelSession]) -> bool:
-        """Heal a crashed worker farm if it is safe; False otherwise.
+    def _healable_engine(self) -> ProcessPoolEngine:
+        """The process engine, when the farm may be healed in place right
+        now; otherwise a :class:`~repro.errors.WalError` saying why not.
 
-        Safe means: durable state exists (a WAL is attached), and no
-        transaction is open anywhere — not the legacy slot, not the
-        calling session, not any concurrent session's WAL transaction.
-        A mid-transaction crash cannot be healed in place, because the
+        Healing needs durable state (a WAL) and no transaction open
+        anywhere — with a WAL attached every session's transaction, the
+        kernel's own included, is an open WAL transaction.  A
+        mid-transaction crash cannot be healed in place, because the
         surviving workers may already hold applies from the doomed
         transaction; only the typed error and full recovery are sound.
         """
         engine = self.controller.engine
-        if getattr(engine, "respawn_workers", None) is None:
-            return False
-        if not getattr(engine, "can_respawn", False):
-            return False
-        if self.wal is None or self.in_transaction:
-            return False
-        if session is not None and session.in_transaction:
-            return False
+        if not isinstance(engine, ProcessPoolEngine) or not engine.can_respawn:
+            raise WalError("farm healing needs a process engine with live workers")
+        if self.wal is None:
+            raise WalError("farm healing needs an attached WAL")
         if self.wal.has_open_transactions:
+            raise WalError("cannot heal the farm with a transaction open")
+        return engine
+
+    def _try_heal(self) -> bool:
+        """Heal a crashed worker farm if it is safe; False otherwise."""
+        try:
+            engine = self._healable_engine()
+        except WalError:
             return False
-        io_lock = getattr(engine, "_io_lock", None)
-        lock_ctx = io_lock if io_lock is not None else threading.RLock()
-        with lock_ctx:
+        with engine._io_lock:
             # Another session may have healed the farm while we waited
             # for the lock; needs_heal goes False once the farm is whole.
-            if getattr(engine, "needs_heal", True):
+            if engine.needs_heal:
                 self.heal_workers()
         return True
 
@@ -958,21 +866,10 @@ class KernelDatabaseSystem:
         from repro.wal.reader import read_wal
         from repro.wal.recovery import replay_committed, restore_backend_state
 
-        engine = self.controller.engine
-        respawn = getattr(engine, "respawn_workers", None)
-        if respawn is None or not getattr(engine, "can_respawn", False):
-            raise WalError(
-                "farm healing needs a process engine with live workers"
-            )
-        if self.wal is None:
-            raise WalError("farm healing needs an attached WAL")
-        if self.in_transaction or self.wal.has_open_transactions:
-            raise WalError("cannot heal the farm with a transaction open")
-        io_lock = getattr(engine, "_io_lock", None)
-        lock_ctx = io_lock if io_lock is not None else threading.RLock()
-        with lock_ctx:
+        engine = self._healable_engine()
+        with engine._io_lock:
             with self.obs.tracer.span("kds.heal") as span:
-                respawn()
+                engine.respawn_workers()
                 checkpoint = self.wal.directory / CHECKPOINT_NAME
                 watermark = restore_backend_state(self.controller, checkpoint)
                 view = read_wal(self.wal.directory, self.controller.backend_count)

@@ -40,6 +40,10 @@ class KernelSession:
     owner: str
     #: Per-session lock deadline override (None = the manager's default).
     lock_timeout: Optional[float] = None
+    #: Commit records carry the farm's per-backend record counts, which
+    #: recovery re-checks after replay.  Sound only for a caller that
+    #: runs alone, so only the kernel's own session sets it.
+    counted: bool = False
     wal_txn: Optional[int] = None
     in_transaction: bool = False
     written: Set[str] = field(default_factory=set)

@@ -13,14 +13,17 @@ Every mutating kernel request (INSERT / BULK-INSERT / DELETE / UPDATE)
 is journaled to the log of each backend that will apply it **before** it
 is applied,
 tagged with the surrounding transaction id and a per-backend monotonic
-sequence number.  Transaction boundaries live in the master log: the
-controller is MBDS's single master, so one ``commit`` record there is the
-atomic commit point for the whole farm — a transaction whose commit
-record is absent (crash before commit, or explicit abort) is discarded
-wholesale by recovery, which is what makes multi-backend mutations
-atomic.  Commit records carry the per-backend record counts observed
-after the transaction applied; recovery re-checks them after replay, so
-a torn backend log or a non-deterministic replay is detected rather than
+sequence number.  There is one transaction protocol: every transaction
+belongs to a kernel session (its ``owner``), and the session-less kernel
+API runs on the kernel's own session.  Transaction boundaries live in
+the master log: the controller is MBDS's single master, so one ``commit``
+record there is the atomic commit point for the whole farm — a
+transaction whose commit record is absent (crash before commit, or
+explicit abort) is discarded wholesale by recovery, which is what makes
+multi-backend mutations atomic.  Commit records of the kernel's own
+session carry the per-backend record counts observed after the
+transaction applied; recovery re-checks them after replay, so a torn
+backend log or a non-deterministic replay is detected rather than
 silently producing a different database (the segment record-count
 checksum).
 
@@ -116,8 +119,8 @@ class _GroupBatch:
     __slots__ = ("entries", "done", "error")
 
     def __init__(self) -> None:
-        #: (commit record sans seq, txn id, owner) per staged committer.
-        self.entries: list[tuple[dict, int, Optional[str]]] = []
+        #: (commit record sans seq, txn id) per staged committer.
+        self.entries: list[tuple[dict, int]] = []
         self.done = threading.Event()
         self.error: Optional[BaseException] = None
 
@@ -140,7 +143,7 @@ class _GroupCommitCoordinator:
         self._lock = threading.Lock()
         self._batch: Optional[_GroupBatch] = None
 
-    def join(self, entry: tuple[dict, int, Optional[str]]) -> tuple[_GroupBatch, bool]:
+    def join(self, entry: tuple[dict, int]) -> tuple[_GroupBatch, bool]:
         """Stage *entry* into the open batch; returns (batch, is_leader)."""
         with self._lock:
             batch = self._batch
@@ -161,21 +164,15 @@ class _GroupCommitCoordinator:
 class WalManager:
     """Owns one WAL directory: journaling, transactions, segments.
 
-    Transactions come in two flavors sharing one log:
-
-    * the **legacy single slot** — ``begin()`` with no owner, the
-      original one-caller-at-a-time protocol.  At most one such
-      transaction is open, and ``log_op``/``commit``/``abort`` without
-      an explicit ``txn`` operate on it.
-    * **owned transactions** — ``begin(owner=...)`` tags the begin
-      record with a session owner and returns a txn id the session
-      threads through ``log_op(..., txn=...)`` and
-      ``commit(txn=...)``/``abort(txn=...)``.  Any number may be open
-      at once (one per owner), their ops interleaving freely in the
-      backend streams; the single master ``commit`` record remains each
-      transaction's atomic commit point, so interleaved commits from
-      different sessions stay atomic and recovery never replays an
-      uncommitted session's writes.
+    Every transaction is **owned**: ``begin(owner)`` tags the begin
+    record with a kernel session's name and returns a txn id the session
+    threads through ``log_op(..., txn)`` / ``log_bulk(..., txn)`` and
+    ``commit(txn)`` / ``abort(txn)``.  Any number may be open at once
+    (one per owner), their ops interleaving freely in the backend
+    streams; the single master ``commit`` record remains each
+    transaction's atomic commit point, so interleaved commits from
+    different sessions stay atomic and recovery never replays an
+    uncommitted session's writes.
 
     An internal lock serializes appends and counter updates, so many
     kernel sessions can journal concurrently.
@@ -232,11 +229,9 @@ class WalManager:
             self._write_meta()
 
         self._open_writers()
-        #: Id of the currently open legacy (unowned) transaction, or None.
-        self._txn: Optional[int] = None
-        #: Every open transaction id -> owner (None for the legacy slot).
-        self._open: dict[int, Optional[str]] = {}
-        #: Owner -> its open transaction id (owned transactions only).
+        #: Every open transaction id -> its owner.
+        self._open: dict[int, str] = {}
+        #: Owner -> its open transaction id.
         self._owner_txn: dict[str, int] = {}
         #: Serializes appends and counters across concurrent sessions.
         self._mutex = threading.RLock()
@@ -290,41 +285,25 @@ class WalManager:
     # -- transactions ----------------------------------------------------------
 
     @property
-    def in_transaction(self) -> bool:
-        """Is the legacy (unowned) transaction slot occupied?"""
-        return self._txn is not None
-
-    @property
     def has_open_transactions(self) -> bool:
-        """Is *any* transaction — legacy or session-owned — still open?"""
+        """Is any session's transaction still open?"""
         with self._mutex:
             return bool(self._open)
-
-    @property
-    def current_txn(self) -> Optional[int]:
-        return self._txn
 
     def open_owners(self) -> list[str]:
         """Owners with a transaction currently open (sorted, for errors)."""
         with self._mutex:
             return sorted(self._owner_txn)
 
-    def begin(self, owner: Optional[str] = None) -> int:
-        """Open a transaction; journaled ops group under it until commit.
+    def begin(self, owner: str) -> int:
+        """Open *owner*'s transaction; journaled ops group under it.
 
-        With no *owner* this is the legacy single-slot protocol: a second
-        unowned ``begin`` raises.  With an *owner* (a kernel session
-        name) any number of transactions may be open concurrently, one
-        per owner; thread the returned txn id through ``log_op`` /
-        ``commit`` / ``abort``.
+        Any number of transactions may be open concurrently, one per
+        owner (a kernel session name); thread the returned txn id
+        through ``log_op`` / ``log_bulk`` / ``commit`` / ``abort``.
         """
         with self._mutex:
-            if owner is None:
-                if self._txn is not None:
-                    raise WalError(
-                        f"transaction {self._txn} is already open (no nesting)"
-                    )
-            elif owner in self._owner_txn:
+            if owner in self._owner_txn:
                 raise WalError(
                     f"session {owner!r} already has transaction "
                     f"{self._owner_txn[owner]} open (no nesting)"
@@ -332,36 +311,23 @@ class WalManager:
             txn = self._next_txn
             self._next_txn += 1
             self._master_seq += 1
-            record = {"seq": self._master_seq, "type": "begin", "txn": txn}
-            if owner is not None:
-                record["owner"] = owner
-            self._master.append(record)
+            self._master.append(
+                {"seq": self._master_seq, "type": "begin", "txn": txn, "owner": owner}
+            )
             self._open[txn] = owner
-            if owner is None:
-                self._txn = txn
-            else:
-                self._owner_txn[owner] = txn
+            self._owner_txn[owner] = txn
             return txn
 
-    def _resolve(self, txn: Optional[int], verb: str) -> int:
-        """Map an explicit or legacy-implicit txn id to an open txn."""
-        if txn is None:
-            if self._txn is None:
-                raise WalError(f"no open transaction to {verb}")
-            return self._txn
+    def _require_open(self, txn: int, verb: str) -> None:
         if txn not in self._open:
             raise WalError(f"transaction {txn} is not open (cannot {verb})")
-        return txn
 
-    def log_op(
-        self, backend_id: int, request: Request, txn: Optional[int] = None
-    ) -> int:
-        """Journal *request* for *backend_id* under a transaction.
+    def log_op(self, backend_id: int, request: Request, txn: int) -> int:
+        """Journal *request* for *backend_id* under transaction *txn*.
 
         Must be called before the backend applies the request — that is
-        the "write-ahead" in write-ahead log.  With no *txn* the legacy
-        slot is used.  Returns the op's sequence number in the backend's
-        stream.
+        the "write-ahead" in write-ahead log.  Returns the op's sequence
+        number in the backend's stream.
         """
         if not is_mutating(request):
             raise WalError("only mutating requests are journaled")
@@ -371,7 +337,7 @@ class WalManager:
         with obs.tracer.span("wal.append") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "journal under")
+                self._require_open(txn, "journal under")
                 self.injector.fire(CrashPoint.BEFORE_LOG_APPEND)
                 seq = self._backend_seq[backend_id] + 1
                 self._backend_seq[backend_id] = seq
@@ -388,9 +354,7 @@ class WalManager:
             )
         return seq
 
-    def log_bulk(
-        self, backend_id: int, request: BulkInsertRequest, txn: Optional[int] = None
-    ) -> int:
+    def log_bulk(self, backend_id: int, request: BulkInsertRequest, txn: int) -> int:
         """Journal a batch of inserts for *backend_id* as ONE WAL record.
 
         The whole batch is a single JSON line in the backend's stream —
@@ -407,7 +371,7 @@ class WalManager:
         with obs.tracer.span("wal.bulk_append") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "journal under")
+                self._require_open(txn, "journal under")
                 self.injector.fire(CrashPoint.BEFORE_BULK_APPEND)
                 seq = self._backend_seq[backend_id] + 1
                 self._backend_seq[backend_id] = seq
@@ -430,33 +394,29 @@ class WalManager:
             )
         return seq
 
-    def commit(
-        self, counts: Optional[list[int]] = None, txn: Optional[int] = None
-    ) -> None:
+    def commit(self, txn: int, counts: Optional[list[int]] = None) -> None:
         """Write the commit record — the transaction's atomic commit point.
 
         *counts* are the per-backend record counts observed after the
         transaction applied; recovery re-checks them after replay.  They
-        are only meaningful for the legacy single-writer protocol —
-        session-owned commits pass ``None`` (other sessions may be
-        mutating the farm concurrently, so no per-commit count is
-        stable) and recovery skips the checksum for those transactions.
+        are only meaningful for a single writer — the kernel's own
+        session passes them, concurrent sessions pass ``None`` (other
+        sessions may be mutating the farm at the same time, so no
+        per-commit count is stable) and recovery skips the checksum for
+        those transactions.
         """
         obs = self.obs
-        staged: Optional[tuple[dict, int, Optional[str]]] = None
+        staged: Optional[tuple[dict, int]] = None
         with obs.tracer.span("wal.commit") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "commit")
+                self._require_open(txn, "commit")
                 if counts is not None and len(counts) != self.backend_count:
                     raise WalError("commit counts must cover every backend")
                 self.injector.fire(CrashPoint.BEFORE_COMMIT)
-                record: dict = {"type": "commit", "txn": txn}
+                record: dict = {"type": "commit", "txn": txn, "owner": self._open[txn]}
                 if counts is not None:
                     record["counts"] = list(counts)
-                owner = self._open[txn]
-                if owner is not None:
-                    record["owner"] = owner
                 if self._group is None:
                     self._master_seq += 1
                     self._master.append({"seq": self._master_seq, **record})
@@ -467,10 +427,10 @@ class WalManager:
                     # (which require no open transactions) rely on every
                     # id <= watermark being committed-or-aborted.
                     self.last_committed_txn = max(self.last_committed_txn, txn)
-                    self._forget(txn, owner)
+                    self._forget(txn)
                     self.injector.fire(CrashPoint.AFTER_COMMIT)
                 else:
-                    staged = (record, txn, owner)
+                    staged = (record, txn)
             if staged is not None:
                 # Group commit: stage outside the mutex (waiting with it
                 # held would deadlock every other session) and block until
@@ -504,16 +464,16 @@ class WalManager:
         try:
             with self._mutex:
                 self.injector.fire(CrashPoint.BEFORE_GROUP_FSYNC)
-                for record, _txn, _owner in batch.entries:
+                for record, _txn in batch.entries:
                     self._master_seq += 1
                     self._master.append(
                         {"seq": self._master_seq, **record}, sync=False
                     )
                 self._master.sync_now()
                 self.injector.fire(CrashPoint.AFTER_GROUP_FSYNC)
-                for _record, txn, owner in batch.entries:
+                for _record, txn in batch.entries:
                     self.last_committed_txn = max(self.last_committed_txn, txn)
-                    self._forget(txn, owner)
+                    self._forget(txn)
                     self.injector.fire(CrashPoint.AFTER_COMMIT)
             self.obs.metrics.inc("wal.group_commits")
             self.obs.metrics.observe("wal.group_size", float(len(batch.entries)))
@@ -523,25 +483,24 @@ class WalManager:
         finally:
             batch.done.set()
 
-    def abort(self, txn: Optional[int] = None) -> None:
+    def abort(self, txn: int) -> None:
         """Mark an open transaction discarded (recovery will skip its ops)."""
         with self._mutex:
-            txn = self._resolve(txn, "abort")
+            self._require_open(txn, "abort")
             self._master_seq += 1
-            record = {"seq": self._master_seq, "type": "abort", "txn": txn}
-            owner = self._open[txn]
-            if owner is not None:
-                record["owner"] = owner
-            self._master.append(record)
-            self._forget(txn, owner)
+            self._master.append(
+                {
+                    "seq": self._master_seq,
+                    "type": "abort",
+                    "txn": txn,
+                    "owner": self._open[txn],
+                }
+            )
+            self._forget(txn)
         self.obs.metrics.inc("wal.aborts")
 
-    def _forget(self, txn: int, owner: Optional[str]) -> None:
-        del self._open[txn]
-        if owner is None:
-            self._txn = None
-        else:
-            del self._owner_txn[owner]
+    def _forget(self, txn: int) -> None:
+        del self._owner_txn[self._open.pop(txn)]
 
     # -- crash points ----------------------------------------------------------
 

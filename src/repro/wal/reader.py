@@ -50,7 +50,8 @@ class WalTransaction:
     counts: Optional[list[int]] = None
     #: backend id -> ops journaled for it, in sequence order.
     ops: dict[int, list[WalOp]] = field(default_factory=dict)
-    #: Owning session name, or None for legacy single-slot transactions.
+    #: Owning session name (None only in logs written before every
+    #: transaction had an owner; the reader still accepts those).
     owner: Optional[str] = None
 
 
@@ -154,9 +155,10 @@ def read_wal(directory: Union[str, Path], backend_count: Optional[int] = None) -
             pass
         elif kind == "commit":
             transaction.status = "committed"
-            # Session-owned commits carry no counts (concurrent commits
-            # cannot know the farm-wide distribution); keep None so the
-            # recovery checksum knows not to verify.
+            # Only the kernel's own session commits with counts
+            # (concurrent commits cannot know the farm-wide
+            # distribution); keep None so the recovery checksum knows
+            # not to verify.
             counts = record.get("counts")
             transaction.counts = None if counts is None else list(counts)
             committed.append(transaction)

@@ -12,7 +12,8 @@ from repro.abdl import (
     parse_request,
     parse_transaction,
 )
-from repro.errors import ParseError
+from repro.abdl.ast import Modifier
+from repro.errors import ExecutionError, ParseError
 
 
 class TestRetrieve:
@@ -92,6 +93,17 @@ class TestOtherRequests:
         request = parse_request("UPDATE (FILE = e) (salary = salary + 1000)")
         assert request.modifier.arithmetic == "+"
         assert request.modifier.operand == 1000
+
+    @pytest.mark.parametrize("zero", ["0", "0.0", "-0.0"])
+    def test_update_dividing_by_zero_is_refused_at_parse(self, zero):
+        # Refused before the request exists, so it can never be journaled.
+        with pytest.raises(ExecutionError, match="divides by zero"):
+            parse_request(f"UPDATE (FILE = e) (salary = salary / {zero})")
+        assert parse_request("UPDATE (FILE = e) (salary = salary / 4)")
+
+    def test_modifier_with_an_unknown_operator_is_refused(self):
+        with pytest.raises(ExecutionError, match="unknown arithmetic operator"):
+            Modifier("salary", arithmetic="%", operand=2)
 
     def test_retrieve_common(self):
         request = parse_request(

@@ -1,4 +1,6 @@
-"""Session abort restores from the pending pre-images, on every engine.
+"""Abort restores from the pending pre-images, on every engine, for a
+named session and for the session-less API (``kds.transaction()``, the
+kernel's own session) alike.
 
 The stores already park the committed state of each file a transaction
 writes (the pending version entry snapshot reads are served from), so an
@@ -10,6 +12,8 @@ no record crossing the worker pipes.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,6 +28,12 @@ from tests.abdm.test_index_maintenance import index_state
 from tests.wal.conftest import delete, insert, update
 
 ENGINES = ["serial", "threads", "process"]
+
+#: (engine, session name) — None drives the abort through the
+#: session-less ``kds.transaction()``.
+CALLERS = [pytest.param(engine, "doomed", id=engine) for engine in ENGINES] + [
+    pytest.param(engine, None, id=f"{engine}-sessionless") for engine in ENGINES
+]
 
 
 def account(ident, bal):
@@ -50,29 +60,43 @@ def farm_state(kds):
     }
 
 
-def doomed_transaction(kds, session):
+class Doomed(Exception):
+    pass
+
+
+@contextmanager
+def aborting(kds, name):
+    """A transaction that aborts when the block ends; yields its session
+    (*name* None: the session-less API, so no session to pass)."""
+    session = kds.create_session(name) if name else None
+    scope = kds.session_transaction(session) if name else kds.transaction()
+    with pytest.raises(Doomed), scope:
+        yield session
+        raise Doomed
+
+
+def doomed_transaction(kds, name):
     """INSERT, UPDATE and DELETE in one file; create a second file."""
-    kds.session_begin(session)
-    kds.execute(insert("acct", id=1000, bal=3), session=session)
-    kds.execute(
-        update(Modifier("bal", 99), ("FILE", "=", "acct"), ("id", "=", 4)),
-        session=session,
-    )
-    kds.execute(
-        update(Modifier("bal", arithmetic="+", operand=1), ("FILE", "=", "acct"), ("bal", "<=", 2)),
-        session=session,
-    )
-    kds.execute(delete(("FILE", "=", "acct"), ("bal", "=", 5)), session=session)
-    kds.execute(insert("audit", note="created inside the transaction"), session=session)
-    kds.session_abort(session)
+    with aborting(kds, name) as session:
+        kds.execute(insert("acct", id=1000, bal=3), session=session)
+        kds.execute(
+            update(Modifier("bal", 99), ("FILE", "=", "acct"), ("id", "=", 4)),
+            session=session,
+        )
+        kds.execute(
+            update(Modifier("bal", arithmetic="+", operand=1), ("FILE", "=", "acct"), ("bal", "<=", 2)),
+            session=session,
+        )
+        kds.execute(delete(("FILE", "=", "acct"), ("bal", "=", 5)), session=session)
+        kds.execute(insert("audit", note="created inside the transaction"), session=session)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_aborted_transaction_leaves_no_trace(engine):
+@pytest.mark.parametrize("engine, caller", CALLERS)
+def test_aborted_transaction_leaves_no_trace(engine, caller):
     obs = Observability()
     subject, twin = build(engine, obs=obs), build(engine)
     try:
-        doomed_transaction(subject, subject.create_session("doomed"))
+        doomed_transaction(subject, caller)
         assert farm_state(subject) == farm_state(twin)
         if engine != "process":
             for ours, theirs in zip(subject.controller.backends, twin.controller.backends):
@@ -93,8 +117,8 @@ def test_aborted_transaction_leaves_no_trace(engine):
         twin.shutdown()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_reader_pinned_before_the_abort_still_sees_its_snapshot(engine):
+@pytest.mark.parametrize("engine, caller", CALLERS)
+def test_reader_pinned_before_the_abort_still_sees_its_snapshot(engine, caller):
     kds = build(engine)
     everything = parse_request("RETRIEVE (FILE = acct) (id, bal)")
 
@@ -112,7 +136,7 @@ def test_reader_pinned_before_the_abort_still_sees_its_snapshot(engine):
         )
         committed = read(kds.stable_seq)
         assert committed != original
-        doomed_transaction(kds, kds.create_session("doomed"))
+        doomed_transaction(kds, caller)
         # The sealed entry the pinned reader needs survived the rollback,
         # and the live state is the last committed one again.
         assert read(pinned) == original
@@ -140,12 +164,12 @@ def test_abort_moves_no_records_over_the_worker_pipes(monkeypatch):
         before = kds.record_count()
         monkeypatch.setattr(transport, "pack_frame", counting_pack)
         monkeypatch.setattr(transport, "unpack_frame", counting_unpack)
-        session = kds.create_session("doomed")
-        kds.session_begin(session)
-        kds.execute(insert("acct", id=-1, bal=0), session=session)
-        kds.session_abort(session)
+        for caller in ("doomed", None):
+            del moved[:]
+            with aborting(kds, caller) as session:
+                kds.execute(insert("acct", id=-1, bal=0), session=session)
+            assert 0 < sum(moved) < 4096
         monkeypatch.undo()
-        assert 0 < sum(moved) < 4096
         assert kds.record_count() == before
     finally:
         kds.shutdown()

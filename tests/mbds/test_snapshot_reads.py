@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.abdl import parse_request
+from repro.errors import ExecutionError, LockTimeout
 from repro.mbds import KernelDatabaseSystem
 from repro.obs import Observability
 
@@ -38,10 +39,11 @@ def kds():
 class TestSnapshotPath:
     def test_session_retrieve_takes_no_locks(self, kds):
         session = kds.create_session()
+        acquired = kds.locks.stats()["acquired"]  # the fixture's INSERTs
         trace = kds.execute(retrieve("RETRIEVE (FILE = f) (*)"), session=session)
         assert trace.result.count == 6
         assert trace.snapshot_seq == kds.stable_seq
-        assert kds.locks.stats()["acquired"] == 0
+        assert kds.locks.stats()["acquired"] == acquired
         assert kds.obs.metrics.counter_value("kds.snapshot_reads") == 1
 
     def test_snapshot_read_does_not_block_on_a_writers_x_lock(self, kds):
@@ -92,6 +94,7 @@ class TestSnapshotPath:
 
     def test_aggregates_and_common_take_the_snapshot_path(self, kds):
         session = kds.create_session()
+        acquired = kds.locks.stats()["acquired"]  # the fixture's INSERTs
         agg = kds.execute(
             retrieve("RETRIEVE (FILE = f) (COUNT(*))"), session=session
         )
@@ -101,7 +104,43 @@ class TestSnapshotPath:
             session=session,
         )
         assert common.snapshot_seq is not None
-        assert kds.locks.stats()["acquired"] == 0
+        assert kds.locks.stats()["acquired"] == acquired
+
+    def test_a_session_less_transaction_is_invisible_until_it_commits(self, kds):
+        # The session-less API runs on the kernel's own session: it seals
+        # once, at commit, so a snapshot never holds its uncommitted rows
+        # and two reads at one seq agree across its abort.
+        reader = kds.create_session("reader")
+        everything = retrieve("RETRIEVE (FILE = f) (*)")
+        kds.begin_transaction()
+        kds.execute(insert("f", a=100))
+        kds.execute(insert("f", a=101))
+        inside = kds.execute(everything, session=reader)
+        kds.abort_transaction()
+        after = kds.execute(everything, session=reader)
+        assert (inside.result.count, after.result.count) == (6, 6)
+        assert inside.snapshot_seq == after.snapshot_seq
+        with kds.transaction():
+            kds.execute(insert("f", a=100))
+            assert kds.execute(everything, session=reader).result.count == 6
+        committed = kds.execute(everything, session=reader)
+        assert committed.result.count == 7
+        assert committed.snapshot_seq == inside.snapshot_seq + 1
+
+    def test_a_session_writer_blocks_a_session_less_writer(self, kds):
+        writer = kds.create_session("writer")
+        kds.session_begin(writer)
+        kds.execute(insert("f", a=100), session=writer)  # X on f, held
+        kds._own.lock_timeout = 0.05
+        with pytest.raises(LockTimeout):
+            kds.execute(insert("f", a=200))
+        kds.session_commit(writer)
+        kds.execute(insert("f", a=200))
+        assert kds.record_count() == 8
+
+    def test_the_kernels_own_session_name_is_reserved(self, kds):
+        with pytest.raises(ExecutionError):
+            kds.create_session("kernel")
 
     def test_stable_seq_advances_only_over_contiguous_commits(self, kds):
         base = kds.stable_seq

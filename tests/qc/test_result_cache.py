@@ -152,16 +152,11 @@ class TestInvalidation:
         assert len(after) == len(before) + 1
 
     def test_rollback_restore_invalidates(self, mlds):
-        from repro.abdm.record import Record
-
-        backend = mlds.kds.controller.backends[0]
-        image = backend.capture_image()
-        backend.store.insert(
-            Record.from_pairs([("FILE", "alpha"), ("n", 100), ("parity", 0)])
-        )
+        mlds.kds.begin_transaction()
+        mlds.kds.execute(insert("alpha", n=100, parity=0))
         with_row = result_image(mlds.kds.execute(retrieve(*REQ)))  # caches n=100
         assert any(dict(pairs).get("n") == 100 for pairs, _ in with_row)
-        backend.restore_image(image)  # abort path: clear + reinsert
+        mlds.kds.abort_transaction()  # abort path: Backend.rollback
         after = result_image(mlds.kds.execute(retrieve(*REQ)))
         assert all(dict(pairs).get("n") != 100 for pairs, _ in after)
 

@@ -207,8 +207,8 @@ def test_recovery_never_replays_the_uncommitted_session(tmp_path, point):
 class TestAutoCommitApplyFailure:
     """A journaled request whose *apply* fails must abort its WAL txn.
 
-    Without the abort the auto-commit slot (the session's owner slot or
-    the legacy single slot) stays occupied forever: the next mutation
+    Without the abort the auto-commit slot (the owner slot of the
+    session, or of the kernel's own) stays occupied forever: the next mutation
     raises WalError and checkpointing is wedged.
     """
 
@@ -271,8 +271,8 @@ class TestAutoCommitApplyFailure:
                 mlds.kds.execute(insert("f", a=7))
         finally:
             engine.execute_one = original
-        assert not mlds.kds.wal.in_transaction
-        mlds.kds.execute(insert("f", a=8))  # the slot is free again
+        assert not mlds.kds.wal.has_open_transactions
+        mlds.kds.execute(insert("f", a=8))  # the kernel's slot is free again
         mlds.kds.shutdown()
 
     def test_failed_autocommit_is_aborted_on_the_log(self, tmp_path):

@@ -36,13 +36,10 @@ EXPECTED = {
     CrashPoint.AFTER_APPLY: "pre",
     CrashPoint.BEFORE_COMMIT: "pre",
     CrashPoint.BEFORE_GROUP_FSYNC: "pre",
-    # The version-seal points fire per mutating request; this harness's
-    # transaction is still open at its first mutation's seal, so the
-    # commit record was never written and the transaction is lost.
-    # (The session matrix in test_concurrent_transactions covers the
-    # post-commit firing inside session_commit.)
-    CrashPoint.BEFORE_VERSION_SEAL: "pre",
-    CrashPoint.AFTER_VERSION_SEAL: "pre",
+    # A commit unit seals the version chains once, after its commit
+    # record: a crash at either seal point finds the transaction durable.
+    CrashPoint.BEFORE_VERSION_SEAL: "post",
+    CrashPoint.AFTER_VERSION_SEAL: "post",
     CrashPoint.AFTER_GROUP_FSYNC: "post",
     CrashPoint.AFTER_COMMIT: "post",
     CrashPoint.BEFORE_CHECKPOINT: "post",

@@ -8,7 +8,8 @@ import pytest
 
 from repro.abdl.ast import Modifier
 from repro.core.mlds import MLDS
-from repro.errors import WalError
+from repro.abdl import parse_request
+from repro.errors import ExecutionError, WalError
 from repro.persistence import load_mlds, save_mlds
 from repro.university import load_university
 from repro.wal.log import backend_segment_name
@@ -112,6 +113,27 @@ def test_aborted_transaction_rolls_back_live_and_stays_out_of_recovery(tmp_path)
 
     recovered = recover_mlds(wal_dir)
     assert farm_image(recovered) == pre
+    recovered.kds.shutdown()
+
+
+def test_a_statement_refused_mid_transaction_leaves_the_log_recoverable(tmp_path):
+    """A zero divisor used to be journaled, die mid-apply, and — once the
+    rest of the transaction committed — make recovery die the same way."""
+    wal_dir = tmp_path / "wal"
+    mlds = MLDS(backend_count=2, wal=wal_dir)
+    session = mlds.kds.create_session()
+    mlds.kds.session_begin(session)
+    mlds.kds.execute(insert("f", a=1), session=session)
+    with pytest.raises(ExecutionError):
+        mlds.kds.execute(
+            parse_request("UPDATE ((FILE = f)) (a = a / 0)"), session=session
+        )
+    mlds.kds.session_commit(session)
+    live = farm_image(mlds)
+    mlds.kds.shutdown()
+
+    recovered = recover_mlds(wal_dir)
+    assert farm_image(recovered) == live
     recovered.kds.shutdown()
 
 
