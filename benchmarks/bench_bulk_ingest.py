@@ -135,15 +135,8 @@ def run_bulk(
     *,
     sync: bool = False,
     group_window_ms: float | None = None,
-    prefetch: int = 0,
 ) -> dict:
-    """The streaming pipeline: shard, journal, apply, index per batch.
-
-    With *prefetch* > 0 the pipeline's generate-ahead thread overlaps
-    record generation with submission; the row then carries the overlap
-    ledger (producer generation time vs what the submit loop actually
-    stalled waiting for batches).
-    """
+    """The streaming pipeline: shard, journal, apply, index per batch."""
     obs = Observability()
     wal = WalManager(wal_dir, backends, sync=sync, group_window_ms=group_window_ms)
     mlds = MLDS(backend_count=backends, wal=wal, obs=obs)
@@ -152,15 +145,11 @@ def run_bulk(
         mlds.kds,
         stream_university_records(records),
         batch_size=batch,
-        prefetch_batches=prefetch,
     )
     wall_s = time.perf_counter() - start
     mlds.kds.shutdown()
-    mode = "bulk" + ("-sync" if sync else "")
-    if prefetch:
-        mode += f"-prefetch{prefetch}"
     return {
-        "mode": mode,
+        "mode": "bulk" + ("-sync" if sync else ""),
         "records": records,
         "batch_size": batch,
         "batches": report.batches,
@@ -171,7 +160,6 @@ def run_bulk(
         "fsyncs_per_commit": report.fsyncs_per_commit,
         "group_commits": report.group_commits,
         "generate_ms": report.generate_ms,
-        "generate_stall_ms": report.generate_stall_ms,
     }
 
 
@@ -338,9 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--records", type=int, default=100_000,
                         help="record count for the throughput comparison")
     parser.add_argument("--batch", type=int, default=10_000)
-    parser.add_argument("--prefetch", type=int, default=4,
-                        help="generate-ahead depth for the prefetch overlap row "
-                        "(0 skips the comparison)")
     parser.add_argument("--base-records", type=int, default=100_000,
                         help="small scale for the latency-flatness check")
     parser.add_argument("--scale-records", type=int, default=1_000_000,
@@ -364,18 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         rows = [
             run_incremental(args.records, args.backends, scratch / "incr"),
             run_bulk(args.records, args.backends, scratch / "bulk", args.batch),
-        ]
-        if args.prefetch > 0:
-            rows.append(
-                run_bulk(
-                    args.records,
-                    args.backends,
-                    scratch / "bulk-pre",
-                    args.batch,
-                    prefetch=args.prefetch,
-                )
-            )
-        rows += [
             run_incremental(
                 args.sync_records, args.backends, scratch / "incr-sync", sync=True
             ),
@@ -392,22 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
 
     speedup = rows[1]["records_per_s"] / max(rows[0]["records_per_s"], 1e-9)
-
-    prefetch_row = next((r for r in rows if "prefetch" in r["mode"]), None)
-    prefetch = None
-    if prefetch_row is not None:
-        hidden_ms = prefetch_row["generate_ms"] - prefetch_row["generate_stall_ms"]
-        prefetch = {
-            "depth": args.prefetch,
-            "speedup_vs_inline": prefetch_row["records_per_s"]
-            / max(rows[1]["records_per_s"], 1e-9),
-            "generate_ms": prefetch_row["generate_ms"],
-            "generate_stall_ms": prefetch_row["generate_stall_ms"],
-            "generate_hidden_ms": hidden_ms,
-            "generate_hidden_pct": 100.0
-            * hidden_ms
-            / max(prefetch_row["generate_ms"], 1e-9),
-        }
 
     latency = writes = None
     if not args.skip_scale:
@@ -444,14 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['fsyncs_per_commit']:>12.1f}"
         )
     print(f"bulk speedup: {speedup:.2f}x (gate >= {args.min_speedup}x)")
-    if prefetch is not None:
-        print(
-            f"prefetch depth {prefetch['depth']}: "
-            f"{prefetch['speedup_vs_inline']:.2f}x vs inline bulk — "
-            f"{prefetch['generate_hidden_ms']:.0f} of "
-            f"{prefetch['generate_ms']:.0f} ms generation hidden "
-            f"({prefetch['generate_hidden_pct']:.0f}%)"
-        )
     if latency is not None:
         print(
             f"point query p50: {latency['base_p50_ms']:.3f} ms at "
@@ -476,7 +425,6 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "bulk_ingest",
         "backends": args.backends,
         "speedup": speedup,
-        "prefetch": prefetch,
         "rows": rows,
         "latency": latency,
         "write_latency": writes,

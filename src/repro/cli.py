@@ -426,16 +426,6 @@ def build_parser() -> "argparse.ArgumentParser":
         help="pool size for --engine threads/process (default: one per backend)",
     )
     parser.add_argument(
-        "--ipc-codec",
-        choices=("binary", "tagged", "json"),
-        default="binary",
-        help="wire codec for --engine process worker pipes: 'binary' frames "
-        "C-speed marshal bodies (default), 'tagged' is the compact "
-        "pure-Python encoding with per-connection string interning, "
-        "'json' keeps the readable fallback (results are bit-identical "
-        "under all three)",
-    )
-    parser.add_argument(
         "--placement",
         choices=("round-robin", "least-loaded", "hash-shard"),
         default="round-robin",
@@ -494,15 +484,6 @@ def build_parser() -> "argparse.ArgumentParser":
         default=10_000,
         metavar="N",
         help="records per ingest batch for --bulk-load and .ingest (default 10000)",
-    )
-    parser.add_argument(
-        "--bulk-prefetch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="generate up to N ingest batches ahead of submission on a "
-        "producer thread, overlapping record generation with the "
-        "kernel's route/journal/apply work (default 0: inline)",
     )
     parser.add_argument(
         "--recover",
@@ -627,15 +608,14 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         except ValueError as exc:
             parser.error(str(exc))
     wal_dir = None if args.no_wal else args.wal_dir
-    wal_arg = wal_dir
-    if wal_dir is not None and args.group_window_ms is not None:
-        from pathlib import Path as _Path
 
+    def open_wal(backend_count: int):
         from repro.wal.log import WalManager
 
-        wal_arg = WalManager(
-            _Path(wal_dir), args.backends, group_window_ms=args.group_window_ms
+        return WalManager(
+            wal_dir, backend_count, group_window_ms=args.group_window_ms
         )
+
     placement = None
     if args.placement == "least-loaded":
         from repro.mbds.placement import LeastLoadedPlacement
@@ -650,35 +630,33 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         from repro.obs import Observability
 
         obs = Observability(tracing=args.trace, slow_ms=args.slow_ms)
-    engine_arg = args.engine
-    if args.engine == "process":
-        # Built here (not via the string spec) so --ipc-codec reaches the
-        # worker pipes; instances pass through make_engine unchanged.
-        from repro.mbds.engine import ProcessPoolEngine
-
-        engine_arg = ProcessPoolEngine(args.workers, ipc_codec=args.ipc_codec)
     try:
         if args.recover:
             if wal_dir is None:
                 parser.error("--recover requires --wal-dir")
             from repro.wal.recovery import recover_mlds
 
+            # The directory says how many backends it was written for;
+            # --backends only sizes a fresh system.
             mlds = recover_mlds(
                 wal_dir,
-                engine=engine_arg,
+                engine=args.engine,
                 workers=args.workers,
                 pruning=args.prune,
                 placement=placement,
+                attach_wal=False,
                 obs=obs,
             )
+            mlds.attach_wal(open_wal(mlds.kds.controller.backend_count))
+            mlds.kds.snapshot_reads = not args.no_snapshot_reads
         else:
             mlds = MLDS(
                 backend_count=args.backends,
-                engine=engine_arg,
+                engine=args.engine,
                 workers=args.workers,
                 pruning=args.prune,
                 placement=placement,
-                wal=wal_arg,
+                wal=None if wal_dir is None else open_wal(args.backends),
                 obs=obs,
                 snapshot_reads=not args.no_snapshot_reads,
             )
@@ -697,15 +675,12 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
     if args.bulk_load:
         if args.bulk_load < 1 or args.bulk_batch < 1:
             parser.error("--bulk-load and --bulk-batch must be positive")
-        if args.bulk_prefetch < 0:
-            parser.error("--bulk-prefetch cannot be negative")
         from repro.ingest import bulk_load, stream_university_records
 
         report = bulk_load(
             mlds.kds,
             stream_university_records(args.bulk_load),
             batch_size=args.bulk_batch,
-            prefetch_batches=args.bulk_prefetch,
         )
         print(_ingest_summary("bulk-loaded", report, mlds.kds))
     if args.serve:

@@ -72,7 +72,6 @@ class MLDS:
         obs: ObsSpec = None,
         lock_timeout: float = 10.0,
         snapshot_reads: bool = True,
-        version_retain: Optional[int] = None,
     ) -> None:
         """*store_factory* optionally replaces each backend's plain scan
         store, e.g. with a directory-clustered
@@ -98,9 +97,7 @@ class MLDS:
         facade; the default is the no-op null bundle.
         *snapshot_reads* toggles the kernel's lock-free MVCC read path
         for session-tagged retrievals (on by default; see
-        :class:`~repro.mbds.kds.KernelDatabaseSystem`), and
-        *version_retain* caps the per-file version-chain depth kept for
-        those snapshot reads."""
+        :class:`~repro.mbds.kds.KernelDatabaseSystem`)."""
         if wal is not None and not isinstance(wal, WalManager):
             wal = WalManager(Path(wal), backend_count)
         self.kds = KernelDatabaseSystem(
@@ -116,7 +113,6 @@ class MLDS:
             obs=obs,
             lock_timeout=lock_timeout,
             snapshot_reads=snapshot_reads,
-            version_retain=version_retain,
         )
         self._functional: dict[str, FunctionalSchema] = {}
         self._network: dict[str, NetworkSchema] = {}

@@ -29,12 +29,10 @@ report works out fsyncs-per-commit without any extra bookkeeping.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.abdm.record import Record
@@ -60,12 +58,6 @@ class IngestReport:
     commits: int
     group_commits: int
     journal_records: int
-    #: Generate-ahead depth (0 = generation inline with submission).
-    prefetch_batches: int = 0
-    #: Wall time the submit loop actually waited for the next batch.
-    #: Without prefetch this equals ``generate_ms``; with prefetch the
-    #: difference is generation wall time hidden behind submission.
-    generate_stall_ms: float = 0.0
 
     @property
     def records_per_second(self) -> float:
@@ -94,8 +86,6 @@ class IngestReport:
             "group_commits": self.group_commits,
             "fsyncs_per_commit": round(self.fsyncs_per_commit, 3),
             "journal_records": self.journal_records,
-            "prefetch_batches": self.prefetch_batches,
-            "generate_stall_ms": round(self.generate_stall_ms, 3),
         }
 
 
@@ -107,26 +97,15 @@ class IngestPipeline:
         kds: "KernelDatabaseSystem",
         batch_size: int = 10_000,
         session: Optional["KernelSession"] = None,
-        prefetch_batches: int = 0,
     ) -> None:
         if batch_size < 1:
             raise ValueError("ingest batch size must be at least 1")
-        if prefetch_batches < 0:
-            raise ValueError("ingest prefetch depth cannot be negative")
         self.kds = kds
         self.batch_size = batch_size
         #: Optional kernel session: each batch then runs under kernel
         #: concurrency control (file locks, session-owned transactions),
         #: letting several pipelines ingest disjoint streams in parallel.
         self.session = session
-        #: Generate-ahead depth.  With ``prefetch_batches > 0`` a single
-        #: producer thread pulls up to that many batches ahead of the
-        #: submit loop, overlapping record generation with the kernel's
-        #: route/journal/apply work.  Memory stays bounded by
-        #: ``(prefetch_batches + 1) * batch_size`` records, batch order
-        #: is preserved, and a generator exception still surfaces from
-        #: :meth:`run`.  0 (the default) keeps generation inline.
-        self.prefetch_batches = prefetch_batches
 
     def _wal_counters(self) -> dict[str, float]:
         registry = self.kds.obs.metrics.as_dict()
@@ -136,79 +115,6 @@ class IngestPipeline:
             if (payload := registry.get(name)) is not None
         }
 
-    def _inline_batches(
-        self, stream: Iterator["Record"], generate_ms: list[float]
-    ) -> Iterator[list["Record"]]:
-        """Pull batches in the submit loop itself (no overlap)."""
-        obs = self.kds.obs
-        while True:
-            pulled = time.perf_counter()
-            with obs.tracer.span("ingest.generate"):
-                batch = list(islice(stream, self.batch_size))
-            generate_ms[0] += (time.perf_counter() - pulled) * 1000.0
-            if not batch:
-                return
-            yield batch
-
-    def _prefetched_batches(
-        self, stream: Iterator["Record"], generate_ms: list[float]
-    ) -> Iterator[list["Record"]]:
-        """Pull batches on a producer thread, up to *prefetch_batches* ahead.
-
-        The bounded queue is the backpressure: the producer parks once it
-        is that many batches ahead.  A generator exception is carried
-        across and re-raised here, after every batch generated before it
-        has been submitted.  If the consumer abandons the iteration (a
-        submit failed), the stop event unblocks the producer so it never
-        leaks parked on a full queue.
-        """
-        obs = self.kds.obs
-        slots: queue.Queue = queue.Queue(maxsize=self.prefetch_batches)
-        done = object()
-        stop = threading.Event()
-        failure: list[BaseException] = []
-
-        def produce() -> None:
-            try:
-                while not stop.is_set():
-                    pulled = time.perf_counter()
-                    with obs.tracer.span("ingest.generate"):
-                        batch = list(islice(stream, self.batch_size))
-                    generate_ms[0] += (time.perf_counter() - pulled) * 1000.0
-                    if not batch:
-                        break
-                    while not stop.is_set():
-                        try:
-                            slots.put(batch, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-            except BaseException as exc:  # carried to the consumer
-                failure.append(exc)
-            finally:
-                while not stop.is_set():
-                    try:
-                        slots.put(done, timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
-
-        producer = threading.Thread(
-            target=produce, name="ingest-generate", daemon=True
-        )
-        producer.start()
-        try:
-            while True:
-                item = slots.get()
-                if item is done:
-                    if failure:
-                        raise failure[0]
-                    return
-                yield item
-        finally:
-            stop.set()
-            producer.join(timeout=5.0)
-
     def run(self, records: Iterable["Record"]) -> IngestReport:
         """Ingest the whole stream; returns the run's :class:`IngestReport`."""
         obs = self.kds.obs
@@ -216,18 +122,14 @@ class IngestPipeline:
         before = self._wal_counters()
         stream = iter(records)
         total = batches = 0
-        submit_ms = simulated_ms = stall_ms = 0.0
-        generate_ms = [0.0]  # written by the producer thread under prefetch
-        if self.prefetch_batches > 0:
-            source = self._prefetched_batches(stream, generate_ms)
-        else:
-            source = self._inline_batches(stream, generate_ms)
+        generate_ms = submit_ms = simulated_ms = 0.0
         start = time.perf_counter()
         while True:
-            waited = time.perf_counter()
-            batch = next(source, None)
-            stall_ms += (time.perf_counter() - waited) * 1000.0
-            if batch is None:
+            pulled = time.perf_counter()
+            with obs.tracer.span("ingest.generate"):
+                batch = list(islice(stream, self.batch_size))
+            generate_ms += (time.perf_counter() - pulled) * 1000.0
+            if not batch:
                 break
             submitted = time.perf_counter()
             with obs.tracer.span("ingest.submit") as span:
@@ -253,15 +155,13 @@ class IngestPipeline:
             batches=batches,
             batch_size=self.batch_size,
             wall_ms=wall_ms,
-            generate_ms=generate_ms[0],
+            generate_ms=generate_ms,
             submit_ms=submit_ms,
             simulated_ms=simulated_ms,
             fsyncs=delta["wal.fsyncs"],
             commits=delta["wal.commits"],
             group_commits=delta["wal.group_commits"],
             journal_records=delta["wal.bulk_ops"],
-            prefetch_batches=self.prefetch_batches,
-            generate_stall_ms=stall_ms,
         )
 
 
@@ -270,7 +170,6 @@ def bulk_load(
     records: Iterable["Record"],
     batch_size: int = 10_000,
     session: Optional["KernelSession"] = None,
-    prefetch_batches: int = 0,
 ) -> IngestReport:
     """One-call form: ``IngestPipeline(...).run(records)``."""
-    return IngestPipeline(kds, batch_size, session, prefetch_batches).run(records)
+    return IngestPipeline(kds, batch_size, session).run(records)

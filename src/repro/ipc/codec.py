@@ -13,13 +13,12 @@ verbatim and adds what a *live* backend conversation needs on top:
 * pruning summaries, aggregate index digests, and observability span
   trees.
 
-Every encoder returns data ``json.dumps`` accepts directly (dicts, lists,
-strings, numbers, booleans, None) and every decoder inverts its encoder
-exactly.  Floats round-trip bit-identically through JSON (``repr``-based
-formatting), including the timing model's simulated milliseconds — this
-is what lets the engine-equivalence tests demand *bit*-identical results
-from a worker process.  NaN keyword values survive too: the stdlib codec
-emits and reparses the ``NaN`` literal.
+Every encoder returns plain values (dicts, lists, strings, numbers,
+booleans, None) and every decoder inverts its encoder exactly.  The
+transport marshals those values, so floats cross bit-identically —
+NaN payloads and the timing model's simulated milliseconds included —
+which is what lets the engine-equivalence tests demand *bit*-identical
+results from a worker process.
 """
 
 from __future__ import annotations

@@ -1,47 +1,16 @@
-"""Tagged value encoding + frame header for the process-engine transport.
+"""Frame header for the process-engine transport.
 
-Every controller↔worker message is a JSON-shaped value (``None``, bools,
-ints, floats, strings, lists, string-keyed dicts).  :class:`ValueEncoder`
-/ :class:`ValueDecoder` turn such a value into a compact tagged byte
-string and back — the binary sibling of ``json.dumps``/``json.loads``
-that the transport (:mod:`repro.ipc.transport`) frames onto the pipe as
-the ``tagged`` codec.  (The transport's default ``binary`` codec frames
-:mod:`marshal` bodies instead — C-speed, interning only within a frame —
-see :mod:`repro.ipc.transport` for the trade-off.)  This module also
-owns the frame header shared by every codec (:func:`pack_frame` /
-:func:`unpack_frame`).
-
-Design points, in the order they matter:
-
-* **Bit-exact floats.**  Floats travel as the raw IEEE-754 ``!d`` image,
-  so NaN payloads, ``-0.0`` and the infinities round-trip bit-for-bit —
-  the engine-equivalence suite compares simulated times across process
-  boundaries and JSON's decimal detour is the one place that could
-  wobble.
-* **In-band string interning.**  Both directions of a worker connection
-  are long-lived and carry the same descriptor names, file names,
-  attribute strings, command names, dict keys, and span phase labels
-  thousands of times.  An encoder assigns each interned string a small
-  id the first time it ships (``INTERN_DEF``) and emits a 5-byte
-  reference (``INTERN_REF``) forever after; the decoder mirrors the
-  table by construction, so no out-of-band handshake exists.  Dict keys
-  intern on first sight (they are schema, not data); other short strings
-  intern on second sight (a value seen once may never repeat).
-* **JSON parity.**  Tuples encode as lists, only ``str`` dict keys are
-  accepted (JSON would silently coerce; we refuse loudly), and the
-  decoded object graph is exactly what ``json.loads(json.dumps(v))``
-  would produce — the hypothesis suite holds the two codecs against each
-  other as oracles.
-
-The encoder is stateful *per direction*: a transport owns one encoder
-for its sends and one decoder for its receives, and the peer holds the
-mirror pair.  Encoders must never be shared across connections.
+Every controller↔worker message travels as one frame: a fixed header
+followed by a :mod:`marshal` body (see :mod:`repro.ipc.transport`, which
+owns the body encoding).  ``Connection.send_bytes``/``recv_bytes``
+already delimit messages, so the header is a cross-check rather than a
+stream parser: a desynchronised, truncated or foreign frame fails with a
+typed :class:`FrameError` instead of decoding garbage.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any
 
 from repro.errors import MLDSError
 
@@ -50,394 +19,44 @@ class FrameError(MLDSError):
     """A malformed frame or an unencodable value."""
 
 
-# -- wire tags -----------------------------------------------------------------
-
-TAG_NONE = 0x00
-TAG_TRUE = 0x01
-TAG_FALSE = 0x02
-TAG_INT8 = 0x03  # !b payload
-TAG_INT64 = 0x04  # !q payload
-TAG_BIGINT = 0x05  # u32 length + signed big-endian bytes
-TAG_FLOAT = 0x06  # !d payload (bit-exact, NaN payloads included)
-TAG_STR = 0x07  # u32 byte length + utf-8
-TAG_LIST = 0x08  # u32 count + items
-TAG_DICT = 0x09  # u32 count + alternating key/value items
-TAG_INTERN_DEF = 0x0A  # u32 byte length + utf-8; id = next table slot
-TAG_INTERN_REF = 0x0B  # u32 id
-
-_NONE = bytes([TAG_NONE])
-_TRUE = bytes([TAG_TRUE])
-_FALSE = bytes([TAG_FALSE])
-
-_INT8 = struct.Struct("!Bb")
-_INT64 = struct.Struct("!Bq")
-_FLOAT = struct.Struct("!Bd")
-_LEN = struct.Struct("!BI")  # tag + u32 length / count / intern id
-
-# Decoder-side single-field structs (tag byte already consumed).
-_U32 = struct.Struct("!I")
-_I8 = struct.Struct("!b")
-_I64 = struct.Struct("!q")
-_F64 = struct.Struct("!d")
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-#: Strings longer than this never intern — the 5-byte reference saves
-#: nothing worth a table slot on one-off payload text.
-INTERN_MAX_LEN = 128
-
-#: Per-direction table capacity.  Intern ids are u32 on the wire; the
-#: cap just bounds memory on pathological streams of distinct keys.
-INTERN_CAPACITY = 65536
-
-
-class ValueEncoder:
-    """Stateful binary encoder for one direction of one connection."""
-
-    __slots__ = ("_refs", "_seen_once")
-
-    def __init__(self) -> None:
-        # str -> pre-packed INTERN_REF bytes: a repeat string costs one
-        # dict hit and one bytearray append, no re-encoding.
-        self._refs: dict[str, bytes] = {}
-        # Non-key strings seen exactly once (intern-on-second-sight).
-        self._seen_once: set[str] = set()
-
-    def encode(self, value: Any) -> bytes:
-        out = bytearray()
-        self._write(out, value)
-        return bytes(out)
-
-    def _write(self, out: bytearray, value: Any) -> None:
-        # Mirror of the decoder's layout: the common scalars inside lists
-        # and dicts are encoded inline to avoid a Python call per node.
-        kind = type(value)
-        if kind is str:
-            ref = self._refs.get(value)
-            if ref is not None:
-                out += ref
-                return
-            self._write_new_str(out, value)
-        elif kind is bool:
-            out += _TRUE if value else _FALSE
-        elif kind is int:
-            if -128 <= value <= 127:
-                out += _INT8.pack(TAG_INT8, value)
-            elif _INT64_MIN <= value <= _INT64_MAX:
-                out += _INT64.pack(TAG_INT64, value)
-            else:
-                data = value.to_bytes(
-                    (value.bit_length() + 8) // 8, "big", signed=True
-                )
-                out += _LEN.pack(TAG_BIGINT, len(data))
-                out += data
-        elif kind is float:
-            out += _FLOAT.pack(TAG_FLOAT, value)
-        elif value is None:
-            out += _NONE
-        elif kind is dict:
-            refs = self._refs
-            out += _LEN.pack(TAG_DICT, len(value))
-            for key, item in value.items():
-                if type(key) is not str:
-                    raise FrameError(
-                        f"frame dict keys must be str, got {type(key).__name__}"
-                    )
-                ref = refs.get(key)
-                if ref is not None:
-                    out += ref
-                else:
-                    self._write_key(out, key)
-                item_kind = type(item)
-                if item_kind is str:
-                    ref = refs.get(item)
-                    if ref is not None:
-                        out += ref
-                    else:
-                        self._write_new_str(out, item)
-                elif item_kind is int:
-                    if -128 <= item <= 127:
-                        out += _INT8.pack(TAG_INT8, item)
-                    else:
-                        self._write(out, item)
-                elif item_kind is float:
-                    out += _FLOAT.pack(TAG_FLOAT, item)
-                elif item is None:
-                    out += _NONE
-                else:
-                    self._write(out, item)
-        elif kind is list or kind is tuple:
-            refs = self._refs
-            out += _LEN.pack(TAG_LIST, len(value))
-            for item in value:
-                item_kind = type(item)
-                if item_kind is str:
-                    ref = refs.get(item)
-                    if ref is not None:
-                        out += ref
-                    else:
-                        self._write_new_str(out, item)
-                elif item_kind is int:
-                    if -128 <= item <= 127:
-                        out += _INT8.pack(TAG_INT8, item)
-                    else:
-                        self._write(out, item)
-                elif item_kind is float:
-                    out += _FLOAT.pack(TAG_FLOAT, item)
-                elif item is None:
-                    out += _NONE
-                else:
-                    self._write(out, item)
-        elif isinstance(value, (str, bool, int, float, dict, list, tuple)):
-            # A subclass (IntEnum and friends): normalize to the base
-            # type, exactly as json.dumps would.
-            base: Any
-            for base in (bool, int, float, str, dict, list):
-                if isinstance(value, base):
-                    self._write(out, base(value))
-                    return
-            self._write(out, list(value))  # pragma: no cover - tuple subclass
-        else:
-            raise FrameError(
-                f"value of type {type(value).__name__} is not frame-encodable"
-            )
-
-    def _write_new_str(self, out: bytearray, value: str) -> None:
-        """A string with no reference yet: define or ship inline."""
-        data = value.encode("utf-8")
-        if (
-            value in self._seen_once
-            and len(data) <= INTERN_MAX_LEN
-            and len(self._refs) < INTERN_CAPACITY
-        ):
-            self._define(out, value, data)
-        else:
-            self._seen_once.add(value)
-            out += _LEN.pack(TAG_STR, len(data))
-            out += data
-
-    def _write_key(self, out: bytearray, key: str) -> None:
-        """Dict keys intern on first sight: they are schema, they repeat."""
-        ref = self._refs.get(key)
-        if ref is not None:
-            out += ref
-            return
-        data = key.encode("utf-8")
-        if len(data) <= INTERN_MAX_LEN and len(self._refs) < INTERN_CAPACITY:
-            self._define(out, key, data)
-        else:  # pragma: no cover - giant or overflow key
-            out += _LEN.pack(TAG_STR, len(data))
-            out += data
-
-    def _define(self, out: bytearray, value: str, data: bytes) -> None:
-        intern_id = len(self._refs)
-        out += _LEN.pack(TAG_INTERN_DEF, len(data))
-        out += data
-        self._refs[value] = _LEN.pack(TAG_INTERN_REF, intern_id)
-        self._seen_once.discard(value)
-
-    @property
-    def interned_count(self) -> int:
-        return len(self._refs)
-
-
-class ValueDecoder:
-    """Mirror of :class:`ValueEncoder` for the receiving side."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: list[str] = []
-
-    def decode(self, data: bytes) -> Any:
-        value, pos = self._read(data, 0)
-        if pos != len(data):
-            raise FrameError(
-                f"frame has {len(data) - pos} trailing byte(s) after value"
-            )
-        return value
-
-    def _read(self, data: bytes, pos: int) -> tuple[Any, int]:
-        # One Python call per *container or rare* node: the common scalar
-        # tags (intern refs, small ints, floats, inline strings) are
-        # decoded inline inside the list/dict loops below, because a
-        # record-heavy reply is ~80% scalars and the per-node function
-        # call was the decoder's dominant cost.
-        table = self._table
-        unpack_u32 = _U32.unpack_from
-        unpack_i8 = _I8.unpack_from
-        unpack_f64 = _F64.unpack_from
-        read = self._read
-        tag_ref, tag_i8, tag_f64 = TAG_INTERN_REF, TAG_INT8, TAG_FLOAT
-        tag_list, tag_dict = TAG_LIST, TAG_DICT
-        tag_str, tag_none = TAG_STR, TAG_NONE
-        size = len(data)
-        try:
-            tag = data[pos]
-            pos += 1
-            if tag == tag_ref:
-                return table[unpack_u32(data, pos)[0]], pos + 4
-            if tag == tag_i8:
-                return unpack_i8(data, pos)[0], pos + 1
-            if tag == tag_f64:
-                return unpack_f64(data, pos)[0], pos + 8
-            if tag == tag_list:
-                count = unpack_u32(data, pos)[0]
-                pos += 4
-                items = []
-                append = items.append
-                for _ in range(count):
-                    tag = data[pos]
-                    pos += 1
-                    if tag == tag_ref:
-                        append(table[unpack_u32(data, pos)[0]])
-                        pos += 4
-                    elif tag == tag_list:
-                        item, pos = read(data, pos - 1)
-                        append(item)
-                    elif tag == tag_i8:
-                        append(unpack_i8(data, pos)[0])
-                        pos += 1
-                    elif tag == tag_f64:
-                        append(unpack_f64(data, pos)[0])
-                        pos += 8
-                    elif tag == tag_str:
-                        length = unpack_u32(data, pos)[0]
-                        pos += 4
-                        end = pos + length
-                        if end > size:
-                            raise FrameError("truncated frame: short string")
-                        append(data[pos:end].decode("utf-8"))
-                        pos = end
-                    elif tag == tag_none:
-                        append(None)
-                    elif tag == tag_dict:
-                        item, pos = read(data, pos - 1)
-                        append(item)
-                    else:
-                        item, pos = self._read_slow(tag, data, pos)
-                        append(item)
-                return items, pos
-            if tag == tag_dict:
-                count = unpack_u32(data, pos)[0]
-                pos += 4
-                mapping: dict[str, Any] = {}
-                for _ in range(count):
-                    key, pos = read(data, pos)
-                    if type(key) is not str:
-                        raise FrameError("frame dict key decoded as non-str")
-                    tag = data[pos]
-                    pos += 1
-                    if tag == tag_ref:
-                        mapping[key] = table[unpack_u32(data, pos)[0]]
-                        pos += 4
-                    elif tag == tag_i8:
-                        mapping[key] = unpack_i8(data, pos)[0]
-                        pos += 1
-                    elif tag == tag_f64:
-                        mapping[key] = unpack_f64(data, pos)[0]
-                        pos += 8
-                    elif tag == tag_none:
-                        mapping[key] = None
-                    elif tag == tag_list or tag == tag_dict:
-                        mapping[key], pos = read(data, pos - 1)
-                    else:
-                        mapping[key], pos = self._read_slow(tag, data, pos)
-                return mapping, pos
-            return self._read_slow(tag, data, pos)
-        except struct.error as exc:
-            raise FrameError(f"truncated frame: {exc}") from None
-        except IndexError:
-            raise FrameError(
-                "truncated frame or undefined intern reference"
-            ) from None
-
-    def _read_slow(self, tag: int, data: bytes, pos: int) -> tuple[Any, int]:
-        """The less-frequent tags (and a re-entry point for nesting)."""
-        if tag == TAG_STR:
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4
-            end = pos + length
-            if end > len(data):
-                raise FrameError("truncated frame: short string")
-            return data[pos:end].decode("utf-8"), end
-        if tag == TAG_INTERN_DEF:
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4
-            end = pos + length
-            if end > len(data):
-                raise FrameError("truncated frame: short intern definition")
-            text = data[pos:end].decode("utf-8")
-            self._table.append(text)
-            return text, end
-        if tag == TAG_INT64:
-            (value,) = _I64.unpack_from(data, pos)
-            return value, pos + 8
-        if tag == TAG_NONE:
-            return None, pos
-        if tag == TAG_TRUE:
-            return True, pos
-        if tag == TAG_FALSE:
-            return False, pos
-        if tag == TAG_BIGINT:
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4
-            end = pos + length
-            if end > len(data):
-                raise FrameError("truncated frame: short bigint")
-            return int.from_bytes(data[pos:end], "big", signed=True), end
-        if tag in (TAG_INTERN_REF, TAG_INT8, TAG_FLOAT, TAG_LIST, TAG_DICT):
-            # Re-entered from the top-level fast path with pos already
-            # advanced past the tag: delegate back with the tag restored.
-            return self._read(data, pos - 1)
-        raise FrameError(f"unknown frame tag 0x{tag:02x}")
-
-
-# -- frame header --------------------------------------------------------------
-
-#: magic byte, codec id, flags, payload length.
+#: magic byte, format byte, flags, payload length.
 HEADER = struct.Struct("!BBBI")
 MAGIC = 0xAB
 
-CODEC_JSON = 0x00
-CODEC_BINARY = 0x01
-CODEC_TAGGED = 0x02
+#: The one body format on the wire (marshal).  A constant, but checked on
+#: every receive so a corrupt or foreign frame fails typed.
+FORMAT = 0x01
 
 FLAG_BATCH = 0x01
 
 
-def pack_frame(codec_id: int, flags: int, payload: bytes) -> bytes:
-    return HEADER.pack(MAGIC, codec_id, flags, len(payload)) + payload
+def pack_frame(flags: int, payload: bytes) -> bytes:
+    return HEADER.pack(MAGIC, FORMAT, flags, len(payload)) + payload
 
 
-def unpack_frame(frame: bytes) -> tuple[int, int, bytes]:
-    """Split one received frame into ``(codec_id, flags, payload)``."""
+def unpack_frame(frame: bytes) -> tuple[int, bytes]:
+    """Split one received frame into ``(flags, payload)``."""
     if len(frame) < HEADER.size:
         raise FrameError(f"short frame: {len(frame)} byte(s)")
-    magic, codec_id, flags, length = HEADER.unpack_from(frame, 0)
+    magic, body_format, flags, length = HEADER.unpack_from(frame, 0)
     if magic != MAGIC:
         raise FrameError(f"bad frame magic 0x{magic:02x}")
+    if body_format != FORMAT:
+        raise FrameError(f"unknown frame format byte 0x{body_format:02x}")
     payload = frame[HEADER.size :]
     if length != len(payload):
         raise FrameError(
             f"frame length mismatch: header says {length}, got {len(payload)}"
         )
-    return codec_id, flags, payload
+    return flags, payload
 
 
 __all__ = [
     "FrameError",
-    "ValueEncoder",
-    "ValueDecoder",
     "pack_frame",
     "unpack_frame",
     "HEADER",
     "MAGIC",
-    "CODEC_JSON",
-    "CODEC_BINARY",
-    "CODEC_TAGGED",
+    "FORMAT",
     "FLAG_BATCH",
-    "INTERN_MAX_LEN",
-    "INTERN_CAPACITY",
 ]

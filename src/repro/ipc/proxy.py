@@ -4,7 +4,7 @@
 closely enough that the controller, the KDS, persistence, and recovery
 never notice the store lives in another process: every Backend method
 they call has a counterpart here that encodes the call, ships it over
-the worker's request queue, and decodes the reply.  :class:`ProcessStore`
+the worker's pipe, and decodes the reply.  :class:`ProcessStore`
 does the same for the handful of direct store accesses the upper layers
 make (``add_index``, ``all_records``, ``drop_file``, snapshot-style
 inspection), so ``backend.store.…`` keeps working too.
@@ -31,7 +31,7 @@ Workers are daemonic: an abandoned controller (the crash-matrix tests
 kill systems mid-transaction without shutdown) cannot leak processes
 past interpreter exit.  A dead worker can also be *replaced*:
 :meth:`ProcessBackend.respawn` spawns a fresh process (fresh store,
-fresh transport, fresh interning state) for the same backend id, which
+fresh transport) for the same backend id, which
 is how the kernel heals a crashed farm from checkpoint + WAL state.
 """
 
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 from repro import errors
 from repro.errors import ExecutionError, WorkerCrashed
 from repro.ipc import codec
-from repro.ipc.transport import DEFAULT_CODEC, PipeTransport, validate_codec
+from repro.ipc.transport import PipeTransport
 from repro.ipc.worker import config_state, worker_main
 from repro.obs import NULL_OBS, ObsSpec, resolve_obs
 
@@ -115,13 +115,9 @@ class ProcessStore:
         return reply["count"]
 
     def snapshot(self) -> dict[str, Any]:
-        reply = self._backend._call({"cmd": "store_snapshot"})
-        # JSON flattens the pair tuples to lists; restore the exact
-        # in-process shape so structural comparisons across engines hold.
-        return {
-            name: [[tuple(pair) for pair in record] for record in records]
-            for name, records in reply["snapshot"].items()
-        }
+        # marshal keeps the pair tuples, so the reply already has the
+        # exact in-process shape structural comparisons across engines need.
+        return self._backend._call({"cmd": "store_snapshot"})["snapshot"]
 
 
 class ProcessBackend:
@@ -134,12 +130,10 @@ class ProcessBackend:
         timing: "TimingModel",
         store_factory: Optional["StoreFactory"] = None,
         latency_scale: float = 0.0,
-        ipc_codec: str = DEFAULT_CODEC,
     ) -> None:
         self.backend_id = backend_id
         self.timing = timing
         self.latency_scale = latency_scale
-        self.ipc_codec = validate_codec(ipc_codec)
         self._engine = engine
         self._stopped = False
         self._summary_cache: Optional["BackendSummary"] = None
@@ -155,7 +149,7 @@ class ProcessBackend:
     def _spawn(self) -> None:
         context = _spawn_context()
         parent_end, child_end = context.Pipe(duplex=True)
-        self._transport = PipeTransport(parent_end, self.ipc_codec)
+        self._transport = PipeTransport(parent_end)
         self._process = context.Process(
             target=worker_main,
             args=(
@@ -165,7 +159,6 @@ class ProcessBackend:
                 self.latency_scale,
                 config_state(),
                 child_end,
-                self.ipc_codec,
             ),
             daemon=True,
             name=f"mbds-backend-{self.backend_id}",

@@ -7,135 +7,66 @@ One :class:`PipeTransport` wraps one end of a duplex
 field     meaning
 ========  =======================================================
 magic     ``0xAB`` — catches stream desync immediately
-codec     ``0`` json, ``1`` binary, ``2`` tagged (see below)
+format    ``1`` — the one body format; anything else is refused
 flags     bit 0: the payload is a *batch* (a list of messages)
 length    payload byte length (u32)
-payload   one encoded message, or an encoded list of messages
+payload   one marshalled message, or a marshalled list of messages
 ========  =======================================================
 
-``Connection.send_bytes``/``recv_bytes`` already delimit messages, so
-the header's length field is a cross-check rather than a stream parser —
-corruption or a codec mismatch between the two ends fails loudly instead
-of decoding garbage.
-
-The codec byte rides in *every* frame even though both ends agree on the
-codec up front: a worker spawned with ``--ipc-codec json`` that receives
-a binary frame (or vice versa) raises :class:`FrameError` naming the
-mismatch, which turns a subtle misconfiguration into a typed error.
-
-Three codecs encode the payload body:
-
-``binary`` (default)
-    :mod:`marshal` version 4 — CPython's C-speed self-describing value
-    encoding.  Floats round-trip bit-exactly (NaN payloads, ``-0.0``),
-    ints are arbitrary precision, and repeated interned strings (dict
-    keys, command names, span labels) are written once per frame and
-    referenced by id thereafter — so a coalesced batch frame interns
-    its repetitive structure for free.  Both pipe ends are always the
-    same interpreter build (the engine spawns its own workers), which is
-    the one precondition marshal's format stability needs.
-
-``tagged``
-    The pure-Python tag codec in :mod:`repro.ipc.frames`: compact,
-    portable, and interning *across* messages — its encoder/decoder
-    tables live per direction per connection, so descriptor names,
-    attribute strings, and span labels cross the pipe once per worker
-    lifetime.  It produces the smallest frames but pays Python-level
-    per-node cost; the benchmark in ``benchmarks/bench_ipc_transport.py``
-    quantifies the trade.
-
-``json``
-    The pre-framing text encoding, kept as the readable fallback and as
-    the cross-checking oracle in tests (`--ipc-codec json`).
+The header lives in :mod:`repro.ipc.frames`; this module owns the body.
+Bodies are :mod:`marshal` version 4 — CPython's C-speed self-describing
+value encoding.  Floats round-trip bit-exactly (NaN payloads, ``-0.0``),
+ints are arbitrary precision, and repeated interned strings (dict keys,
+command names, span labels) are written once per frame and referenced by
+id thereafter — so a coalesced batch frame interns its repetitive
+structure for free.  marshal's format is only stable within one
+interpreter build, which is exactly what a worker pipe is: the engine
+spawns its own workers, so both ends always run the same build.
 
 Batch frames are the request-coalescing carrier: one frame holds a list
 of command dicts bound for the worker, and the worker answers with one
-frame holding the reply list in command order.  Payloads must be
-JSON-shaped (dict/list/str/int/float/bool/None) so all three codecs
-decode bit-identical values; the engine equivalence suite enforces that
-end to end.
+frame holding the reply list in command order.
 """
 
 from __future__ import annotations
 
-import json
 import marshal
-from typing import Any, Optional
+from typing import Any
 
-from repro.ipc.frames import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    CODEC_TAGGED,
-    FLAG_BATCH,
-    FrameError,
-    ValueDecoder,
-    ValueEncoder,
-    pack_frame,
-    unpack_frame,
-)
-
-#: The codec names ``--ipc-codec`` accepts, mapped to wire ids.
-CODEC_IDS = {"json": CODEC_JSON, "binary": CODEC_BINARY, "tagged": CODEC_TAGGED}
-DEFAULT_CODEC = "binary"
+from repro.ipc.frames import FLAG_BATCH, FrameError, pack_frame, unpack_frame
 
 #: marshal format with the string reference table (intra-frame interning).
 _MARSHAL_VERSION = 4
 
 
-def validate_codec(name: str) -> str:
-    if name not in CODEC_IDS:
-        raise ValueError(
-            f"unknown ipc codec {name!r} (expected one of {sorted(CODEC_IDS)})"
-        )
-    return name
-
-
 class PipeTransport:
-    """One end of a worker connection: framing + codec + interning state."""
+    """One end of a worker connection: framing + marshal bodies."""
 
-    def __init__(self, connection: Any, codec: str = DEFAULT_CODEC) -> None:
-        self.codec = validate_codec(codec)
-        self.codec_id = CODEC_IDS[self.codec]
+    def __init__(self, connection: Any) -> None:
         self._connection = connection
-        if self.codec_id == CODEC_TAGGED:
-            self._encoder: Optional[ValueEncoder] = ValueEncoder()
-            self._decoder: Optional[ValueDecoder] = ValueDecoder()
-        else:
-            self._encoder = None
-            self._decoder = None
 
     # -- encoding ----------------------------------------------------------
 
     def _encode(self, value: Any) -> bytes:
-        if self.codec_id == CODEC_BINARY:
-            try:
-                return marshal.dumps(value, _MARSHAL_VERSION)
-            except ValueError as exc:
-                raise FrameError(f"unencodable payload: {exc}") from exc
-        if self._encoder is not None:
-            return self._encoder.encode(value)
-        return json.dumps(value, separators=(",", ":")).encode("utf-8")
+        try:
+            return marshal.dumps(value, _MARSHAL_VERSION)
+        except ValueError as exc:
+            raise FrameError(f"unencodable payload: {exc}") from exc
 
     def _decode(self, payload: bytes) -> Any:
-        if self.codec_id == CODEC_BINARY:
-            try:
-                return marshal.loads(payload)
-            except (ValueError, EOFError, TypeError) as exc:
-                raise FrameError(f"undecodable payload: {exc}") from exc
-        if self._decoder is not None:
-            return self._decoder.decode(payload)
-        return json.loads(payload)
+        try:
+            return marshal.loads(payload)
+        except (ValueError, EOFError, TypeError) as exc:
+            raise FrameError(f"undecodable payload: {exc}") from exc
 
     # -- sending -----------------------------------------------------------
 
     def send(self, message: Any) -> None:
-        self._connection.send_bytes(
-            pack_frame(self.codec_id, 0, self._encode(message))
-        )
+        self._connection.send_bytes(pack_frame(0, self._encode(message)))
 
     def send_batch(self, messages: list) -> None:
         self._connection.send_bytes(
-            pack_frame(self.codec_id, FLAG_BATCH, self._encode(messages))
+            pack_frame(FLAG_BATCH, self._encode(messages))
         )
 
     # -- receiving ---------------------------------------------------------
@@ -145,12 +76,7 @@ class PipeTransport:
 
     def recv_any(self) -> tuple[bool, Any]:
         """Receive one frame: ``(is_batch, message_or_list)``."""
-        codec_id, flags, payload = unpack_frame(self._connection.recv_bytes())
-        if codec_id != self.codec_id:
-            raise FrameError(
-                f"codec mismatch: peer sent codec {codec_id}, "
-                f"this end speaks {self.codec!r} ({self.codec_id})"
-            )
+        flags, payload = unpack_frame(self._connection.recv_bytes())
         message = self._decode(payload)
         is_batch = bool(flags & FLAG_BATCH)
         if is_batch and not isinstance(message, list):
@@ -176,13 +102,5 @@ class PipeTransport:
     def close(self) -> None:
         self._connection.close()
 
-    def __repr__(self) -> str:
-        return f"PipeTransport(codec={self.codec!r})"
 
-
-__all__ = [
-    "PipeTransport",
-    "CODEC_IDS",
-    "DEFAULT_CODEC",
-    "validate_codec",
-]
+__all__ = ["PipeTransport"]

@@ -18,9 +18,9 @@ timing model":
 * :class:`ProcessPoolEngine` — each backend owns its store in a
   persistent worker *process* (see :mod:`repro.ipc`), so CPU-bound
   compiled matching and range scans parallelize past the GIL.  Requests
-  and results cross the boundary as JSON messages built on the WAL
-  codec; dispatch is split-phase (send to every target worker, then
-  collect in backend order).
+  and results cross the boundary as marshal frames whose values are
+  built on the WAL codec; dispatch is split-phase (send to every target
+  worker, then collect in backend order).
 
 Because the process engine must build its backends *in* the workers, the
 engine — not the controller — now owns backend construction
@@ -288,15 +288,10 @@ class ProcessPoolEngine(ExecutionEngine):
 
     name = "process"
 
-    def __init__(
-        self, workers: Optional[int] = None, ipc_codec: Optional[str] = None
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("ProcessPoolEngine needs at least one worker")
-        from repro.ipc.transport import DEFAULT_CODEC, validate_codec
-
         self.workers = workers
-        self.ipc_codec = validate_codec(ipc_codec or DEFAULT_CODEC)
         self._backends: list["ProcessBackend"] = []
         # Split-phase dispatch (send-all, then collect-all) assumes the
         # reply arriving on a worker's pipe answers *our* send; with
@@ -325,10 +320,7 @@ class ProcessPoolEngine(ExecutionEngine):
         from repro.ipc.proxy import ProcessBackend
 
         self._backends = [
-            ProcessBackend(
-                self, backend_id, timing, store_factory, latency_scale,
-                ipc_codec=self.ipc_codec,
-            )
+            ProcessBackend(self, backend_id, timing, store_factory, latency_scale)
             for backend_id in range(count)
         ]
         return list(self._backends)  # type: ignore[return-value]
@@ -478,10 +470,7 @@ class ProcessPoolEngine(ExecutionEngine):
             self._backends = []
 
     def __repr__(self) -> str:
-        return (
-            f"ProcessPoolEngine(workers={self.workers}, "
-            f"ipc_codec={self.ipc_codec!r})"
-        )
+        return f"ProcessPoolEngine(workers={self.workers})"
 
 
 #: What callers may pass wherever an engine is accepted: an instance, a
@@ -492,21 +481,17 @@ EngineSpec = Union[ExecutionEngine, str, None]
 _ENGINE_NAMES = {
     "serial": SerialEngine,
     "threads": ThreadPoolEngine,
-    "threadpool": ThreadPoolEngine,
     "process": ProcessPoolEngine,
-    "processes": ProcessPoolEngine,
 }
 
 
 def make_engine(
-    spec: EngineSpec = None,
-    workers: Optional[int] = None,
-    ipc_codec: Optional[str] = None,
+    spec: EngineSpec = None, workers: Optional[int] = None
 ) -> ExecutionEngine:
     """Resolve an engine spec (instance, name, or None) to an engine.
 
-    *workers* and *ipc_codec* only apply when a pooled engine is built
-    here; an explicit engine instance is returned unchanged.
+    *workers* only applies when a pooled engine is built here; an
+    explicit engine instance is returned unchanged.
     """
     if isinstance(spec, ExecutionEngine):
         return spec
@@ -517,7 +502,7 @@ def make_engine(
         if cls is ThreadPoolEngine:
             return ThreadPoolEngine(workers)
         if cls is ProcessPoolEngine:
-            return ProcessPoolEngine(workers, ipc_codec=ipc_codec)
+            return ProcessPoolEngine(workers)
         if cls is not None:
             return cls()
     raise ValueError(

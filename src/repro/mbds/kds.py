@@ -91,10 +91,10 @@ class KernelDatabaseSystem:
         obs: ObsSpec = None,
         lock_timeout: float = 10.0,
         snapshot_reads: bool = True,
-        version_retain: Optional[int] = None,
     ) -> None:
-        """*engine* picks the wall-clock dispatch strategy ('serial' or
-        'threads', or an :class:`~repro.mbds.engine.ExecutionEngine`);
+        """*engine* picks the wall-clock dispatch strategy ('serial',
+        'threads' or 'process', or an
+        :class:`~repro.mbds.engine.ExecutionEngine`);
         simulated response time is identical for every engine.  *pruning*
         enables summary-based broadcast pruning; *latency_scale* emulates
         real disk stalls (see :class:`~repro.mbds.backend.Backend`).
@@ -104,10 +104,7 @@ class KernelDatabaseSystem:
         :class:`~repro.obs.Observability` bundle (tracing + metrics +
         slow log); the default is the no-op null bundle.
         *snapshot_reads* enables the lock-free MVCC read path for
-        RETRIEVEs (see :meth:`_execute_session`);
-        *version_retain* caps the per-file version-chain depth on
-        in-process stores (process-engine workers keep the library
-        default; their chains still garbage-collect by watermark)."""
+        RETRIEVEs (see :meth:`_execute_session`)."""
         self.controller = BackendController(
             backend_count,
             timing,
@@ -153,11 +150,6 @@ class KernelDatabaseSystem:
         self._snapshot_token = 0
         #: Lock-free RETRIEVE path toggle (see :meth:`_execute_session`).
         self.snapshot_reads = snapshot_reads
-        if version_retain is not None:
-            for backend in self.controller.backends:
-                store = getattr(backend, "store", None)
-                if hasattr(store, "version_retain"):
-                    store.version_retain = version_retain
         self._session_counter = 0
         self.locks.bind_metrics(self.obs.metrics)
         # Supervise a respawnable engine: crashes latch instead of

@@ -17,19 +17,13 @@ The snapshot restores the *exact* backend partitioning (records are
 placed back on their original backend), so simulated response times and
 set-iteration orders are reproducible across save/load.
 
-Format history:
-
-* **1** — schemas, timing, key counters, per-backend records.
-* **2** — adds ``wal`` (the durability watermark: the last committed
-  WAL transaction the snapshot contains, written when the system has a
-  write-ahead log attached — see :mod:`repro.wal`) and ``placement``
-  (round-robin placement counters, so inserts after a restore land on
-  the same backends they would have without the restart).
-
-Version-1 snapshots still load: they simply carry no WAL watermark
-(recovery treats them as "replay everything") and no placement counters
-(post-restore placement restarts from backend 0, the historical
-behavior).
+Format **2** (the only one :func:`load_mlds` restores) carries, beside
+schemas, timing, key counters and per-backend records, ``wal`` (the
+durability watermark: the last committed WAL transaction the snapshot
+contains, written when the system has a write-ahead log attached — see
+:mod:`repro.wal`) and ``placement`` (the placement policy's state, so
+inserts after a restore land on the same backends they would have
+without the restart).
 """
 
 from __future__ import annotations
@@ -50,9 +44,6 @@ from repro.mbds.timing import TimingModel
 
 #: Snapshot format version, bumped on incompatible layout changes.
 FORMAT_VERSION = 2
-
-#: Snapshot versions :func:`load_mlds` can restore.
-SUPPORTED_VERSIONS = (1, 2)
 
 
 def _dump_records(mlds: MLDS) -> list[list[dict]]:
@@ -163,10 +154,10 @@ def load_mlds(
     """
     snapshot = json.loads(Path(path).read_text())
     version = snapshot.get("format")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise MLDSError(
             f"snapshot format {version!r} is not supported "
-            f"(expected one of {SUPPORTED_VERSIONS})"
+            f"(expected {FORMAT_VERSION})"
         )
     timing = TimingModel(**snapshot["timing"])
     mlds = MLDS(
@@ -189,7 +180,7 @@ def load_mlds(
     for name, entry in snapshot["relational"].items():
         mlds.define_relational_database(entry["ddl"])
         mlds._relational_mappings[name]._key_counters.update(entry["key_counters"])
-    for name, entry in snapshot.get("hierarchical", {}).items():
+    for name, entry in snapshot["hierarchical"].items():
         mlds.define_hierarchical_database(entry["ddl"])
         mapping = mlds._hierarchical_mappings[name]
         mapping._key_counters.update(entry["key_counters"])
@@ -206,18 +197,18 @@ def load_mlds(
         backend.store.bulk_insert(
             Record.from_pairs(
                 [(attribute, value) for attribute, value in row["pairs"]],
-                text=row.get("text", ""),
+                text=row["text"],
             )
             for row in rows
         )
-    placement_state = snapshot.get("placement")
+    placement_state = snapshot["placement"]
     restored = mlds.kds.controller.placement
-    kind = placement_state.get("kind") if placement_state else None
+    kind = placement_state["kind"] if placement_state else None
     if kind == "round_robin" and isinstance(restored, RoundRobinPlacement):
-        restored._counters.update(placement_state.get("counters", {}))
+        restored._counters.update(placement_state["counters"])
     elif kind == "hash_shard" and isinstance(restored, HashShardPlacement):
-        restored.key_attributes.update(placement_state.get("key_attributes", {}))
-        restored._tainted.update(placement_state.get("tainted", ()))
+        restored.key_attributes.update(placement_state["key_attributes"])
+        restored._tainted.update(placement_state["tainted"])
     if isinstance(restored, LeastLoadedPlacement):
         # Whatever the snapshot said, the true load is what was restored.
         restored.rebalance(mlds.kds.controller.distribution())

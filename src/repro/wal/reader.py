@@ -50,9 +50,9 @@ class WalTransaction:
     counts: Optional[list[int]] = None
     #: backend id -> ops journaled for it, in sequence order.
     ops: dict[int, list[WalOp]] = field(default_factory=dict)
-    #: Owning session name (None only in logs written before every
-    #: transaction had an owner; the reader still accepts those).
-    owner: Optional[str] = None
+    #: Owning session name, from the ``begin`` record ("" only for ops
+    #: whose begin record never reached the master log).
+    owner: str = ""
 
 
 @dataclass
@@ -149,10 +149,10 @@ def read_wal(directory: Union[str, Path], backend_count: Optional[int] = None) -
         max_master_seq = max(max_master_seq, int(record["seq"]))
         kind = record.get("type")
         transaction = transactions.setdefault(txn_id, WalTransaction(txn_id))
-        if record.get("owner") is not None:
-            transaction.owner = str(record["owner"])
         if kind == "begin":
-            pass
+            if record.get("owner") is None:
+                raise WalError(f"begin record of transaction {txn_id} has no owner")
+            transaction.owner = str(record["owner"])
         elif kind == "commit":
             transaction.status = "committed"
             # Only the kernel's own session commits with counts

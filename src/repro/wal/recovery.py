@@ -95,10 +95,11 @@ def replay_committed(
 
 
 def snapshot_watermark(snapshot_path: Union[str, Path]) -> int:
-    """The last committed transaction embedded in a snapshot (0 for v1)."""
+    """The last committed transaction embedded in a snapshot (0 when it
+    was saved without a WAL attached)."""
     snapshot = json.loads(Path(snapshot_path).read_text())
-    wal_meta = snapshot.get("wal") or {}
-    return int(wal_meta.get("last_txn", 0))
+    wal_meta = snapshot["wal"]
+    return int(wal_meta["last_txn"]) if wal_meta else 0
 
 
 def restore_backend_state(
@@ -139,7 +140,7 @@ def restore_backend_state(
             backend.store.bulk_insert(
                 Record.from_pairs(
                     [(attribute, value) for attribute, value in row["pairs"]],
-                    text=row.get("text", ""),
+                    text=row["text"],
                 )
                 for row in rows
             )
@@ -154,12 +155,12 @@ def restore_backend_state(
         if isinstance(placement, RoundRobinPlacement):
             placement._counters.clear()
             if kind == "round_robin":
-                placement._counters.update(state.get("counters", {}))
+                placement._counters.update(state["counters"])
         elif isinstance(placement, HashShardPlacement):
             placement._tainted.clear()
             if kind == "hash_shard":
-                placement.key_attributes.update(state.get("key_attributes", {}))
-                placement._tainted.update(state.get("tainted", ()))
+                placement.key_attributes.update(state["key_attributes"])
+                placement._tainted.update(state["tainted"])
         if isinstance(placement, LeastLoadedPlacement):
             placement.rebalance(controller.distribution())
     wal_meta = snapshot.get("wal") or {}

@@ -201,3 +201,55 @@ class TestExecCommand:
 
     def test_exec_usage(self, shell):
         assert "usage" in shell.handle_line(".exec")
+
+
+class TestRecoverFlags:
+    def test_recover_applies_wal_and_read_path_flags(self, tmp_path, monkeypatch):
+        """``--recover`` honours --group-window-ms / --no-snapshot-reads and
+        sizes the farm from the WAL directory, not from --backends."""
+        from repro.abdl import parse_request
+        from repro.cli import main
+        from repro.wal.log import WalManager
+
+        wal_dir = tmp_path / "wal"
+        writer = MLDS(backend_count=2, wal=wal_dir)
+        for i in range(4):
+            writer.kds.execute(parse_request(f"INSERT (<FILE, f>, <f, f${i}>, <a, {i}>)"))
+        writer.kds.shutdown()
+        writer.kds.wal.close()
+
+        opened = []
+        original_init = WalManager.__init__
+
+        def counting_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            opened.append(self)
+
+        seen = {}
+
+        def fake_run(shell):
+            kds = shell.mlds.kds
+            seen["backends"] = kds.controller.backend_count
+            seen["records"] = kds.record_count()
+            seen["snapshot_reads"] = kds.snapshot_reads
+            seen["wal"] = kds.wal
+            session = kds.create_session()
+            kds.execute(parse_request("INSERT (<FILE, f>, <f, f$9>, <a, 9>)"), session=session)
+            kds.execute(parse_request("RETRIEVE (FILE = f) (a)"), session=session)
+            seen["metrics"] = shell.mlds.obs.metrics.as_dict()
+
+        monkeypatch.setattr(WalManager, "__init__", counting_init)
+        monkeypatch.setattr(MLDSShell, "run", fake_run)
+        assert main(
+            [
+                "--recover", "--wal-dir", str(wal_dir),
+                "--group-window-ms", "5", "--no-snapshot-reads",
+                "--metrics-out", str(tmp_path / "metrics.json"),
+            ]
+        ) == 0
+
+        assert seen["backends"] == 2 and seen["records"] == 4
+        assert opened == [seen["wal"]]  # exactly one manager holds the directory
+        assert seen["metrics"]["wal.group_commits"]["value"] >= 1.0
+        assert seen["snapshot_reads"] is False
+        assert "kds.snapshot_reads" not in seen["metrics"]

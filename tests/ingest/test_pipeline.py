@@ -137,49 +137,6 @@ class TestPipeline:
             mlds.kds.shutdown()
 
 
-class TestPrefetch:
-    def test_prefetched_run_matches_inline_run(self):
-        inline = MLDS(backend_count=3)
-        ahead = MLDS(backend_count=3)
-        try:
-            a = bulk_load(
-                inline.kds, stream_university_records(2_500), batch_size=500
-            )
-            b = bulk_load(
-                ahead.kds,
-                stream_university_records(2_500),
-                batch_size=500,
-                prefetch_batches=2,
-            )
-            assert (a.records, a.batches) == (b.records, b.batches)
-            assert b.prefetch_batches == 2
-            # Same stream, same batching, same placement: bit-identical.
-            image = lambda mlds: [  # noqa: E731
-                sorted(tuple(r.pairs()) for r in backend.store.all_records())
-                for backend in mlds.kds.controller.backends
-            ]
-            assert image(inline) == image(ahead)
-        finally:
-            inline.kds.shutdown()
-            ahead.kds.shutdown()
-
-    def test_report_separates_stall_from_generation(self):
-        mlds = MLDS(backend_count=2)
-        try:
-            report = bulk_load(
-                mlds.kds,
-                stream_university_records(2_000),
-                batch_size=250,
-                prefetch_batches=3,
-            )
-            # The producer did real generation work, but the submit loop
-            # only stalled for whatever overlap could not hide.
-            assert report.generate_ms > 0.0
-            assert report.generate_stall_ms >= 0.0
-            assert report.as_dict()["prefetch_batches"] == 3
-        finally:
-            mlds.kds.shutdown()
-
     def test_generator_exception_propagates(self):
         def exploding():
             yield from stream_university_records(600)
@@ -188,37 +145,9 @@ class TestPrefetch:
         mlds = MLDS(backend_count=2)
         try:
             with pytest.raises(RuntimeError, match="stream went bad"):
-                bulk_load(
-                    mlds.kds, exploding(), batch_size=100, prefetch_batches=2
-                )
-            # Every batch generated before the failure was still ingested.
+                bulk_load(mlds.kds, exploding(), batch_size=100)
+            # Every full batch pulled before the failure was still ingested.
             assert mlds.kds.record_count() == 600
-        finally:
-            mlds.kds.shutdown()
-
-    def test_rejects_negative_prefetch(self):
-        mlds = MLDS(backend_count=1)
-        try:
-            with pytest.raises(ValueError):
-                IngestPipeline(mlds.kds, prefetch_batches=-1)
-        finally:
-            mlds.kds.shutdown()
-
-    def test_wal_ingest_with_prefetch_stays_durable(self, tmp_path):
-        mlds = MLDS(
-            backend_count=2,
-            wal=WalManager(tmp_path / "wal", 2),
-            obs=Observability(),
-        )
-        try:
-            report = bulk_load(
-                mlds.kds,
-                stream_university_records(900),
-                batch_size=300,
-                prefetch_batches=2,
-            )
-            assert report.commits == 3
-            assert report.journal_records > 0
         finally:
             mlds.kds.shutdown()
 

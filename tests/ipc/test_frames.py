@@ -1,31 +1,35 @@
-"""The tagged value encoding and the frame header, edge by edge."""
+"""The frame header and the one body format, edge by edge."""
 
 from __future__ import annotations
 
-import json
+import marshal
 import math
+import multiprocessing
 import struct
 
 import pytest
 
 from repro.ipc.frames import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    CODEC_TAGGED,
     FLAG_BATCH,
+    FORMAT,
     HEADER,
-    INTERN_MAX_LEN,
     MAGIC,
     FrameError,
-    ValueDecoder,
-    ValueEncoder,
     pack_frame,
     unpack_frame,
 )
+from repro.ipc.transport import PipeTransport
 
 
 def roundtrip(value):
-    return ValueDecoder().decode(ValueEncoder().encode(value))
+    """One value through a real frame: marshal body, header, and back."""
+    left_end, right_end = multiprocessing.Pipe(duplex=True)
+    try:
+        PipeTransport(left_end).send(value)
+        return PipeTransport(right_end).recv()
+    finally:
+        left_end.close()
+        right_end.close()
 
 
 def float_bits(value: float) -> bytes:
@@ -93,17 +97,15 @@ class TestContainers:
         }
         assert roundtrip(value) == value
 
-    def test_tuples_become_lists_like_json(self):
+    def test_tuples_stay_tuples(self):
         value = {"pair": ("a", 1), "nested": [(1, 2), (3,)]}
-        assert roundtrip(value) == json.loads(json.dumps(value))
+        result = roundtrip(value)
+        assert result == value
+        assert type(result["pair"]) is tuple
 
-    def test_non_string_dict_keys_refused(self):
+    def test_unencodable_type_refused(self, pipe_pair):
         with pytest.raises(FrameError):
-            ValueEncoder().encode({1: "a"})
-
-    def test_unencodable_type_refused(self):
-        with pytest.raises(FrameError):
-            ValueEncoder().encode({"bad": object()})
+            PipeTransport(pipe_pair[0]).send({"bad": object()})
 
     def test_deep_nesting(self):
         value: list = []
@@ -115,73 +117,62 @@ class TestContainers:
         assert roundtrip(value) == value
 
 
-class TestInterning:
-    def test_dict_keys_intern_on_first_sight(self):
-        encoder = ValueEncoder()
-        first = encoder.encode({"elapsed_ms": 1})
-        second = encoder.encode({"elapsed_ms": 2})
-        assert len(second) < len(first)
-        assert encoder.interned_count >= 1
-
-    def test_values_intern_on_second_sight(self):
-        encoder = ValueEncoder()
-        encoder.encode(["student"])
-        before = encoder.interned_count
-        encoder.encode(["student"])  # second sighting defines it
-        third = encoder.encode(["student"])  # now a 5-byte ref
-        assert encoder.interned_count == before + 1
-        assert len(third) < len(ValueEncoder().encode(["student"]))
-
-    def test_decoder_mirrors_across_messages(self):
-        encoder, decoder = ValueEncoder(), ValueDecoder()
-        for i in range(4):
-            message = {"cmd": "execute", "label": "broadcast", "seq": i}
-            assert decoder.decode(encoder.encode(message)) == message
-
-    def test_long_strings_never_intern(self):
-        encoder = ValueEncoder()
-        big = "v" * (INTERN_MAX_LEN + 1)
-        for _ in range(3):
-            encoder.encode([big])
-        assert encoder.interned_count == 0
-
-    def test_fresh_decoder_cannot_read_refs(self):
-        encoder = ValueEncoder()
-        encoder.encode({"key": 1})
-        ref_message = encoder.encode({"key": 2})
-        with pytest.raises(FrameError):
-            ValueDecoder().decode(ref_message)
-
-
 class TestFrameHeader:
     def test_roundtrip(self):
-        frame = pack_frame(CODEC_TAGGED, FLAG_BATCH, b"payload")
-        assert unpack_frame(frame) == (CODEC_TAGGED, FLAG_BATCH, b"payload")
-
-    def test_codec_ids_are_distinct(self):
-        assert len({CODEC_JSON, CODEC_BINARY, CODEC_TAGGED}) == 3
+        frame = pack_frame(FLAG_BATCH, b"payload")
+        assert isinstance(frame, bytes)
+        assert unpack_frame(frame) == (FLAG_BATCH, b"payload")
 
     def test_bad_magic_refused(self):
-        frame = bytearray(pack_frame(CODEC_BINARY, 0, b"x"))
+        frame = bytearray(pack_frame(0, b"x"))
         frame[0] ^= 0xFF
-        with pytest.raises(FrameError):
+        with pytest.raises(FrameError, match="magic"):
             unpack_frame(bytes(frame))
 
     def test_truncated_frame_refused(self):
-        frame = pack_frame(CODEC_BINARY, 0, b"full payload")
-        with pytest.raises(FrameError):
+        frame = pack_frame(0, b"full payload")
+        with pytest.raises(FrameError, match="length mismatch"):
             unpack_frame(frame[:-3])
 
     def test_short_header_refused(self):
-        with pytest.raises(FrameError):
+        with pytest.raises(FrameError, match="short frame"):
             unpack_frame(bytes([MAGIC, 0]))
 
     def test_length_field_is_checked(self):
-        header = HEADER.pack(MAGIC, CODEC_BINARY, 0, 99)
-        with pytest.raises(FrameError):
+        header = HEADER.pack(MAGIC, FORMAT, 0, 99)
+        with pytest.raises(FrameError, match="length mismatch"):
             unpack_frame(header + b"short")
 
-    def test_trailing_bytes_refused_by_decoder(self):
-        payload = ValueEncoder().encode(1)
-        with pytest.raises(FrameError):
-            ValueDecoder().decode(payload + b"\x00")
+    def test_trailing_bytes_refused(self):
+        with pytest.raises(FrameError, match="length mismatch"):
+            unpack_frame(pack_frame(0, b"x") + b"\x00")
+
+    @pytest.mark.parametrize("foreign", [0x00, 0x02, 0xFF])
+    def test_unknown_format_byte_refused(self, foreign):
+        frame = bytearray(pack_frame(0, marshal.dumps({"x": 1})))
+        frame[1] = foreign
+        with pytest.raises(FrameError, match="format byte"):
+            unpack_frame(bytes(frame))
+
+
+class TestFrameBody:
+    """Well-formed headers around bodies the receiver must still refuse."""
+
+    def test_batch_flag_on_a_non_list_body_refused(self, pipe_pair):
+        left_end, right_end = pipe_pair
+        left_end.send_bytes(pack_frame(FLAG_BATCH, marshal.dumps({"x": 1})))
+        with pytest.raises(FrameError, match="did not decode to a list"):
+            PipeTransport(right_end).recv_any()
+
+    def test_truncated_marshal_body_refused(self, pipe_pair):
+        left_end, right_end = pipe_pair
+        body = marshal.dumps({"records": [[["a", 1]], ""], "count": 1})
+        left_end.send_bytes(pack_frame(0, body[: len(body) // 2]))
+        with pytest.raises(FrameError, match="undecodable payload"):
+            PipeTransport(right_end).recv()
+
+    def test_empty_body_refused(self, pipe_pair):
+        left_end, right_end = pipe_pair
+        left_end.send_bytes(pack_frame(0, b""))
+        with pytest.raises(FrameError, match="undecodable payload"):
+            PipeTransport(right_end).recv()

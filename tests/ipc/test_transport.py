@@ -1,49 +1,16 @@
-"""PipeTransport: framing, batching, and codec agreement over real pipes."""
+"""PipeTransport: framing and batching over real pipes."""
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
-from repro.ipc.frames import FrameError
-from repro.ipc.transport import (
-    CODEC_IDS,
-    DEFAULT_CODEC,
-    PipeTransport,
-    validate_codec,
-)
-
-CODECS = sorted(CODEC_IDS)
+from repro.ipc.frames import FrameError, pack_frame
+from repro.ipc.transport import PipeTransport
 
 
-@pytest.fixture()
-def pipe_pair():
-    left_end, right_end = multiprocessing.Pipe(duplex=True)
-    yield left_end, right_end
-    left_end.close()
-    right_end.close()
-
-
-def pair(pipe_pair, codec_left, codec_right=None):
+def pair(pipe_pair):
     left_end, right_end = pipe_pair
-    return (
-        PipeTransport(left_end, codec_left),
-        PipeTransport(right_end, codec_right or codec_left),
-    )
-
-
-class TestCodecSelection:
-    def test_default_is_binary(self):
-        assert DEFAULT_CODEC == "binary"
-
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_validate_accepts_known(self, codec):
-        assert validate_codec(codec) == codec
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown ipc codec"):
-            validate_codec("protobuf")
+    return PipeTransport(left_end), PipeTransport(right_end)
 
 
 class TestRoundTrips:
@@ -56,68 +23,66 @@ class TestRoundTrips:
         "flags": [True, False],
     }
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_single_message(self, pipe_pair, codec):
-        sender, receiver = pair(pipe_pair, codec)
+    def test_single_message(self, pipe_pair):
+        sender, receiver = pair(pipe_pair)
         sender.send(self.MESSAGE)
         assert receiver.recv() == self.MESSAGE
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_batch_order_preserved(self, pipe_pair, codec):
-        sender, receiver = pair(pipe_pair, codec)
+    def test_batch_order_preserved(self, pipe_pair):
+        sender, receiver = pair(pipe_pair)
         batch = [dict(self.MESSAGE, seq=i) for i in range(7)]
         sender.send_batch(batch)
         assert receiver.recv_batch() == batch
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_recv_any_distinguishes_frames(self, pipe_pair, codec):
-        sender, receiver = pair(pipe_pair, codec)
+    def test_recv_any_distinguishes_frames(self, pipe_pair):
+        sender, receiver = pair(pipe_pair)
         sender.send({"a": 1})
         sender.send_batch([{"b": 2}])
         assert receiver.recv_any() == (False, {"a": 1})
         assert receiver.recv_any() == (True, [{"b": 2}])
 
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_many_messages_share_one_connection(self, pipe_pair, codec):
-        sender, receiver = pair(pipe_pair, codec)
+    def test_many_messages_share_one_connection(self, pipe_pair):
+        sender, receiver = pair(pipe_pair)
         for i in range(50):
             sender.send({"cmd": "replay", "seq": i, "file": "student"})
             assert receiver.recv()["seq"] == i
 
     def test_poll(self, pipe_pair):
-        sender, receiver = pair(pipe_pair, "binary")
+        sender, receiver = pair(pipe_pair)
         assert receiver.poll(0.0) is False
         sender.send({"x": 1})
         assert receiver.poll(1.0) is True
 
 
 class TestFrameDiscipline:
-    def test_codec_mismatch_is_typed(self, pipe_pair):
-        sender, receiver = pair(pipe_pair, "binary", "json")
-        sender.send({"x": 1})
-        with pytest.raises(FrameError, match="codec mismatch"):
-            receiver.recv()
+    def test_foreign_format_byte_is_typed(self, pipe_pair):
+        left_end, right_end = pipe_pair
+        frame = bytearray(pack_frame(0, b'{"x":1}'))
+        frame[1] = 0x00  # a peer framing some other body encoding
+        left_end.send_bytes(bytes(frame))
+        with pytest.raises(FrameError, match="format byte"):
+            PipeTransport(right_end).recv()
 
     def test_recv_refuses_batch_frame(self, pipe_pair):
-        sender, receiver = pair(pipe_pair, "binary")
+        sender, receiver = pair(pipe_pair)
         sender.send_batch([{"x": 1}])
         with pytest.raises(FrameError, match="unexpected batch"):
             receiver.recv()
 
     def test_recv_batch_refuses_single_frame(self, pipe_pair):
-        sender, receiver = pair(pipe_pair, "binary")
+        sender, receiver = pair(pipe_pair)
         sender.send({"x": 1})
         with pytest.raises(FrameError, match="expected a batch"):
             receiver.recv_batch()
 
     def test_garbage_on_the_pipe_is_typed(self, pipe_pair):
         left_end, right_end = pipe_pair
-        receiver = PipeTransport(right_end, "binary")
+        receiver = PipeTransport(right_end)
         left_end.send_bytes(b"not a frame at all")
         with pytest.raises(FrameError):
             receiver.recv()
 
     def test_unencodable_payload_is_typed(self, pipe_pair):
-        sender, _ = pair(pipe_pair, "binary")
+        sender, _ = pair(pipe_pair)
         with pytest.raises(FrameError):
             sender.send({"bad": object()})

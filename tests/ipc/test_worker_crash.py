@@ -9,6 +9,10 @@ shuts the whole farm down so no orphaned workers linger.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.abdl import parse_request
@@ -31,6 +35,80 @@ def kill_backend(kds, backend_id):
     process = kds.controller.backends[backend_id]._process
     process.kill()
     process.join(timeout=10)
+
+
+def within(seconds, call):
+    """Run *call* on a thread: a hang fails the test instead of the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _freeze(backend):
+    """SIGSTOP the worker: frames sent to it sit unread on its pipe."""
+    backend.record_count()  # settle any coalesced frame first
+    process = backend._process
+    os.kill(process.pid, signal.SIGSTOP)
+    # A frozen worker that outlived a failing test would hang teardown.
+    fuse = threading.Timer(30.0, process.kill)
+    fuse.daemon = True
+    fuse.start()
+
+
+def _kill_frozen(backend):
+    backend._process.kill()  # SIGKILL also ends a SIGSTOPped process
+    backend._process.join(timeout=10)
+
+
+def die_after_request_frame(backends, victim_id):
+    """Arm one fault: the victim dies holding an unanswered request frame.
+
+    The victim is frozen, so its request frame is sent but never read;
+    once the whole broadcast is out and every sibling's reply frame is
+    already waiting on its pipe, the victim is killed.  One-shot, so a
+    healed farm's retry dispatches normally.
+    """
+    victim, last = backends[victim_id], backends[-1]
+    _freeze(victim)
+    original = last.start_execute
+
+    def start_then_kill(request, snapshot=None):
+        del last.start_execute
+        original(request, snapshot)
+        for sibling in backends:
+            if sibling is not victim:
+                assert sibling._transport.poll(10.0)
+        _kill_frozen(victim)
+
+    last.start_execute = start_then_kill
+
+
+def die_inside_batch_frame(backend):
+    """Arm one fault: *backend* dies between send_batch and recv_batch.
+
+    Call it first, then queue the deferred commands the batch will carry.
+    """
+    _freeze(backend)
+    transport = backend._transport
+    original = transport.send_batch
+
+    def send_then_kill(messages):
+        original(messages)
+        _kill_frozen(backend)
+
+    transport.send_batch = send_then_kill
 
 
 class TestWorkerCrash:
@@ -74,3 +152,27 @@ class TestWorkerCrash:
             kds.execute(parse_request("RETRIEVE (FILE = f) (*)"))
         kds.shutdown()
         kds.shutdown()
+
+
+class TestDeathAtAFrameBoundary:
+    """The worker dies with a frame in flight, not idle between requests."""
+
+    def test_death_after_request_sent_with_sibling_replies_waiting(self, kds):
+        backends = kds.controller.backends
+        die_after_request_frame(backends, 1)
+        with pytest.raises(WorkerCrashed) as exc:
+            within(15, lambda: kds.execute(parse_request("RETRIEVE (FILE = f) (*)")))
+        assert exc.value.backend_id == 1
+        assert all(not backend._process.is_alive() for backend in backends)
+
+    def test_death_between_batch_send_and_batch_reply(self, kds):
+        backends = kds.controller.backends
+        die_inside_batch_frame(backends[2])
+        for i in range(3):  # a coalesced replay frame, still unsent
+            backends[2].replay(
+                parse_request(f"INSERT (<FILE, f>, <f, r${i}>, <a, {i}>)")
+            )
+        with pytest.raises(WorkerCrashed) as exc:
+            within(15, lambda: kds.execute(parse_request("RETRIEVE (FILE = f) (*)")))
+        assert exc.value.backend_id == 2
+        assert all(not backend._process.is_alive() for backend in backends)

@@ -23,6 +23,11 @@ from repro.core.mlds import MLDS
 from repro.errors import WorkerCrashed
 from repro.wal.recovery import checkpoint_mlds, recover_mlds
 
+from tests.ipc.test_worker_crash import (
+    die_after_request_frame,
+    die_inside_batch_frame,
+    within,
+)
 from tests.wal.conftest import farm_image, insert
 
 
@@ -123,6 +128,54 @@ class TestTransparentHeal:
             assert mlds.obs.metrics.counter_value("kds.worker_heals") == 1
         finally:
             mlds.kds.shutdown()
+
+
+class TestHealAtAFrameBoundary:
+    """The worker dies with a frame in flight; the caller never notices."""
+
+    @pytest.fixture()
+    def observed(self, tmp_path):
+        from repro.obs import Observability
+
+        mlds = MLDS(
+            backend_count=3,
+            engine="process",
+            wal=tmp_path / "wal",
+            obs=Observability(),
+        )
+        for i in range(9):
+            mlds.kds.execute(insert("f", a=i))
+        yield mlds
+        mlds.kds.shutdown()
+
+    def assert_healed_like_cold_recovery(self, mlds, before):
+        assert within(30, lambda: retrieve_all(mlds.kds)) == before
+        assert mlds.obs.metrics.counter_value("kds.worker_heals") == 1
+        backends = mlds.kds.controller.backends
+        assert all(backend._process.is_alive() for backend in backends)
+        healed = farm_image(mlds)
+        wal_dir = mlds.kds.wal.directory
+        mlds.kds.shutdown()
+        cold = recover_mlds(wal_dir, attach_wal=False)
+        try:
+            assert healed == farm_image(cold)
+        finally:
+            cold.kds.shutdown()
+
+    def test_death_after_request_sent_with_sibling_replies_waiting(self, observed):
+        before = retrieve_all(observed.kds)
+        die_after_request_frame(observed.kds.controller.backends, 1)
+        self.assert_healed_like_cold_recovery(observed, before)
+
+    def test_death_between_batch_send_and_batch_reply(self, observed):
+        before = retrieve_all(observed.kds)
+        victim = observed.kds.controller.backends[0]
+        die_inside_batch_frame(victim)
+        for i in range(3):
+            # A coalesced replay frame of ops the WAL never saw: the
+            # heal rebuilds from durable state, so they must not survive.
+            victim.replay(insert("f", a=500 + i))
+        self.assert_healed_like_cold_recovery(observed, before)
 
 
 class TestHealIneligible:

@@ -1,16 +1,15 @@
-"""Hypothesis: the framed codecs against the JSON oracle.
+"""Hypothesis: the worker wire format against the JSON oracle.
 
 The worker protocol's correctness contract is *JSON parity*: for any
-JSON-shaped value, decoding what the binary or tagged codec encoded must
-yield exactly the object ``json.loads(json.dumps(v))`` would — with the
-one deliberate improvement that floats survive bit-for-bit (NaN
-payloads, ``-0.0``) where JSON's decimal detour may wobble.  Comparison
-is therefore bit-aware: floats compare by IEEE-754 image, everything
-else by equality *and* type (``True != 1`` on this wire).
+JSON-shaped value, decoding a marshal frame must yield exactly the
+object ``json.loads(json.dumps(v))`` would — with the one deliberate
+improvement that floats survive bit-for-bit (NaN payloads, ``-0.0``)
+where JSON's decimal detour may wobble.  Comparison is therefore
+bit-aware: floats compare by IEEE-754 image, everything else by equality
+*and* type (``True != 1`` on this wire).  The oracle is stdlib ``json``
+here in the test; production has no JSON body.
 
-Covers the edges the issue names: NaN, -0.0, huge ints, empty records,
-deeply nested span trees — plus a stateful pass proving the tagged
-codec's interning tables stay mirrored across a message sequence.
+Covers NaN, -0.0, huge ints, empty records and deeply nested span trees.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ipc.frames import ValueDecoder, ValueEncoder
 from repro.ipc.transport import PipeTransport
 
 
@@ -51,7 +49,7 @@ SPECIAL_FLOATS = [
 scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(),  # unbounded: exercises the BIGINT path
+    st.integers(),  # unbounded: marshal's long encoding
     st.floats(allow_nan=True, allow_infinity=True),  # bit-aware compare
     st.sampled_from(SPECIAL_FLOATS),
     st.text(max_size=40),
@@ -81,32 +79,15 @@ span_trees = st.recursive(
 )
 
 
-def bit_equal(left, right) -> bool:
-    """Equality where floats compare by bits and bools are not ints."""
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, float):
-        return struct.pack("!d", left) == struct.pack("!d", right)
-    if isinstance(left, list):
-        return len(left) == len(right) and all(
-            bit_equal(a, b) for a, b in zip(left, right)
-        )
-    if isinstance(left, dict):
-        return left.keys() == right.keys() and all(
-            bit_equal(value, right[key]) for key, value in left.items()
-        )
-    return left == right
-
-
 def json_oracle(value):
-    """What the pre-framing JSON transport would deliver."""
+    """What a JSON text transport would deliver."""
     return json.loads(json.dumps(value))
 
 
-def transport_roundtrip(value, codec: str):
+def transport_roundtrip(value):
     wire = _Loopback()
-    PipeTransport(wire, codec).send(value)
-    return PipeTransport(wire, codec).recv()
+    PipeTransport(wire).send(value)
+    return PipeTransport(wire).recv()
 
 
 def assert_matches_oracle(value, decoded):
@@ -115,7 +96,7 @@ def assert_matches_oracle(value, decoded):
 
     def check(original, ours, theirs):
         if isinstance(original, float):
-            # The binary codecs must be bit-exact to the ORIGINAL; JSON
+            # The wire must be bit-exact to the ORIGINAL; JSON
             # merely has to be close (and loses NaN payloads entirely).
             assert struct.pack("!d", ours) == struct.pack("!d", original)
             if not math.isnan(original):
@@ -136,53 +117,17 @@ def assert_matches_oracle(value, decoded):
     check(value, decoded, oracle)
 
 
-class TestTaggedCodecVsJson:
-    @given(value=values)
-    @settings(max_examples=300, deadline=None)
-    def test_roundtrip_matches_oracle(self, value):
-        decoded = ValueDecoder().decode(ValueEncoder().encode(value))
-        assert_matches_oracle(value, decoded)
-
-    @given(trees=st.lists(span_trees, min_size=1, max_size=5))
-    @settings(max_examples=100, deadline=None)
-    def test_span_trees(self, trees):
-        decoded = ValueDecoder().decode(ValueEncoder().encode(trees))
-        assert_matches_oracle(trees, decoded)
-
-    @given(messages=st.lists(values, min_size=2, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_interning_tables_stay_mirrored(self, messages):
-        """One encoder/decoder pair across a whole message sequence."""
-        encoder, decoder = ValueEncoder(), ValueDecoder()
-        for message in messages:
-            decoded = decoder.decode(encoder.encode(message))
-            assert bit_equal(
-                decoded, ValueDecoder().decode(ValueEncoder().encode(message))
-            )
-            assert_matches_oracle(message, decoded)
-
-
 class TestBinaryCodecVsJson:
     @given(value=values)
     @settings(max_examples=300, deadline=None)
     def test_roundtrip_matches_oracle(self, value):
-        assert_matches_oracle(value, transport_roundtrip(value, "binary"))
+        assert_matches_oracle(value, transport_roundtrip(value))
 
     @given(trees=st.lists(span_trees, min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_span_trees(self, trees):
-        assert_matches_oracle(trees, transport_roundtrip(trees, "binary"))
-
-
-class TestCodecsAgreeWithEachOther:
-    @given(value=values)
-    @settings(max_examples=150, deadline=None)
-    def test_all_three_codecs_decode_identically(self, value):
-        binary = transport_roundtrip(value, "binary")
-        tagged = transport_roundtrip(value, "tagged")
-        assert bit_equal(binary, tagged)
+        assert_matches_oracle(trees, transport_roundtrip(trees))
 
     def test_empty_records(self):
         for value in [{}, [], {"records": []}, [{}], {"": ""}]:
-            assert transport_roundtrip(value, "binary") == value
-            assert transport_roundtrip(value, "tagged") == value
+            assert transport_roundtrip(value) == value

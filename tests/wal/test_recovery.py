@@ -9,7 +9,7 @@ import pytest
 from repro.abdl.ast import Modifier
 from repro.core.mlds import MLDS
 from repro.abdl import parse_request
-from repro.errors import ExecutionError, WalError
+from repro.errors import ExecutionError, MLDSError, WalError
 from repro.persistence import load_mlds, save_mlds
 from repro.university import load_university
 from repro.wal.log import backend_segment_name
@@ -192,21 +192,22 @@ def test_recover_requires_a_wal_directory(tmp_path):
         recover_mlds(tmp_path / "nowhere")
 
 
-def test_version_1_snapshot_still_loads_with_zero_watermark(tmp_path):
+def test_version_1_snapshot_is_refused_typed(tmp_path):
     mlds = MLDS(backend_count=2)
     mlds.kds.execute(insert("f", a=1))
     path = tmp_path / "snap.json"
     save_mlds(mlds, path)
-    # rewrite as the pre-WAL format 1 (no wal/placement keys)
+    assert snapshot_watermark(path) == 0  # saved without a WAL attached
+    # rewrite as the pre-WAL format 1 (no wal/placement keys): no writer
+    # produces it any more, so the loader refuses rather than guessing
     snapshot = json.loads(path.read_text())
     snapshot["format"] = 1
     del snapshot["wal"]
     del snapshot["placement"]
     path.write_text(json.dumps(snapshot))
 
-    assert snapshot_watermark(path) == 0
-    migrated = load_mlds(path)
-    assert farm_image(migrated) == farm_image(mlds)
+    with pytest.raises(MLDSError, match="snapshot format 1 is not supported"):
+        load_mlds(path)
 
 
 def test_wrong_backend_count_snapshot_rejected_by_recovery(tmp_path):

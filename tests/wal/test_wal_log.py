@@ -202,8 +202,8 @@ def test_stale_segment_surviving_a_crashed_truncation_is_still_read(tmp_path):
     resumed.close()
 
 
-def test_owner_less_records_already_on_disk_are_still_read(tmp_path):
-    """Logs written before every transaction had an owner stay recoverable."""
+def test_owner_less_begin_record_is_refused_typed(tmp_path):
+    """Every writer tags begin with its owner; a log without one is foreign."""
     wal = manager(tmp_path)
     txn = wal.begin("t")
     wal.log_op(0, insert("f", a=1), txn)
@@ -214,6 +214,7 @@ def test_owner_less_records_already_on_disk_are_still_read(tmp_path):
     for record in records:
         del record["owner"]
     master.write_text("".join(json.dumps(record) + "\n" for record in records))
-    view = read_wal(wal.directory)
-    assert [(t.txn, t.owner, t.counts) for t in view.committed] == [(1, None, [1, 0])]
-    assert manager(tmp_path).begin("t") == 2  # and the write side resumes after them
+    with pytest.raises(WalError, match="has no owner"):
+        read_wal(wal.directory)
+    with pytest.raises(WalError, match="has no owner"):
+        manager(tmp_path)  # the write side refuses to resume after it too
