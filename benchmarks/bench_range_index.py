@@ -7,8 +7,8 @@ from bisected index slices instead of full scans, while staying
 claims at once:
 
 * **fidelity** — every request is executed once with planning disabled
-  (``plan_enabled=False``: the compiled full-scan baseline, exactly what
-  ``--no-index-plan`` gives the shell) and once with it on; the record
+  (``plan_enabled=False``: the compiled full-scan baseline) and once
+  with it on; the record
   lists (pairs + text, in order) must match exactly.  Simulated times are
   *expected* to differ — fewer records examined is the whole point — so
   the report carries both figures instead of comparing them.  A second

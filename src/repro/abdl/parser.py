@@ -44,8 +44,6 @@ from repro.abdm.predicate import Conjunction, Predicate, Query
 from repro.abdm.record import Keyword, Record
 from repro.abdm.values import Value
 from repro.lang.lexer import Lexer, TokenStream, TokenType
-from repro.qc.lru import MISSING
-from repro.qc import runtime as qc_runtime
 
 _KEYWORDS = (
     "RETRIEVE",
@@ -67,24 +65,7 @@ _lexer = Lexer(_KEYWORDS, _SYMBOLS)
 
 
 def parse_request(text: str) -> Request:
-    """Parse one ABDL request from *text*.
-
-    Results are memoized on the exact source text (bounded LRU in
-    :mod:`repro.qc.runtime`): request ASTs are shared immutably — the
-    executor copies the record of a cached INSERT before storing it.
-    """
-    cache = qc_runtime.request_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_request_text(text)
-    cached = cache.get(text)
-    if cached is not MISSING:
-        return cached
-    request = _parse_request_text(text)
-    cache.put(text, request)
-    return request
-
-
-def _parse_request_text(text: str) -> Request:
+    """Parse one ABDL request from *text*."""
     stream = TokenStream(_lexer.tokenize(text))
     request = _parse_request(stream)
     stream.expect_eof()

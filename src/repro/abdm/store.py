@@ -45,7 +45,7 @@ from repro.abdm.values import Value
 from repro.errors import ExecutionError, SnapshotTooOld
 from repro.obs import NULL_OBS, ObsSpec, resolve_obs
 from repro.qc.compile import compile_query
-from repro.qc.lru import MISSING
+from repro.qc.lru import LRUCache, MISSING
 from repro.qc import runtime as qc_runtime
 
 
@@ -119,6 +119,9 @@ class _Version:
 #: without limit when a reader parks on an old snapshot.
 DEFAULT_VERSION_RETAIN = 16
 
+#: Compiled queries each store keeps, keyed on the rendered query.
+COMPILE_CACHE_SIZE = 256
+
 
 class ABFile:
     """One attribute-based file: an ordered bag of records."""
@@ -178,7 +181,7 @@ class ABStore:
         self._indexes: dict[str, _FileIndex] = {}
         self._index_seq: dict[str, int] = {}
         self._obs = NULL_OBS
-        self._compiled = qc_runtime.new_cache("compile")
+        self._compiled = LRUCache(COMPILE_CACHE_SIZE, prefix="qc.compile")
         # Mutation epochs: one counter per file plus a whole-store counter
         # bumped by clear().  Result caches key on epoch_signature() so any
         # mutation of a contributing file invalidates their entries —
@@ -211,13 +214,13 @@ class ABStore:
         """The fastest available record matcher for *query*.
 
         With compilation enabled this is a cached CompiledQuery closure;
-        otherwise (``--no-compile``, or a compile cache sized to 0) it
-        falls back to the interpreted ``query.matches`` bound method.
+        otherwise it is the interpreted ``query.matches`` bound method,
+        the reference the compiled path is held bit-identical to.
         The cache key carries the clause count besides the rendered text
         because the empty query and the empty-clause query both render
         as ``()`` while matching nothing / everything respectively.
         """
-        if not qc_runtime.config.compile_enabled or not self._compiled.enabled:
+        if not qc_runtime.config.compile_enabled:
             return query.matches
         key = (query.render(), len(query.clauses))
         compiled = self._compiled.get(key)

@@ -51,7 +51,7 @@ dot-commands:
   .checkpoint                checkpoint the WAL (snapshot + truncate the log)
   .recover <wal-dir>         replace the system with one recovered from a WAL
   .stats                     dump the metrics registry (counters/gauges/histograms)
-  .caches                    show qc cache counters (compile/parse/translate/result)
+  .caches                    show qc cache counters (statement memo/compile/result)
   .indexes                   show per-backend sorted indexes and hit/fallback counters
   .trace                     render the most recent request trace (needs --trace)
   .slow [n]                  show the slow log's last n entries (needs --slow-ms)
@@ -248,24 +248,14 @@ class MLDSShell:
         return f"unknown command {command!r} (try .help)"
 
     def _cache_report(self) -> dict:
-        """Counters for every qc cache layer reachable from this shell."""
+        """Counters for every qc cache reachable from this shell."""
         from repro.qc import runtime as qc_runtime
 
         report = dict(self.mlds.kds.controller.cache_snapshots())
         report["config"] = {
             "compile": qc_runtime.config.compile_enabled,
-            "parse": qc_runtime.config.parse_cache_enabled,
-            "translate": qc_runtime.config.translation_cache_enabled,
             "result": qc_runtime.config.result_cache_enabled,
-            "sizes": dict(qc_runtime.config.sizes),
         }
-        if self.session is not None:
-            engine = self.session.engine
-            adapter = getattr(engine, "adapter", None)
-            holder = adapter if adapter is not None else engine
-            snap = getattr(holder, "translation_cache_snapshot", None)
-            if snap is not None:
-                report["session_translations"] = snap()
         return report
 
     def _index_report(self) -> dict:
@@ -520,26 +510,6 @@ def build_parser() -> "argparse.ArgumentParser":
         "separated attribute names); =/range predicates over indexed "
         "attributes are answered from the index (see .indexes)",
     )
-    parser.add_argument(
-        "--no-index-plan",
-        action="store_true",
-        help="keep indexes maintained but never plan with them: every "
-        "retrieval takes the full-scan path (the planner ablation baseline)",
-    )
-    parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="interpret DNF queries per record instead of compiling them "
-        "to matcher closures (the compiled path is the default)",
-    )
-    parser.add_argument(
-        "--cache-sizes",
-        metavar="SPEC",
-        default=None,
-        help="override qc cache bounds as 'layer=size,...' with layers "
-        "compile, parse, translate, result (size 0 disables a layer); "
-        "e.g. --cache-sizes result=0,compile=64",
-    )
     serving = parser.add_argument_group("serving (see repro.server)")
     serving.add_argument(
         "--serve",
@@ -596,17 +566,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
     argv = argv if argv is not None else sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.qc import runtime as qc_runtime
-
-    if args.no_compile:
-        qc_runtime.config.compile_enabled = False
-    if args.no_index_plan:
-        qc_runtime.config.plan_enabled = False
-    if args.cache_sizes:
-        try:
-            qc_runtime.apply_sizes(args.cache_sizes)
-        except ValueError as exc:
-            parser.error(str(exc))
     wal_dir = None if args.no_wal else args.wal_dir
 
     def open_wal(backend_count: int):

@@ -14,10 +14,9 @@ KMS, KC, KDS, backend, and WAL spans of that work nest (see
 
 from __future__ import annotations
 
-from typing import Union
+from pathlib import Path
+from typing import Any
 
-from repro.functional import daplex_dml
-from repro.hierarchical import dli
 from repro.hierarchical.model import HierarchicalSchema
 from repro.kms.dli_engine import DliEngine, DliResult
 from repro.functional.model import FunctionalSchema
@@ -27,11 +26,61 @@ from repro.kms.daplex_engine import DaplexEngine, DaplexResult
 from repro.kms.engine import DMLEngine
 from repro.kms.sql_engine import SqlEngine, SqlResult
 from repro.kms.results import StatementResult
-from repro.network import dml
 from repro.network.model import NetworkSchema
 
 
-class CodasylSession:
+class _LanguageSession:
+    """What the four run-units share: a user, a database, one KMS engine.
+
+    Each subclass names its language (the root span's tag) and defines
+    ``run`` in its own body: ``benchmarks/fullstack/trace.py`` rebinds
+    ``X.run`` through ``X.__dict__``, so an inherited ``run`` would leave
+    it nothing to wrap.
+    """
+
+    language: str
+
+    def __init__(self, user: str, database: str, engine: Any) -> None:
+        self.user = user
+        self.database = database
+        self.engine = engine
+
+    def execute(self, statement: Any) -> Any:
+        """Execute one statement (text or parsed)."""
+        with self._root_span():
+            return self.engine.execute(statement)
+
+    def run(self, text: str) -> list:
+        """Execute a multi-statement transaction (one trace for all of it)."""
+        with self._root_span():
+            return self.engine.run(text)
+
+    def _root_span(self):
+        return self.kc.obs.tracer.span(
+            "lil.session",
+            language=self.language,
+            database=self.database,
+            user=self.user,
+        )
+
+    def run_file(self, path) -> list:
+        """Execute a transaction file (the thesis's dml_info file path)."""
+        return self.run(Path(path).read_text())
+
+    @property
+    def kc(self) -> KernelController:
+        return self.engine.kc
+
+    @property
+    def request_log(self) -> list[str]:
+        """ABDL texts executed on this session's behalf, oldest first."""
+        return self.kc.request_log
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(user={self.user!r}, database={self.database!r})"
+
+
+class CodasylSession(_LanguageSession):
     """A CODASYL-DML run-unit over a network or functional database.
 
     The session is the user-facing object: feed it DML text (or parsed
@@ -41,6 +90,8 @@ class CodasylSession:
     is identical — that is the point of the thesis.
     """
 
+    language = "codasyl"
+
     def __init__(
         self,
         user: str,
@@ -48,39 +99,12 @@ class CodasylSession:
         adapter: TargetAdapter,
         source_model: str,
     ) -> None:
-        self.user = user
-        self.database = database
+        super().__init__(user, database, DMLEngine(adapter))
         #: 'network' or 'functional' — the origin of the database.
         self.source_model = source_model
-        self.engine = DMLEngine(adapter)
-
-    # -- execution -------------------------------------------------------------
-
-    def execute(self, statement: Union[str, dml.Statement]) -> StatementResult:
-        """Execute one DML statement."""
-        with self._root_span():
-            return self.engine.execute(statement)
 
     def run(self, text: str) -> list[StatementResult]:
-        """Execute a multi-statement transaction (one trace for all of it)."""
-        with self._root_span():
-            return self.engine.run(text)
-
-    def _root_span(self):
-        return self.kc.obs.tracer.span(
-            "lil.session",
-            language="codasyl",
-            database=self.database,
-            user=self.user,
-        )
-
-    def run_file(self, path) -> list[StatementResult]:
-        """Execute a transaction file (the thesis's dml_info file path)."""
-        from pathlib import Path
-
-        return self.run(Path(path).read_text())
-
-    # -- state access ------------------------------------------------------------
+        return super().run(text)  # in this class body for trace.py (see base)
 
     @property
     def schema(self) -> NetworkSchema:
@@ -102,11 +126,6 @@ class CodasylSession:
     def kc(self) -> KernelController:
         return self.engine.adapter.kc
 
-    @property
-    def request_log(self) -> list[str]:
-        """ABDL texts executed on this session's behalf, oldest first."""
-        return self.kc.request_log
-
     def __repr__(self) -> str:
         return (
             f"CodasylSession(user={self.user!r}, database={self.database!r}, "
@@ -114,7 +133,7 @@ class CodasylSession:
         )
 
 
-class DaplexSession:
+class DaplexSession(_LanguageSession):
     """A DAPLEX run-unit over a functional database.
 
     The native functional interface of MLDS (the dap_info side of the
@@ -124,6 +143,8 @@ class DaplexSession:
     other's updates.
     """
 
+    language = "daplex"
+
     def __init__(
         self,
         user: str,
@@ -131,52 +152,17 @@ class DaplexSession:
         schema: FunctionalSchema,
         kc: KernelController,
     ) -> None:
-        self.user = user
-        self.database = database
-        self.engine = DaplexEngine(schema, kc)
-
-    def execute(self, statement: Union[str, daplex_dml.DaplexStatement]) -> DaplexResult:
-        """Execute one DAPLEX DML statement."""
-        with self._root_span():
-            return self.engine.execute(statement)
+        super().__init__(user, database, DaplexEngine(schema, kc))
 
     def run(self, text: str) -> list[DaplexResult]:
-        """Execute a multi-statement DAPLEX program (one trace)."""
-        with self._root_span():
-            return self.engine.run(text)
-
-    def _root_span(self):
-        return self.kc.obs.tracer.span(
-            "lil.session",
-            language="daplex",
-            database=self.database,
-            user=self.user,
-        )
-
-    def run_file(self, path) -> list[DaplexResult]:
-        """Execute a DAPLEX program file."""
-        from pathlib import Path
-
-        return self.run(Path(path).read_text())
+        return super().run(text)  # in this class body for trace.py (see base)
 
     @property
     def schema(self) -> FunctionalSchema:
         return self.engine.schema
 
-    @property
-    def kc(self) -> KernelController:
-        return self.engine.kc
 
-    @property
-    def request_log(self) -> list[str]:
-        """ABDL texts executed on this session's behalf, oldest first."""
-        return self.engine.kc.request_log
-
-    def __repr__(self) -> str:
-        return f"DaplexSession(user={self.user!r}, database={self.database!r})"
-
-
-class SqlSession:
+class SqlSession(_LanguageSession):
     """A SQL run-unit over a relational database.
 
     The relational language interface of MLDS: SQL statements translate
@@ -184,58 +170,18 @@ class SqlSession:
     every other interface.
     """
 
-    def __init__(
-        self,
-        user: str,
-        database: str,
-        engine: SqlEngine,
-    ) -> None:
-        self.user = user
-        self.database = database
-        self.engine = engine
-
-    def execute(self, statement) -> SqlResult:
-        """Execute one SQL statement (text or parsed)."""
-        with self._root_span():
-            return self.engine.execute(statement)
+    language = "sql"
+    engine: SqlEngine
 
     def run(self, text: str) -> list[SqlResult]:
-        """Execute a multi-statement SQL script (one trace)."""
-        with self._root_span():
-            return self.engine.run(text)
-
-    def _root_span(self):
-        return self.kc.obs.tracer.span(
-            "lil.session",
-            language="sql",
-            database=self.database,
-            user=self.user,
-        )
-
-    def run_file(self, path) -> list[SqlResult]:
-        """Execute a SQL script file."""
-        from pathlib import Path
-
-        return self.run(Path(path).read_text())
+        return super().run(text)  # in this class body for trace.py (see base)
 
     @property
     def schema(self):
         return self.engine.schema
 
-    @property
-    def kc(self) -> KernelController:
-        return self.engine.kc
 
-    @property
-    def request_log(self) -> list[str]:
-        return self.engine.kc.request_log
-
-    def __repr__(self) -> str:
-        return f"SqlSession(user={self.user!r}, database={self.database!r})"
-
-
-
-class DliSession:
+class DliSession(_LanguageSession):
     """A DL/I run-unit over a hierarchical database.
 
     The hierarchical language interface of MLDS: DL/I calls position a
@@ -243,39 +189,11 @@ class DliSession:
     the shared kernel.
     """
 
-    def __init__(
-        self,
-        user: str,
-        database: str,
-        engine: DliEngine,
-    ) -> None:
-        self.user = user
-        self.database = database
-        self.engine = engine
-
-    def execute(self, call: Union[str, dli.DliCall]) -> DliResult:
-        """Execute one DL/I call."""
-        with self._root_span():
-            return self.engine.execute(call)
+    language = "dli"
+    engine: DliEngine
 
     def run(self, text: str) -> list[DliResult]:
-        """Execute a sequence of DL/I calls (one trace)."""
-        with self._root_span():
-            return self.engine.run(text)
-
-    def _root_span(self):
-        return self.kc.obs.tracer.span(
-            "lil.session",
-            language="dli",
-            database=self.database,
-            user=self.user,
-        )
-
-    def run_file(self, path) -> list[DliResult]:
-        """Execute a DL/I call file."""
-        from pathlib import Path
-
-        return self.run(Path(path).read_text())
+        return super().run(text)  # in this class body for trace.py (see base)
 
     @property
     def schema(self) -> HierarchicalSchema:
@@ -285,14 +203,3 @@ class DliSession:
     def io_area(self) -> dict:
         """The I/O area (fields of the current segment / pending FLDs)."""
         return self.engine.io_area
-
-    @property
-    def kc(self) -> KernelController:
-        return self.engine.kc
-
-    @property
-    def request_log(self) -> list[str]:
-        return self.engine.kc.request_log
-
-    def __repr__(self) -> str:
-        return f"DliSession(user={self.user!r}, database={self.database!r})"

@@ -30,6 +30,7 @@ re-raised by the proxy, mapped onto the matching
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Callable, Mapping, Optional
 
 from repro.ipc import codec
@@ -40,26 +41,12 @@ from repro.qc import runtime as qc_runtime
 
 def apply_config_state(state: Mapping[str, Any]) -> None:
     """Apply a parent-process snapshot of the qc configuration."""
-    config = qc_runtime.config
-    config.compile_enabled = state["compile_enabled"]
-    config.parse_cache_enabled = state["parse_cache_enabled"]
-    config.translation_cache_enabled = state["translation_cache_enabled"]
-    config.result_cache_enabled = state["result_cache_enabled"]
-    config.plan_enabled = state["plan_enabled"]
-    config.sizes = dict(state["sizes"])
+    vars(qc_runtime.config).update(state)
 
 
 def config_state() -> dict[str, Any]:
     """Snapshot the qc configuration for shipping to a worker."""
-    config = qc_runtime.config
-    return {
-        "compile_enabled": config.compile_enabled,
-        "parse_cache_enabled": config.parse_cache_enabled,
-        "translation_cache_enabled": config.translation_cache_enabled,
-        "result_cache_enabled": config.result_cache_enabled,
-        "plan_enabled": config.plan_enabled,
-        "sizes": dict(config.sizes),
-    }
+    return asdict(qc_runtime.config)
 
 
 class _Worker:

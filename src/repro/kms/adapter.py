@@ -24,61 +24,20 @@ from repro.errors import SchemaError
 from repro.kc.controller import KernelController
 from repro.network.currency import CurrencyIndicatorTable
 from repro.network.model import NetRecordType, NetSetType, NetworkSchema
-from repro.qc.lru import MISSING
-from repro.qc import runtime as qc_runtime
 
 
 class TargetAdapter(abc.ABC):
     """Target-specific half of the CODASYL-DML translation."""
 
-    #: Subclasses opt in to statement→ABDL translation caching.  Only
-    #: currency-independent translations may be cached (FIND ANY's query
-    #: depends solely on the record type and the UWA predicate values,
-    #: which are part of the key; positional/OWNER/CURRENT FINDs depend
-    #: on run-unit currency and never reach the cache).
-    caches_translations = False
-
     def __init__(self, schema: NetworkSchema, kc: KernelController) -> None:
         self.schema = schema
         self.kc = kc
-        # Per-adapter, so the cache dies with its session: reloading a
-        # schema always constructs fresh adapters, which is exactly the
-        # "invalidated on schema load" rule.
-        self._translations = qc_runtime.new_cache("translate", prefix="qc.translate")
-        if kc.obs.enabled:
-            self._translations.bind_metrics(kc.obs.metrics)
-
-    def invalidate_translations(self) -> None:
-        """Drop every cached translation (schema or target change)."""
-        self._translations.clear()
-
-    def translation_cache_snapshot(self) -> dict[str, object]:
-        return self._translations.snapshot()
 
     def find_any_query(
         self, record_type: str, extra: Sequence[Predicate] = ()
     ) -> Query:
-        """The ABDL query FIND ANY translates to, cached when permitted.
-
-        Queries are frozen, so sharing one object across executions is
-        safe — and lets its cached rendering and compiled matcher be
-        reused downstream as well.
-        """
-        if not (
-            self.caches_translations
-            and qc_runtime.config.translation_cache_enabled
-            and self._translations.enabled
-        ):
-            return Query.conjunction([Predicate("FILE", "=", record_type), *extra])
-        key = (
-            record_type,
-            tuple((p.attribute, p.operator, p.value) for p in extra),
-        )
-        query = self._translations.get(key)
-        if query is MISSING:
-            query = Query.conjunction([Predicate("FILE", "=", record_type), *extra])
-            self._translations.put(key, query)
-        return query
+        """The ABDL query FIND ANY translates to."""
+        return Query.conjunction([Predicate("FILE", "=", record_type), *extra])
 
     # -- structural queries (shared implementation) ---------------------------------
 

@@ -49,7 +49,6 @@ from repro.functional import daplex_dml as dml
 from repro.functional.model import Function, FunctionalSchema
 from repro.kc.controller import KernelController
 from repro.mapping.fun_to_abdm import ABFunctionalMapping
-from repro.qc.lru import MISSING
 from repro.qc import runtime as qc_runtime
 
 #: Database keys one frontier RETRIEVE carries.  Fixed, so no request
@@ -75,22 +74,9 @@ class DaplexEngine:
         self.schema = schema
         self.kc = kc
         self.mapping = ABFunctionalMapping(schema)
-        # SUCH THAT→(kernel query, post-filter) translation cache, keyed
-        # on (type name, rendered condition) — pure in the schema, which
-        # is fixed for the engine's lifetime.
-        self._splits = qc_runtime.new_cache("translate", prefix="qc.translate")
-        if kc.obs.enabled:
-            self._splits.bind_metrics(kc.obs.metrics)
         #: declaring type -> dbkey -> that entity's AB records, for the
         #: statement being executed (see :meth:`_entity_records`).
         self._entities: dict[str, dict[str, list[Record]]] = {}
-
-    def invalidate_translations(self) -> None:
-        """Drop cached condition splits (schema change)."""
-        self._splits.clear()
-
-    def translation_cache_snapshot(self) -> dict[str, object]:
-        return self._splits.snapshot()
 
     # -- public API -----------------------------------------------------------------
 
@@ -118,7 +104,7 @@ class DaplexEngine:
         return result
 
     def run(self, text: str) -> list[DaplexResult]:
-        return [self.execute(s) for s in dml.parse_program(text)]
+        return [self.execute(s) for s in qc_runtime.parsed("daplex", text, dml.parse_program)]
 
     # -- FOR EACH -------------------------------------------------------------------
 
@@ -176,12 +162,6 @@ class DaplexEngine:
             return None, None
         if len(condition.clauses) != 1:
             return None, condition  # disjunctions filter post-hoc
-        use_cache = qc_runtime.config.translation_cache_enabled and self._splits.enabled
-        key = (type_name, condition.render()) if use_cache else None
-        if use_cache:
-            cached = self._splits.get(key)
-            if cached is not MISSING:
-                return cached
         node = self.schema.entity_or_subtype(type_name)
         direct_names = {f.name for f in node.functions if not f.set_valued}
         predicates = []
@@ -202,8 +182,6 @@ class DaplexEngine:
                 [Predicate("FILE", "=", type_name), *predicates]
             )
         deferred = dml.Condition([leftovers]) if leftovers else None
-        if use_cache:
-            self._splits.put(key, (direct_query, deferred))
         return direct_query, deferred
 
     def _candidates(self, type_name: str, direct: Optional[Query]) -> list[str]:

@@ -38,6 +38,7 @@ from repro.mapping.hie_to_abdm import (
     PARENT_ATTRIBUTE,
     SEQUENCE_ATTRIBUTE,
 )
+from repro.qc import runtime as qc_runtime
 
 STATUS_OK = "  "
 STATUS_NOT_FOUND = "GE"
@@ -117,7 +118,7 @@ class DliEngine:
         return result
 
     def run(self, text: str) -> list[DliResult]:
-        return [self.execute(call) for call in dli.parse_calls(text)]
+        return [self.execute(c) for c in qc_runtime.parsed("dli", text, dli.parse_calls)]
 
     # -- retrieval helpers ------------------------------------------------------------
 

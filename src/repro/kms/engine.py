@@ -31,6 +31,7 @@ from repro.network import dml
 from repro.network.buffers import BufferPool
 from repro.network.currency import CurrencyIndicatorTable, RecordPointer
 from repro.network.uwa import UserWorkArea
+from repro.qc import runtime as qc_runtime
 
 
 class DMLEngine:
@@ -64,7 +65,7 @@ class DMLEngine:
 
     def run(self, text: str) -> list[StatementResult]:
         """Parse and execute a whole transaction."""
-        return [self.execute(statement) for statement in dml.parse_transaction(text)]
+        return [self.execute(s) for s in qc_runtime.parsed("codasyl", text, dml.parse_transaction)]
 
     # -- dispatch ----------------------------------------------------------------------
 

@@ -65,10 +65,6 @@ LINK_KEY_SEPARATOR = "~"
 class FunctionalTargetAdapter(TargetAdapter):
     """Translates DML operations against an AB(functional) database."""
 
-    # FIND ANY translations depend only on (record type, UWA values),
-    # both of which are in the cache key — safe to memoize.
-    caches_translations = True
-
     def __init__(
         self,
         transformation: NetworkTransformation,

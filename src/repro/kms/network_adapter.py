@@ -38,10 +38,6 @@ from repro.network.model import InsertionMode, NetworkSchema, RetentionMode
 class NetworkTargetAdapter(TargetAdapter):
     """Translates DML operations against an AB(network) database."""
 
-    # FIND ANY translations depend only on (record type, UWA values),
-    # both of which are in the cache key — safe to memoize.
-    caches_translations = True
-
     def __init__(
         self,
         schema: NetworkSchema,

@@ -35,21 +35,9 @@ from repro.abdm.values import Value
 from repro.errors import ConstraintViolation, SchemaError, TranslationError
 from repro.kc.controller import KernelController
 from repro.mapping.rel_to_abdm import ABRelationalMapping
-from repro.qc.lru import MISSING
 from repro.qc import runtime as qc_runtime
 from repro.relational import sql
 from repro.relational.model import RelationalSchema
-
-
-@dataclass
-class _SelectPlan:
-    """A compiled single-table SELECT: the kernel request plus the row
-    shape, pure in (statement text, schema) — the schema is fixed for an
-    engine's lifetime, so the plan caches on exact statement text."""
-
-    table: str
-    request: RetrieveRequest
-    columns: list[str]
 
 
 @dataclass
@@ -75,31 +63,16 @@ class SqlEngine:
         self.schema = schema
         self.kc = kc
         self.mapping = mapping or ABRelationalMapping(schema)
-        # Statement→plan translation cache (single-table SELECTs only;
-        # joins and mutations have side conditions and bypass).  Dies
-        # with the engine, i.e. with its schema.
-        self._plans = qc_runtime.new_cache("translate", prefix="qc.translate")
-        if kc.obs.enabled:
-            self._plans.bind_metrics(kc.obs.metrics)
-
-    def invalidate_translations(self) -> None:
-        """Drop cached SELECT plans (schema change)."""
-        self._plans.clear()
-
-    def translation_cache_snapshot(self) -> dict[str, object]:
-        return self._plans.snapshot()
 
     # -- public API --------------------------------------------------------------
 
     def execute(self, statement: Union[str, sql.SqlStatement]) -> SqlResult:
-        source: Optional[str] = None
         if isinstance(statement, str):
-            source = statement
             statement = sql.parse_statement(statement)
         with self.kc.obs.tracer.span("kms.translate") as span:
             log_start = self.kc.mark()
             if isinstance(statement, sql.Select):
-                result = self._select(statement, source)
+                result = self._select(statement)
             elif isinstance(statement, sql.Insert):
                 result = self._insert(statement)
             elif isinstance(statement, sql.Update):
@@ -118,7 +91,7 @@ class SqlEngine:
         return result
 
     def run(self, text: str) -> list[SqlResult]:
-        return [self.execute(s) for s in sql.parse_script(text)]
+        return [self.execute(s) for s in qc_runtime.parsed("sql", text, sql.parse_script)]
 
     # -- WHERE compilation ----------------------------------------------------------
 
@@ -160,31 +133,9 @@ class SqlEngine:
 
     # -- SELECT -------------------------------------------------------------------------
 
-    def _select(self, statement: sql.Select, source: Optional[str] = None) -> SqlResult:
+    def _select(self, statement: sql.Select) -> SqlResult:
         if len(statement.tables) == 2:
             return self._select_join(statement)
-        plan = self._select_plan(statement, source)
-        records = self.kc.execute(plan.request).records
-        result = SqlResult(plan.table, columns=list(plan.columns))
-        for record in records:
-            result.rows.append({c: record.get(self._record_key(c)) for c in result.columns})
-        return result
-
-    def _select_plan(self, statement: sql.Select, source: Optional[str]) -> _SelectPlan:
-        """Build (or recall) the plan for a single-table SELECT.
-
-        Only statements that arrived as text can cache — the source text
-        is the key; pre-parsed AST callers pay the (cheap) rebuild.
-        """
-        use_cache = (
-            source is not None
-            and qc_runtime.config.translation_cache_enabled
-            and self._plans.enabled
-        )
-        if use_cache:
-            cached = self._plans.get(source)
-            if cached is not MISSING:
-                return cached
         table = statement.tables[0]
         relation = self.schema.relation(table)
         query = self._compile_where(table, statement.where)
@@ -211,10 +162,11 @@ class SqlEngine:
         columns = self._dedupe(columns)
         if group_column and group_column not in columns:
             columns.insert(0, group_column)
-        plan = _SelectPlan(table, RetrieveRequest(query, target, by=group_column), columns)
-        if use_cache:
-            self._plans.put(source, plan)
-        return plan
+        records = self.kc.execute(RetrieveRequest(query, target, by=group_column)).records
+        result = SqlResult(table, columns=columns)
+        for record in records:
+            result.rows.append({c: record.get(self._record_key(c)) for c in columns})
+        return result
 
     @staticmethod
     def _record_key(column: str) -> str:

@@ -46,7 +46,7 @@ from repro.abdm.store import ABStore
 from repro.mbds.summary import BackendSummary, SummaryCache, affected_files
 from repro.mbds.timing import TimingModel
 from repro.obs import ObsSpec, resolve_obs
-from repro.qc.lru import MISSING
+from repro.qc.lru import LRUCache, MISSING
 from repro.qc import runtime as qc_runtime
 
 #: Builds the record store of one backend; lets callers swap the plain
@@ -58,6 +58,9 @@ StoreFactory = Callable[[], ABStore]
 #: limit the cache's memory is set by the widest SELECT anyone ever ran
 #: (one 4 000-row read held 6 MB of peak RSS), not by its entry count.
 RESULT_CACHE_MAX_RECORDS = 256
+
+#: RETRIEVE results each backend's cache keeps.
+RESULT_CACHE_SIZE = 128
 
 #: Request types that can change what a backend's slice contains (and so
 #: invalidate its cached content summary).
@@ -142,7 +145,7 @@ class Backend:
         #: Per-file summary digests; mutations invalidate only the files
         #: they touched, so one write never re-summarizes the whole slice.
         self._summaries = SummaryCache()
-        self._result_cache = qc_runtime.new_cache("result", prefix="qc.result")
+        self._result_cache = LRUCache(RESULT_CACHE_SIZE, prefix="qc.result")
 
     def bind_obs(self, obs: ObsSpec) -> None:
         """Attach observability: store compile-cache + result-cache metrics."""
@@ -176,7 +179,6 @@ class Backend:
             use_cache = (
                 type(request) is RetrieveRequest
                 and qc_runtime.config.result_cache_enabled
-                and self._result_cache.enabled
             )
             if use_cache and snapshot is not None:
                 use_cache = self.store.snapshot_live(

@@ -154,9 +154,9 @@ class BackendController:
             backend_count, self.timing, store_factory, latency_scale
         )
         if self.obs.enabled:
-            # Cache layers (compile + result, per backend) report their
+            # The per-backend caches (compile + result) report their
             # hit/miss/eviction counters into this bundle's registry; the
-            # process-global parse caches follow the same registry
+            # process-wide statement memo follows the same registry
             # (last instrumented controller wins — see qc.runtime).
             for backend in self.backends:
                 backend.bind_obs(self.obs)
@@ -165,7 +165,7 @@ class BackendController:
     def cache_snapshots(self) -> dict[str, object]:
         """Aggregated qc cache counters (the ``.caches`` dot-command)."""
         return {
-            "global": qc_runtime.global_snapshots(),
+            "global": qc_runtime.memo_snapshot(),
             "backends": {
                 f"backend[{b.backend_id}]": b.cache_snapshots() for b in self.backends
             },

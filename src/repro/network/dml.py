@@ -40,8 +40,6 @@ from typing import Optional, Sequence, Union
 from repro.abdm.values import Value
 from repro.errors import ParseError
 from repro.lang.lexer import Lexer, TokenStream, TokenType
-from repro.qc.lru import MISSING
-from repro.qc import runtime as qc_runtime
 
 
 class Position(enum.Enum):
@@ -297,24 +295,7 @@ _lexer = Lexer(_KEYWORDS, _SYMBOLS)
 
 
 def parse_statement(text: str) -> Statement:
-    """Parse a single DML statement.
-
-    Memoized on exact source text (statements are immutable ASTs; the
-    engines read them without mutation).
-    """
-    cache = qc_runtime.dml_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_statement_text(text)
-    key = ("stmt", text)
-    cached = cache.get(key)
-    if cached is not MISSING:
-        return cached
-    statement = _parse_statement_text(text)
-    cache.put(key, statement)
-    return statement
-
-
-def _parse_statement_text(text: str) -> Statement:
+    """Parse a single DML statement."""
     stream = TokenStream(_lexer.tokenize(text))
     statement = _parse_statement(stream)
     stream.accept_symbol(";")
@@ -323,24 +304,7 @@ def _parse_statement_text(text: str) -> Statement:
 
 
 def parse_transaction(text: str) -> list[Statement]:
-    """Parse a sequence of statements separated by newlines or semicolons.
-
-    Memoized like :func:`parse_statement`; the cache stores a tuple and
-    hands each caller a fresh list so callers may extend/slice freely.
-    """
-    cache = qc_runtime.dml_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_transaction_text(text)
-    key = ("txn", text)
-    cached = cache.get(key)
-    if cached is not MISSING:
-        return list(cached)
-    statements = _parse_transaction_text(text)
-    cache.put(key, tuple(statements))
-    return statements
-
-
-def _parse_transaction_text(text: str) -> list[Statement]:
+    """Parse a sequence of statements separated by newlines or semicolons."""
     stream = TokenStream(_lexer.tokenize(text))
     statements: list[Statement] = []
     while not stream.at_end():

@@ -1,14 +1,14 @@
-"""Query compilation and multi-layer caching (PR 4).
+"""Query compilation and the three caches around it.
 
 The hot-path levers, from the thesis's "response time bounded by the
 hardware" goal:
 
 * :mod:`repro.qc.compile` — DNF queries flattened into matcher closures
   over the record keyword map (bit-identical to interpreted matching).
-* :mod:`repro.qc.lru` — the bounded, counter-instrumented LRU every
-  layer is built from.
-* :mod:`repro.qc.runtime` — the config singleton, cache factory, and
-  process-global parse memos.
+* :mod:`repro.qc.lru` — the bounded, counter-instrumented LRU each of
+  the three caches is.
+* :mod:`repro.qc.runtime` — the three reference-path switches and the
+  process-wide statement memo the four language engines share.
 """
 
 from repro.qc.compile import CompiledQuery, compile_query

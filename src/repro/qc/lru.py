@@ -1,15 +1,12 @@
 """A small, thread-safe, bounded LRU cache with hit/miss/eviction counters.
 
-Every cache layer in :mod:`repro.qc` — compiled queries, parse memos,
-KMS translation memos, backend result caches — is an :class:`LRUCache`.
-The cache keeps its own local counters (always, for ``.caches`` and the
-tests) and mirrors them into an :class:`~repro.obs.metrics.MetricsRegistry`
-when one is bound, under ``<prefix>.hits`` / ``.misses`` / ``.evictions``
-— so an instrumented run sees every cache layer in one registry export.
-
-A cache with ``maxsize <= 0`` is disabled: :meth:`get` always misses
-(without counting) and :meth:`put` is a no-op, which is how the
-``--cache-sizes`` CLI flag turns individual layers off.
+Each of the three caches in :mod:`repro.qc` — the statement memo, the
+per-store compiled queries, the per-backend RETRIEVE results — is an
+:class:`LRUCache` with a fixed, positive bound.  The cache keeps its own
+local counters (always, for ``.caches`` and the tests) and mirrors them
+into an :class:`~repro.obs.metrics.MetricsRegistry` when one is bound,
+under ``<prefix>.hits`` / ``.misses`` / ``.evictions`` — so an
+instrumented run sees every cache in one registry export.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
     def bind_metrics(self, metrics: Union[MetricsRegistry, NullMetrics]) -> None:
         """Mirror this cache's counters into *metrics* from now on."""
         self._metrics = metrics
@@ -54,8 +47,6 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Any:
         """The cached value for *key*, or :data:`MISSING`."""
-        if self.maxsize <= 0:
-            return MISSING
         with self._lock:
             value = self._data.get(key, MISSING)
             if value is MISSING:
@@ -69,8 +60,6 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) *key*, evicting the LRU entry when full."""
-        if self.maxsize <= 0:
-            return
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -85,18 +74,6 @@ class LRUCache:
         """Drop every entry (counters are kept — they are cumulative)."""
         with self._lock:
             self._data.clear()
-
-    def resize(self, maxsize: int) -> None:
-        """Change the bound; shrinking evicts LRU entries to fit."""
-        with self._lock:
-            self.maxsize = int(maxsize)
-            if self.maxsize <= 0:
-                self._data.clear()
-                return
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                self._metrics.inc(f"{self.prefix}.evictions")
 
     def __len__(self) -> int:
         with self._lock:

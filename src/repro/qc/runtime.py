@@ -1,148 +1,95 @@
-"""Process-wide configuration and shared caches for the qc subsystem.
+"""Process-wide switches and the statement memo of the qc subsystem.
 
-Four cache layers hang off this module:
+Three caches exist, each an :class:`~repro.qc.lru.LRUCache` with a fixed
+bound set where it is constructed:
 
-``compile``
-    Per-store LRUs of :class:`~repro.qc.compile.CompiledQuery` keyed on the
-    rendered query (created via :func:`new_cache`).
-``parse``
-    Module-global memos for ABDL request parsing and network-DML statement
-    parsing, keyed on exact source text (:data:`request_parse_cache`,
-    :data:`dml_parse_cache`).
-``translate``
-    Per-adapter/engine LRUs of statement→ABDL translations (created via
-    :func:`new_cache`; they die with their session, so a schema reload —
-    which always opens fresh sessions — naturally invalidates them).
-``result``
-    Per-backend RETRIEVE result caches guarded by mutation epochs
-    (created via :func:`new_cache`).
+``qc.parse`` — the statement memo (:data:`STATEMENT_MEMO_SIZE`, here)
+    One per process, keyed ``(language, exact text)`` → the tuple of
+    statement ASTs that text parses to.  All four language engines'
+    ``run(text)`` consult it through :func:`parsed`, and nothing else
+    does.  Exact-text keys are safe because a parse depends on nothing
+    but the text — no schema, session or currency state reaches a parser
+    — and sharing the value is safe because every AST class is a frozen
+    dataclass of tuples and scalars that the engines only read.
+``qc.compile`` — compiled queries, one LRU per :class:`~repro.abdm.store.ABStore`.
+``qc.result`` — RETRIEVE results, one epoch-guarded LRU per backend.
 
-:class:`QCConfig` is a mutable singleton (:data:`config`) so the CLI flags
-``--no-compile`` / ``--cache-sizes`` and the tests can flip layers on and
-off without threading a config object through every constructor.  Layers
-fall back to the uncached path both when their flag is off and when their
-size is 0.
+:class:`QCConfig` is a mutable singleton (:data:`config`) holding the
+three in-process switches that tests and the compile / range-index
+benchmarks flip to reach the reference implementations: interpreted
+matching, the full scan, and uncached accounting.  No switch changes a
+result; ``compile_enabled`` and ``result_cache_enabled`` also leave
+simulated times bit-identical (the planner exists to examine fewer
+records, so ``plan_enabled`` moves them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Union
 
-from repro.qc.lru import LRUCache
+from repro.qc.lru import LRUCache, MISSING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry, NullMetrics
 
-#: Default LRU bounds per cache layer.
-DEFAULT_SIZES = {
-    "compile": 256,
-    "parse": 512,
-    "translate": 256,
-    "result": 128,
-}
-
-#: Layer names accepted by ``--cache-sizes`` and :meth:`QCConfig.set_sizes`.
-LAYERS = tuple(DEFAULT_SIZES)
+#: Distinct statement texts the memo holds.
+STATEMENT_MEMO_SIZE = 512
 
 
 @dataclass
 class QCConfig:
-    """Feature switches and LRU bounds for every cache layer."""
+    """Switches between each optimised path and its reference path."""
 
+    #: Off, stores match with the interpreted ``Query.matches``.
     compile_enabled: bool = True
-    parse_cache_enabled: bool = True
-    translation_cache_enabled: bool = True
-    result_cache_enabled: bool = True
-    #: Access-path planning over attribute indexes (``--no-index-plan``).
     #: Off, every indexed store falls back to the compiled full scan —
-    #: the ablation baseline bench_range_index.py measures against.
+    #: the baseline bench_range_index.py measures the planner against.
     plan_enabled: bool = True
-    sizes: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SIZES))
-
-    def size(self, layer: str) -> int:
-        return self.sizes.get(layer, DEFAULT_SIZES.get(layer, 0))
-
-    def set_sizes(self, spec: str) -> None:
-        """Apply a ``layer=size,layer=size`` spec (the --cache-sizes flag).
-
-        A size of 0 disables that layer's caches created afterwards.
-        """
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"bad cache-size entry {part!r} (want layer=size)")
-            layer, _, raw = part.partition("=")
-            layer = layer.strip()
-            if layer not in DEFAULT_SIZES:
-                raise ValueError(f"unknown cache layer {layer!r} (known: {', '.join(LAYERS)})")
-            self.sizes[layer] = int(raw)
-
-    def reset(self) -> None:
-        self.compile_enabled = True
-        self.parse_cache_enabled = True
-        self.translation_cache_enabled = True
-        self.result_cache_enabled = True
-        self.plan_enabled = True
-        self.sizes = dict(DEFAULT_SIZES)
+    #: Off, backends execute every RETRIEVE instead of replaying one.
+    result_cache_enabled: bool = True
 
 
 #: The process-wide configuration singleton.
 config = QCConfig()
 
-
-def new_cache(layer: str, prefix: str | None = None) -> LRUCache:
-    """Create a cache for *layer* sized from the current config."""
-    return LRUCache(config.size(layer), prefix=prefix or f"qc.{layer}")
+_statements = LRUCache(STATEMENT_MEMO_SIZE, prefix="qc.parse")
 
 
-#: Global memo for ``abdl.parser.parse_request`` (exact source text → AST).
-request_parse_cache = new_cache("parse", prefix="qc.parse.abdl")
+def parsed(language: str, text: str, parser: Callable[[str], Iterable[Any]]) -> tuple:
+    """The statements *text* holds, parsed by *parser* once per exact text.
 
-#: Global memo for ``network.dml`` statement/transaction parsing.
-dml_parse_cache = new_cache("parse", prefix="qc.parse.dml")
-
-_GLOBAL_CACHES = (request_parse_cache, dml_parse_cache)
-
-
-def apply_sizes(spec: str) -> None:
-    """Apply a ``--cache-sizes`` spec, resizing the live global caches.
-
-    Per-store/engine/backend caches created *after* this call pick the
-    new bounds up from the config; the process-global parse caches
-    already exist and are resized in place.
+    A text that fails to parse raises out of *parser* and is not stored.
     """
-    config.set_sizes(spec)
-    for cache in _GLOBAL_CACHES:
-        cache.resize(config.size("parse"))
+    key = (language, text)
+    statements = _statements.get(key)
+    if statements is MISSING:
+        statements = tuple(parser(text))
+        _statements.put(key, statements)
+    return statements
 
 
 def bind_metrics(metrics: Union["MetricsRegistry", "NullMetrics"]) -> None:
-    """Mirror the global parse caches into *metrics*.
+    """Mirror the statement memo's counters into *metrics*.
 
     Last caller wins — with several instrumented MLDS instances in one
-    process, the global parse-layer counters land in the most recently
-    bound registry (per-store and per-backend caches are bound per
-    instance and unaffected).
+    process, the memo's counters land in the most recently bound registry
+    (per-store and per-backend caches are bound per instance and
+    unaffected).
     """
-    for cache in _GLOBAL_CACHES:
-        cache.bind_metrics(metrics)
+    _statements.bind_metrics(metrics)
 
 
-def global_snapshots() -> list[dict[str, object]]:
-    """Snapshots of the process-global caches (for ``.caches``)."""
-    return [cache.snapshot() for cache in _GLOBAL_CACHES]
+def memo_snapshot() -> dict[str, object]:
+    """The statement memo's counters and occupancy (for ``.caches``)."""
+    return _statements.snapshot()
 
 
 def reset() -> None:
-    """Restore defaults and empty the global caches (test isolation)."""
+    """Restore the switches and empty the statement memo (test isolation)."""
     from repro.obs.metrics import NULL_METRICS
 
-    config.reset()
-    for cache in _GLOBAL_CACHES:
-        cache.clear()
-        cache.resize(config.size("parse"))
-        cache.bind_metrics(NULL_METRICS)
-        cache.hits = cache.misses = cache.evictions = 0
+    vars(config).update(asdict(QCConfig()))
+    _statements.clear()
+    _statements.bind_metrics(NULL_METRICS)
+    _statements.hits = _statements.misses = _statements.evictions = 0

@@ -203,6 +203,33 @@ class TestExecCommand:
         assert "usage" in shell.handle_line(".exec")
 
 
+class TestCachesCommand:
+    def test_reports_the_statement_memo_and_per_backend_caches(self, shell, tmp_path):
+        import json
+
+        from repro.qc import runtime as qc_runtime
+
+        path = tmp_path / "txn.dml"
+        path.write_text("FIND FIRST person WITHIN system_person\nGET\n")
+        qc_runtime.reset()
+        try:
+            shell.handle_line(".open codasyl university")
+            shell.handle_line(f".exec {path}")
+            shell.handle_line(f".exec {path}")
+            report = json.loads(shell.handle_line(".caches"))
+        finally:
+            qc_runtime.reset()
+        assert set(report) == {"global", "backends", "config"}
+        memo = report["global"]
+        assert memo["prefix"] == "qc.parse"
+        assert (memo["hits"], memo["misses"], memo["size"]) == (1, 1, 1)
+        assert set(report["backends"]) == {"backend[0]", "backend[1]"}
+        for caches in report["backends"].values():
+            assert set(caches) == {"compile", "result"}
+            assert caches["compile"]["misses"] > 0
+        assert report["config"] == {"compile": True, "result": True}
+
+
 class TestRecoverFlags:
     def test_recover_applies_wal_and_read_path_flags(self, tmp_path, monkeypatch):
         """``--recover`` honours --group-window-ms / --no-snapshot-reads and

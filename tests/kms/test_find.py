@@ -71,6 +71,39 @@ class TestFindAny:
         # ISA set currency: owner shares the student's database key.
         assert s.cit.set_currency("person_student").owner_dbkey == result.dbkey
 
+    def test_request_log_keeps_the_literal_the_user_wrote(self, shared_session):
+        """``3`` and ``3.0`` are equal and hash alike, but the logged ABDL
+        is what shows a user their statement's translation: each FIND
+        must log its own literal, not an earlier statement's."""
+        s = shared_session
+        logged = []
+        for literal in ("3", "3.0"):
+            results = s.run(
+                f"MOVE {literal} TO credits IN course; "
+                "FIND ANY course USING credits IN course"
+            )
+            logged.append(results[-1].requests[0])
+            assert s.request_log[-1] == results[-1].requests[0]
+        assert "(credits = 3)" in logged[0]
+        assert "(credits = 3.0)" in logged[1]
+
+    def test_find_any_query_tells_equal_values_of_different_types_apart(
+        self, shared_session
+    ):
+        # True is not a DML literal, so reach the translation directly.
+        from repro.abdm.predicate import Predicate
+
+        adapter = shared_session.engine.adapter
+        rendered = [
+            adapter.find_any_query("course", [Predicate("credits", "=", value)]).render()
+            for value in (1, 1.0, True)
+        ]
+        assert rendered == [
+            "((FILE = 'course') AND (credits = 1))",
+            "((FILE = 'course') AND (credits = 1.0))",
+            "((FILE = 'course') AND (credits = True))",
+        ]
+
 
 class TestFindCurrent:
     def test_no_abdl_issued(self, shared_session):

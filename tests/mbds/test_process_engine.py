@@ -18,6 +18,7 @@ from repro.mbds import (
     make_engine,
 )
 from repro.obs import Observability
+from repro.qc import runtime as qc_runtime
 
 from tests.mbds.test_engine import WORKLOAD, trace_fingerprint
 
@@ -198,6 +199,52 @@ class TestProcessEnginePersistence:
             b.store.snapshot() for b in mlds.kds.controller.backends
         ] == before
         mlds.kds.shutdown()
+
+
+class TestQcSwitchesReachWorkers:
+    """The three ``QCConfig`` switches are process-wide state; a worker
+    starts from the parent's values (``ipc.worker.config_state``)."""
+
+    def run(self, engine):
+        kds = KernelDatabaseSystem(backend_count=4, engine=engine, workers=2)
+        try:
+            kds.controller.add_index("x")
+            # Twice over, so the second pass would hit a live result cache.
+            fingerprints = [
+                trace_fingerprint(kds.execute(parse_request(text)))
+                for text in WORKLOAD + WORKLOAD[-9:]
+            ]
+            backends = kds.controller.backends
+            return {
+                "fingerprints": fingerprints,
+                "clock": kds.clock.total_ms,
+                "stores": [b.store.snapshot() for b in backends],
+            }, {
+                "compile": sum(
+                    b.cache_snapshots()["compile"][k] for b in backends for k in ("hits", "misses")
+                ),
+                "result": sum(
+                    b.cache_snapshots()["result"][k] for b in backends for k in ("hits", "misses")
+                ),
+                "index": sum(
+                    b.store.index_snapshot()[k] for b in backends for k in ("index_hits", "range_hits")
+                ),
+            }
+        finally:
+            kds.shutdown()
+
+    def test_switched_off_in_the_parent_is_switched_off_in_the_worker(self):
+        _, lookups = self.run("process")
+        assert all(count > 0 for count in lookups.values()), lookups
+        config = qc_runtime.config
+        config.compile_enabled = config.plan_enabled = config.result_cache_enabled = False
+        try:
+            serial, _ = self.run("serial")
+            process, lookups = self.run("process")
+        finally:
+            qc_runtime.reset()
+        assert process == serial
+        assert lookups == {"compile": 0, "result": 0, "index": 0}
 
 
 class TestProcessWorkloadSanity:

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.abdl import parse_request
 from repro.mbds import KernelDatabaseSystem
 from repro.obs import Observability
-from repro.qc import runtime as qc_runtime
 
 FILES = ("alpha", "beta")
 
@@ -74,9 +73,6 @@ def run(script, engine, workers=None):
     # The metrics registry is the per-engine ledger of ScanStats
     # (backend.records_examined / index_hits) and every cache counter;
     # comparing it whole pins those alongside the per-request results.
-    # The process-global parse caches must start cold each run, or the
-    # first engine warms them for the others.
-    qc_runtime.reset()
     obs = Observability()
     kds = KernelDatabaseSystem(
         backend_count=2, engine=engine, workers=workers, obs=obs

@@ -1,9 +1,9 @@
 """Shared fixtures for the query-compilation/caching suite.
 
 Every test runs against pristine qc state: the process-wide
-:data:`repro.qc.runtime.config` singleton and the global parse caches
-are reset before and after each test so flag flips and cache contents
-never leak between tests (or into the rest of the suite).
+:data:`repro.qc.runtime.config` singleton and the statement memo are
+reset before and after each test so switch flips and memo contents never
+leak between tests (or into the rest of the suite).
 """
 
 from __future__ import annotations

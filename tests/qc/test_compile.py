@@ -100,13 +100,6 @@ def test_disabled_compile_falls_back_to_interpreted(config):
     assert store.matcher(query) != query.matches
 
 
-def test_zero_size_compile_cache_disables_compilation(config):
-    config.sizes["compile"] = 0
-    store = ABStore()
-    query = Query.single("a", "=", 1)
-    assert store.matcher(query) == query.matches
-
-
 def test_store_find_results_identical_with_and_without_compile(config):
     store = ABStore()
     for i in range(20):

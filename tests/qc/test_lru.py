@@ -1,4 +1,4 @@
-"""The bounded LRU underneath every qc cache layer."""
+"""The bounded LRU each of the three qc caches is."""
 
 from __future__ import annotations
 
@@ -41,25 +41,6 @@ def test_put_existing_key_updates_without_eviction():
     assert cache.get("a") == 10
     assert cache.get("b") == 2
     assert cache.evictions == 0
-
-
-def test_resize_down_evicts_oldest():
-    cache = LRUCache(4)
-    for i in range(4):
-        cache.put(i, i)
-    cache.resize(2)
-    assert cache.get(0) is MISSING
-    assert cache.get(1) is MISSING
-    assert cache.get(2) == 2
-    assert cache.get(3) == 3
-
-
-def test_disabled_cache_never_stores_or_counts():
-    cache = LRUCache(0)
-    assert not cache.enabled
-    cache.put("a", 1)
-    assert cache.get("a") is MISSING
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
 
 
 def test_clear_empties_but_keeps_counters():
