@@ -19,8 +19,10 @@ holds that path to three promises:
   touches, not what the file holds).  The bound is not the 1.5x of the
   query row because one O(file) term is left by design — the pending
   version's pointer copy, ~0.1-0.3 ms at the 12 500 records a backend
-  holds of the written file — which puts the transaction at 1.5x of its
-  0.6 ms; a per-UPDATE index rebuild or deep copy reads 10x and more.
+  holds of the written file — which puts the transaction at 1.6x of its
+  0.3 ms (1.4x of 0.45 ms before the one-fsync commit: the term stayed,
+  the base fell); a per-UPDATE index rebuild or deep copy reads 10x and
+  more.
   The same pair without a WAL is reported ungated and shows that term
   alone;
 * **equivalence** — the post-load farm (stores, routing counters, index

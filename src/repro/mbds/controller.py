@@ -213,21 +213,23 @@ class BackendController:
 
     def _journal(
         self,
-        ops: Sequence[tuple[Backend, Request]],
+        ops: Sequence[tuple[Sequence[int], Request]],
         session: Optional[KernelSession],
     ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Journal each ``(backend, request)`` of *ops* ahead of applying it.
+        """Journal each ``(backend ids, request)`` of *ops* ahead of applying it.
 
-        A BULK-INSERT shard is one log record per target backend — one
-        journal line per backend per batch, instead of one per record.
-        Inside *session*'s open transaction the ops join it and
-        ``(None, None)`` is returned.  Otherwise they open an auto-commit
-        transaction the session owns, and the ``(commit, abort)`` thunks
-        returned settle it: *commit* writes its commit record after the
-        request applied (with the record-count checksum when the session
-        is ``counted``); *abort* writes its abort record if the apply
-        fails, so the owner's slot is never left occupied by a request
-        that will neither commit nor be retried.
+        One log record per request, naming every backend that applies it
+        — a broadcast is journaled once, not once per backend.  A
+        BULK-INSERT is one record per shard (each backend's payload
+        differs).  Inside *session*'s open transaction the ops join it
+        and ``(None, None)`` is returned.  Otherwise they open an
+        auto-commit transaction the session owns, and the
+        ``(commit, abort)`` thunks returned settle it: *commit* writes
+        its commit record after the request applied (with the
+        record-count checksum when the session is ``counted``); *abort*
+        writes its abort record if the apply fails, so the owner's slot
+        is never left occupied by a request that will neither commit nor
+        be retried.
         """
         wal = self.wal
         if wal is None:
@@ -238,11 +240,13 @@ class BackendController:
         auto = txn is None
         if auto:
             txn = wal.begin(session.owner)
-        for backend, request in ops:
+        for ids, request in ops:
+            if not ids:
+                continue  # pruned to no backend: nothing applies, nothing to redo
             if isinstance(request, BulkInsertRequest):
-                wal.log_bulk(backend.backend_id, request, txn)
+                wal.log_bulk(ids, request, txn)
             else:
-                wal.log_op(backend.backend_id, request, txn)
+                wal.log_op(ids, request, txn)
         if not auto:
             return None, None
         return (
@@ -317,7 +321,7 @@ class BackendController:
             index = self.placement.place(request.record, self.backend_count)
         if session is not None and session.in_transaction:
             session.placed.append((request.record.file_name, index))
-        commit, abort = self._journal([(self.backends[index], request)], session)
+        commit, abort = self._journal([([index], request)], session)
         backend_result = self._apply_journaled(
             lambda: self.engine.execute_one(self.backends[index], request, label),
             abort,
@@ -374,7 +378,9 @@ class BackendController:
         indices = sorted(groups)
         targets = [self.backends[i] for i in indices]
         shards = [BulkInsertRequest(groups[i]) for i in indices]
-        commit, abort = self._journal(list(zip(targets, shards)), session)
+        commit, abort = self._journal(
+            [([index], shard) for index, shard in zip(indices, shards)], session
+        )
         # The apply span covers store mutation AND the deferred index
         # finalize (sort-once), which runs inside each backend's store.
         with self.obs.tracer.span("bulk.apply"):
@@ -426,7 +432,7 @@ class BackendController:
                     observe(request)
         if mutating:
             commit, abort = self._journal(
-                [(backend, request) for backend in targets], session
+                [([backend.backend_id for backend in targets], request)], session
             )
             partials = self._apply_journaled(
                 lambda: self.engine.run(targets, request, label) if targets else [],

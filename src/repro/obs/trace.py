@@ -8,9 +8,9 @@ objects mirroring the layers it crossed::
        └─ kc.dispatch                one per ABDL request the KMS emitted
           └─ kds.execute             the kernel database system
              ├─ prune.decision       broadcast pruning (when enabled)
-             ├─ wal.append           journaling, one per target backend
-             │  └─ wal.fsync         only with sync=True WALs
+             ├─ wal.append           journaling, one record per request
              ├─ wal.commit           the atomic commit point
+             │  └─ wal.fsync         only with sync=True WALs
              └─ backend[i].<phase>   one per executing backend, per phase
 
 Spans carry real wall-clock time (``wall_ms``), the engine's *simulated*

@@ -3,9 +3,10 @@
 The thesis frames every user interaction as a *transaction* against the
 kernel (LIL -> KMS -> KC -> KDS); this package makes those transactions
 durable.  Every mutating kernel request (INSERT / DELETE / UPDATE) is
-journaled to a per-backend append-only JSONL log **before** it is
-applied, grouped under explicit transaction boundaries recorded in a
-master log; single requests auto-commit as one-request transactions, and
+journaled to one append-only JSONL commit stream **before** it is
+applied, once per request however many backends apply it; a transaction
+is its op records plus one commit record, the only point that is
+fsynced.  Single requests auto-commit as one-request transactions, and
 multi-request kernel transactions map one-to-one onto WAL transactions.
 
 Modules:

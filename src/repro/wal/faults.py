@@ -15,8 +15,15 @@ crash the in-memory system is considered dead; tests recover a fresh one
 from disk with :func:`repro.wal.recovery.recover_mlds` and compare.
 
 Arming is count-based (``arm(point, hits=2)`` crashes on the second
-firing), so tests can kill a multi-backend journal append mid-way — the
-torn-journal case a single boolean flag cannot reach.
+firing), so tests can kill a transaction between two of its journal
+appends — between the shards of a bulk batch, say — which a single
+boolean flag cannot reach.
+
+Records are flushed to the OS as appended and fsynced only by
+``commit``: "appended" below means *flushed* (what a killed process
+leaves behind), "durable" that the commit's fsync covered it.  An
+injected crash is the killed process; ``tests/wal/test_power_loss.py``
+adds the power cut, which also takes flushed bytes past the last sync.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import enum
 class CrashPoint(enum.Enum):
     """Where the durability path can be killed (see module docstring)."""
 
-    #: Immediately before an op record is appended to a backend log.
+    #: Immediately before an op record is appended to the stream.
     BEFORE_LOG_APPEND = "before-log-append"
     #: Immediately after an op record is appended (journaled, not applied).
     AFTER_LOG_APPEND = "after-log-append"
@@ -35,18 +42,19 @@ class CrashPoint(enum.Enum):
     BEFORE_APPLY = "before-apply"
     #: After every backend applied, before the commit record is written.
     AFTER_APPLY = "after-apply"
-    #: Inside commit, before the commit record reaches the master log.
+    #: Inside commit, before the commit record is appended.
     BEFORE_COMMIT = "before-commit"
-    #: After the commit record is durable (the transaction is committed).
+    #: After the commit record is appended and synced — durable, with the
+    #: transaction's ops before it (the transaction is committed).
     AFTER_COMMIT = "after-commit"
     #: Immediately before a bulk (batched-insert) record is appended.
     BEFORE_BULK_APPEND = "before-bulk-append"
     #: Immediately after a bulk record is appended (journaled, not applied).
     AFTER_BULK_APPEND = "after-bulk-append"
     #: Inside group commit, after commit records are staged, before the
-    #: leader flushes them (none of the group's commits reached disk).
+    #: leader appends them (none of the group's commits reached the file).
     BEFORE_GROUP_FSYNC = "before-group-fsync"
-    #: After the group's shared flush+fsync (every staged commit durable).
+    #: After the group's shared append+fsync (every staged commit durable).
     AFTER_GROUP_FSYNC = "after-group-fsync"
     #: After the commit record is durable, before the kernel seals the
     #: stores' version chains at the new commit seq (MVCC bookkeeping

@@ -1,41 +1,48 @@
-"""The write-ahead log: per-backend JSONL op segments plus a master
-transaction log.
+"""The write-ahead log: one append-only JSONL commit stream.
 
 Layout of a WAL directory (one per MLDS instance)::
 
-    wal-meta.json               {"format": 1, "backend_count": N, "segment": s}
-    master-000000.jsonl         begin / commit / abort records
-    backend-000-000000.jsonl    op records journaled for backend 0
-    backend-001-000000.jsonl    ...
-    checkpoint.mlds.json        last snapshot (written by checkpoint_mlds)
+    wal-meta.json          {"format": 2, "backend_count": N, "segment": s,
+                            "next_txn": t}
+    wal-000000.jsonl       the stream's current segment
+    checkpoint.mlds.json   last snapshot (written by checkpoint_mlds)
 
-Every mutating kernel request (INSERT / BULK-INSERT / DELETE / UPDATE)
-is journaled to the log of each backend that will apply it **before** it
-is applied,
-tagged with the surrounding transaction id and a per-backend monotonic
-sequence number.  There is one transaction protocol: every transaction
-belongs to a kernel session (its ``owner``), and the session-less kernel
-API runs on the kernel's own session.  Transaction boundaries live in
-the master log: the controller is MBDS's single master, so one ``commit``
-record there is the atomic commit point for the whole farm — a
-transaction whose commit record is absent (crash before commit, or
-explicit abort) is discarded wholesale by recovery, which is what makes
-multi-backend mutations atomic.  Commit records of the kernel's own
-session carry the per-backend record counts observed after the
-transaction applied; recovery re-checks them after replay, so a torn
-backend log or a non-deterministic replay is detected rather than
-silently producing a different database (the segment record-count
-checksum).
+The stream holds three kinds of record, one JSON line each, under one
+monotonic sequence number:
+
+* **op** ``{"seq","txn","backends":[...],"op":{...}}`` — a mutating
+  kernel request (INSERT / BULK-INSERT / DELETE / UPDATE), journaled
+  **before** any backend applies it and written *once*, naming every
+  backend that applies it.  (A BULK-INSERT is one record per shard: each
+  backend's payload differs.)
+* **commit** ``{"seq","type","txn","owner"[,"counts"]}`` — the atomic
+  commit point for the whole farm (the controller is MBDS's single
+  master).  Commits of the kernel's own session carry the per-backend
+  record counts observed after the transaction applied; recovery
+  re-checks them after replay, so a lost op or a non-deterministic
+  replay is detected, not silently turned into a different database.
+* **abort** ``{"seq","type","txn","owner"}`` — discard the txn's ops.
+
+There is no begin record: a transaction *is* its op records plus one
+commit, and one that journaled nothing leaves nothing in the stream.
+
+**Flushed vs synced.**  Every record is flushed to the operating system
+as it is appended, so a killed process loses nothing.  ``fsync``
+(``sync=True`` WALs only) happens in one place: in ``commit``, after the
+commit record is appended (group commit: the leader's shared flush).
+That suffices because the system is redo-only and no-steal — an op
+matters only if its commit record exists, so it need only be durable
+*before* that record, and one sync of the one file makes the ops and
+then the commit durable in order.  A power cut can only shorten the
+unsynced tail, which loses whole unacknowledged transactions; an abort
+need never be durable.
 
 Checkpoints (see :mod:`repro.wal.recovery`) write a snapshot and then
 call :meth:`WalManager.start_new_segment`, which bumps the segment
-number and garbage-collects the old segment files.  Recovery never needs
-the truncation to have happened: replay skips transactions at or below
-the snapshot's watermark, so stale segments are merely dead weight.
-
-Each record is one JSON line, flushed as written; pass ``sync=True`` to
-additionally ``fsync`` every append (slower, closer to real durability —
-the overhead benchmark measures both).
+number, records the transaction-id floor in the metadata (an emptied
+log cannot show which ids are taken) and drops the old segments.
+Recovery never needs the truncation to have happened: replay skips
+transactions at or below the snapshot's watermark.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Optional, Sequence, Union
 
 from repro.abdl.ast import BulkInsertRequest, Request
 from repro.errors import WalError
@@ -58,58 +65,74 @@ META_NAME = "wal-meta.json"
 #: Snapshot written by :func:`repro.wal.recovery.checkpoint_mlds`.
 CHECKPOINT_NAME = "checkpoint.mlds.json"
 #: On-disk WAL format version (independent of the snapshot format).
-WAL_FORMAT = 1
+WAL_FORMAT = 2
 
 
-def master_segment_name(segment: int) -> str:
-    return f"master-{segment:06d}.jsonl"
+def segment_name(segment: int) -> str:
+    return f"wal-{segment:06d}.jsonl"
 
 
-def backend_segment_name(backend_id: int, segment: int) -> str:
-    return f"backend-{backend_id:03d}-{segment:06d}.jsonl"
+def replace_durably(tmp: Path, target: Path, sync: bool) -> None:
+    """Rename *tmp* over *target*.  With *sync* the file is synced before
+    the rename and the directory after it, so on return *target* is on
+    disk whole and the caller may delete what it supersedes."""
+    if sync:
+        with tmp.open("rb") as handle:
+            os.fsync(handle.fileno())
+    os.replace(tmp, target)
+    if sync:
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 class _StreamWriter:
-    """Append-only JSONL writer for one log stream's current segment."""
+    """Append-only JSONL writer for the stream's current segment."""
 
     def __init__(self, path: Path, sync: bool) -> None:
         self.path = path
         self.sync = sync
-        self.obs = NULL_OBS
-        self._handle: Optional[IO[str]] = None
+        self._handle: Optional[IO[bytes]] = None
+        #: File offset the last fsync covered — what a power cut cannot
+        #: take.  Bytes already in the file at open count as synced.
+        self.synced_bytes = path.stat().st_size if path.exists() else 0
 
-    def append(self, record: dict, sync: Optional[bool] = None) -> None:
+    def append(self, record: dict) -> None:
+        """Write *record* and flush it to the OS (never an fsync)."""
         if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._handle = self.path.open("ab")
         # Compact separators: the default ", " / ": " padding is an eighth
         # of every journal line and carries nothing a reader parses.
         line = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-        self._handle.write(line + "\n")
+        self._handle.write(line.encode("utf-8") + b"\n")
         self._handle.flush()
-        if self.sync if sync is None else (sync and self.sync):
-            self._fsync()
 
-    def sync_now(self) -> None:
-        """One explicit fsync — lets a group of appends share a single sync."""
-        if self.sync and self._handle is not None:
-            self._fsync()
-
-    def _fsync(self) -> None:
-        assert self._handle is not None  # only called with an open handle
-        obs = self.obs
-        obs.metrics.inc("wal.fsyncs")
-        if not obs.enabled:
-            os.fsync(self._handle.fileno())
+    def sync_now(self, obs) -> None:
+        """The log's only fsync: everything appended so far, in order."""
+        if not self.sync or self._handle is None:
             return
+        obs.metrics.inc("wal.fsyncs")
         with obs.tracer.span("wal.fsync"):
             start = time.perf_counter()
             os.fsync(self._handle.fileno())
         obs.metrics.observe("wal.fsync_ms", (time.perf_counter() - start) * 1000.0)
+        self.synced_bytes = self._handle.tell()
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+#: Span name and crash points around a plain and a bulk op append.
+_OP_APPEND = ("wal.append", CrashPoint.BEFORE_LOG_APPEND, CrashPoint.AFTER_LOG_APPEND)
+_BULK_APPEND = (
+    "wal.bulk_append",
+    CrashPoint.BEFORE_BULK_APPEND,
+    CrashPoint.AFTER_BULK_APPEND,
+)
 
 
 class _GroupBatch:
@@ -131,11 +154,11 @@ class _GroupCommitCoordinator:
     The first committer to stage into an open batch becomes its *leader*:
     it sleeps the tunable window (letting concurrent committers pile in),
     seals the batch, and writes every staged commit record — assigning
-    master sequence numbers at write time, so they stay monotonic against
-    begin/abort records appended in between — with a single fsync at the
-    end.  Followers block on the batch's event; a leader failure poisons
-    the batch so every waiting committer re-raises instead of hanging on
-    a commit that never became durable.
+    sequence numbers at write time, so they stay monotonic against the
+    op and abort records appended in between — with a single fsync at
+    the end.  Followers block on the batch's event; a leader failure
+    poisons the batch so every waiting committer re-raises instead of
+    hanging on a commit that never became durable.
     """
 
     def __init__(self, window_ms: float) -> None:
@@ -164,15 +187,15 @@ class _GroupCommitCoordinator:
 class WalManager:
     """Owns one WAL directory: journaling, transactions, segments.
 
-    Every transaction is **owned**: ``begin(owner)`` tags the begin
-    record with a kernel session's name and returns a txn id the session
-    threads through ``log_op(..., txn)`` / ``log_bulk(..., txn)`` and
-    ``commit(txn)`` / ``abort(txn)``.  Any number may be open at once
-    (one per owner), their ops interleaving freely in the backend
-    streams; the single master ``commit`` record remains each
-    transaction's atomic commit point, so interleaved commits from
-    different sessions stay atomic and recovery never replays an
-    uncommitted session's writes.
+    Every transaction is **owned**: ``begin(owner)`` allocates a txn id
+    for a kernel session, which threads it through ``log_op(..., txn)``
+    / ``log_bulk(..., txn)`` and ``commit(txn)`` / ``abort(txn)``; the
+    owner's name rides on the commit or abort record.  Any number may be
+    open at once (one per owner), their ops interleaving freely in the
+    stream; each transaction's single ``commit`` record remains its
+    atomic commit point, so interleaved commits from different sessions
+    stay atomic and recovery never replays an uncommitted session's
+    writes.
 
     An internal lock serializes appends and counter updates, so many
     kernel sessions can journal concurrently.
@@ -205,34 +228,23 @@ class WalManager:
         #: WAL so journaling spans/metrics join the system-wide trace.
         self.obs = NULL_OBS
 
-        meta_path = self.directory / META_NAME
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            if meta.get("format") != WAL_FORMAT:
-                raise WalError(
-                    f"WAL format {meta.get('format')!r} is not supported "
-                    f"(expected {WAL_FORMAT})"
-                )
-            if meta.get("backend_count") != backend_count:
-                raise WalError(
-                    f"WAL directory was written for {meta.get('backend_count')} "
-                    f"backends, not {backend_count}"
-                )
-            self.segment = int(meta.get("segment", 0))
-            self._resume_counters()
+        if (self.directory / META_NAME).exists():
+            self._resume()
         else:
             self.segment = 0
-            self._master_seq = 0
-            self._backend_seq = [0] * backend_count
+            self._seq = 0
             self._next_txn = 1
             self.last_committed_txn = 0
             self._write_meta()
 
-        self._open_writers()
+        self._open_writer()
         #: Every open transaction id -> its owner.
         self._open: dict[int, str] = {}
         #: Owner -> its open transaction id.
         self._owner_txn: dict[str, int] = {}
+        #: Open transactions with at least one op record in the stream;
+        #: only these write (and sync) a commit or abort record.
+        self._journaled: set[int] = set()
         #: Serializes appends and counters across concurrent sessions.
         self._mutex = threading.RLock()
 
@@ -244,43 +256,51 @@ class WalManager:
                 "format": WAL_FORMAT,
                 "backend_count": self.backend_count,
                 "segment": self.segment,
+                # The id floor: a truncated log no longer shows which txn
+                # ids the checkpoint's snapshot already accounts for.
+                "next_txn": self._next_txn,
             },
             indent=1,
         )
         tmp = self.directory / (META_NAME + ".tmp")
         tmp.write_text(payload)
-        os.replace(tmp, self.directory / META_NAME)
+        replace_durably(tmp, self.directory / META_NAME, self.sync)
 
-    def _resume_counters(self) -> None:
-        """Continue txn/seq numbering after everything already on disk."""
-        from repro.wal.reader import read_wal  # local import: reader is read-side
+    def _resume(self) -> None:
+        """Continue segment/txn/seq numbering after everything on disk."""
+        # local import: the reader is read-side and imports this module
+        from repro.wal.reader import read_meta, read_wal
 
-        view = read_wal(self.directory, self.backend_count)
-        self._master_seq = view.max_master_seq
-        self._backend_seq = [view.max_seq.get(i, 0) for i in range(self.backend_count)]
-        self._next_txn = view.max_txn + 1
-        self.last_committed_txn = view.last_committed_txn
-
-    def _open_writers(self) -> None:
-        self._master = _StreamWriter(
-            self.directory / master_segment_name(self.segment), self.sync
-        )
-        self._backends = [
-            _StreamWriter(
-                self.directory / backend_segment_name(i, self.segment), self.sync
+        meta = read_meta(self.directory)
+        if meta["backend_count"] != self.backend_count:
+            raise WalError(
+                f"WAL directory was written for {meta['backend_count']} "
+                f"backends, not {self.backend_count}"
             )
-            for i in range(self.backend_count)
-        ]
-        self._master.obs = self.obs
-        for writer in self._backends:
-            writer.obs = self.obs
+        self.segment = int(meta["segment"])
+        view = read_wal(self.directory, self.backend_count)
+        floor = int(meta["next_txn"])
+        self._seq = view.max_seq
+        self._next_txn = max(floor, view.max_txn + 1)
+        self.last_committed_txn = max(floor - 1, view.last_committed_txn)
+        if view.torn_tail is not None:
+            # The crash hit mid-append.  The reader dropped the half-line;
+            # cut it off, or the next record would be glued onto it.
+            os.truncate(*view.torn_tail)
+
+    def _open_writer(self) -> None:
+        self._log = _StreamWriter(
+            self.directory / segment_name(self.segment), self.sync
+        )
 
     def bind_obs(self, obs) -> None:
         """Attach an observability bundle (idempotent, cheap)."""
         self.obs = obs
-        self._master.obs = obs
-        for writer in self._backends:
-            writer.obs = obs
+
+    @property
+    def synced_bytes(self) -> int:
+        """Offset in the current segment that the last fsync covered."""
+        return self._log.synced_bytes
 
     # -- transactions ----------------------------------------------------------
 
@@ -301,6 +321,8 @@ class WalManager:
         Any number of transactions may be open concurrently, one per
         owner (a kernel session name); thread the returned txn id
         through ``log_op`` / ``log_bulk`` / ``commit`` / ``abort``.
+        Nothing is written: the id lives in memory until the
+        transaction's first op record carries it into the stream.
         """
         with self._mutex:
             if owner in self._owner_txn:
@@ -310,10 +332,6 @@ class WalManager:
                 )
             txn = self._next_txn
             self._next_txn += 1
-            self._master_seq += 1
-            self._master.append(
-                {"seq": self._master_seq, "type": "begin", "txn": txn, "owner": owner}
-            )
             self._open[txn] = owner
             self._owner_txn[owner] = txn
             return txn
@@ -322,80 +340,71 @@ class WalManager:
         if txn not in self._open:
             raise WalError(f"transaction {txn} is not open (cannot {verb})")
 
-    def log_op(self, backend_id: int, request: Request, txn: int) -> int:
-        """Journal *request* for *backend_id* under transaction *txn*.
+    def _append(self, record: dict) -> int:
+        """Append *record* under the next sequence number (mutex held)."""
+        self._seq += 1
+        self._log.append({"seq": self._seq, **record})
+        return self._seq
 
-        Must be called before the backend applies the request — that is
-        the "write-ahead" in write-ahead log.  Returns the op's sequence
-        number in the backend's stream.
-        """
+    def _append_op(self, backends: Sequence[int], request: Request, txn: int) -> int:
         if not is_mutating(request):
             raise WalError("only mutating requests are journaled")
-        if not 0 <= backend_id < self.backend_count:
-            raise WalError(f"no backend {backend_id} in this WAL")
+        if not backends or not all(0 <= b < self.backend_count for b in backends):
+            raise WalError(f"an op needs backends of this WAL, not {list(backends)}")
+        bulk = isinstance(request, BulkInsertRequest)
+        span_name, before, after = _BULK_APPEND if bulk else _OP_APPEND
         obs = self.obs
-        with obs.tracer.span("wal.append") as span:
+        with obs.tracer.span(span_name) as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
                 self._require_open(txn, "journal under")
-                self.injector.fire(CrashPoint.BEFORE_LOG_APPEND)
-                seq = self._backend_seq[backend_id] + 1
-                self._backend_seq[backend_id] = seq
-                self._backends[backend_id].append(
-                    {"seq": seq, "txn": txn, "op": encode_request(request)}
-                )
-                self.injector.fire(CrashPoint.AFTER_LOG_APPEND)
+                self.injector.fire(before)
+                record = {"txn": txn, "backends": list(backends), "op": encode_request(request)}
+                seq = self._append(record)
+                self._journaled.add(txn)
+                self.injector.fire(after)
             if span:
-                span.record(backend=backend_id, seq=seq, txn=txn)
+                span.record(backends=list(backends), seq=seq, txn=txn)
         if obs.enabled:
-            obs.metrics.inc("wal.ops")
             obs.metrics.observe(
                 "wal.append_ms", (time.perf_counter() - start) * 1000.0
             )
         return seq
 
-    def log_bulk(self, backend_id: int, request: BulkInsertRequest, txn: int) -> int:
-        """Journal a batch of inserts for *backend_id* as ONE WAL record.
+    def log_op(self, backends: Sequence[int], request: Request, txn: int) -> int:
+        """Journal *request*, once, for every backend in *backends*.
 
-        The whole batch is a single JSON line in the backend's stream —
-        one append instead of N — and therefore atomically torn-or-whole
-        on crash: recovery either replays all of the batch's records or
-        none of them.  Fires the bulk-specific crash points so the crash
-        matrix can kill the machine around exactly this append.
+        Must be called before any backend applies the request — that is
+        the "write-ahead" in write-ahead log.  One record covers them
+        all, so a broadcast is torn-or-whole across its backends.
+        Returns the record's sequence number in the stream.
         """
-        if not is_mutating(request):
-            raise WalError("only mutating requests are journaled")
-        if not 0 <= backend_id < self.backend_count:
-            raise WalError(f"no backend {backend_id} in this WAL")
-        obs = self.obs
-        with obs.tracer.span("wal.bulk_append") as span:
-            start = time.perf_counter() if obs.enabled else 0.0
-            with self._mutex:
-                self._require_open(txn, "journal under")
-                self.injector.fire(CrashPoint.BEFORE_BULK_APPEND)
-                seq = self._backend_seq[backend_id] + 1
-                self._backend_seq[backend_id] = seq
-                self._backends[backend_id].append(
-                    {"seq": seq, "txn": txn, "op": encode_request(request)}
-                )
-                self.injector.fire(CrashPoint.AFTER_BULK_APPEND)
-            if span:
-                span.record(
-                    backend=backend_id,
-                    seq=seq,
-                    txn=txn,
-                    records=len(request.records),
-                )
-        if obs.enabled:
-            obs.metrics.inc("wal.bulk_ops")
-            obs.metrics.inc("wal.bulk_records", len(request.records))
-            obs.metrics.observe(
-                "wal.append_ms", (time.perf_counter() - start) * 1000.0
-            )
+        seq = self._append_op(backends, request, txn)
+        self.obs.metrics.inc("wal.ops")
+        return seq
+
+    def log_bulk(
+        self, backends: Sequence[int], request: BulkInsertRequest, txn: int
+    ) -> int:
+        """Journal one shard of a batch of inserts as ONE WAL record.
+
+        The whole shard is a single JSON line — one append instead of N
+        — and therefore atomically torn-or-whole on crash: recovery
+        either replays all of its records or none of them.  Fires the
+        bulk-specific crash points so the crash matrix can kill the
+        machine around exactly this append.
+        """
+        seq = self._append_op(backends, request, txn)
+        self.obs.metrics.inc("wal.bulk_ops")
+        self.obs.metrics.inc("wal.bulk_records", len(request.records))
         return seq
 
     def commit(self, txn: int, counts: Optional[list[int]] = None) -> None:
-        """Write the commit record — the transaction's atomic commit point.
+        """Write and sync the commit record — the atomic commit point.
+
+        The one durability point of the log: the fsync here covers the
+        transaction's op records and then its commit record, in stream
+        order.  A transaction that journaled nothing writes nothing.
 
         *counts* are the per-backend record counts observed after the
         transaction applied; recovery re-checks them after replay.  They
@@ -413,22 +422,19 @@ class WalManager:
                 self._require_open(txn, "commit")
                 if counts is not None and len(counts) != self.backend_count:
                     raise WalError("commit counts must cover every backend")
+                if txn not in self._journaled:
+                    self._forget(txn)
+                    return
                 self.injector.fire(CrashPoint.BEFORE_COMMIT)
                 record: dict = {"type": "commit", "txn": txn, "owner": self._open[txn]}
                 if counts is not None:
                     record["counts"] = list(counts)
                 if self._group is None:
-                    self._master_seq += 1
-                    self._master.append({"seq": self._master_seq, **record})
+                    self._append(record)
+                    self._log.sync_now(self.obs)
                     if span:
                         span.record(txn=txn)
-                    # Watermark semantics: the highest committed id.  Owned
-                    # transactions can commit out of id order, and checkpoints
-                    # (which require no open transactions) rely on every
-                    # id <= watermark being committed-or-aborted.
-                    self.last_committed_txn = max(self.last_committed_txn, txn)
-                    self._forget(txn)
-                    self.injector.fire(CrashPoint.AFTER_COMMIT)
+                    self._settle_committed(txn)
                 else:
                     staged = (record, txn)
             if staged is not None:
@@ -452,11 +458,20 @@ class WalManager:
                 "wal.commit_ms", (time.perf_counter() - start) * 1000.0
             )
 
+    def _settle_committed(self, txn: int) -> None:
+        # Watermark semantics: the highest committed id.  Owned
+        # transactions can commit out of id order, and checkpoints (which
+        # require no open transactions) rely on every id <= watermark
+        # being committed-or-aborted.
+        self.last_committed_txn = max(self.last_committed_txn, txn)
+        self._forget(txn)
+        self.injector.fire(CrashPoint.AFTER_COMMIT)
+
     def _flush_group(self, batch: _GroupBatch) -> None:
         """Leader-side group flush: write every staged commit, sync once.
 
-        Master sequence numbers are assigned here, at write time, so they
-        stay monotonic against begin/abort records appended between stage
+        Sequence numbers are assigned here, at write time, so they stay
+        monotonic against op and abort records appended between stage
         and flush.  Any failure — including an injected crash — poisons
         the batch so every waiting follower re-raises it: after a crash
         the machine is dead for leader and followers alike.
@@ -465,16 +480,11 @@ class WalManager:
             with self._mutex:
                 self.injector.fire(CrashPoint.BEFORE_GROUP_FSYNC)
                 for record, _txn in batch.entries:
-                    self._master_seq += 1
-                    self._master.append(
-                        {"seq": self._master_seq, **record}, sync=False
-                    )
-                self._master.sync_now()
+                    self._append(record)
+                self._log.sync_now(self.obs)
                 self.injector.fire(CrashPoint.AFTER_GROUP_FSYNC)
                 for _record, txn in batch.entries:
-                    self.last_committed_txn = max(self.last_committed_txn, txn)
-                    self._forget(txn)
-                    self.injector.fire(CrashPoint.AFTER_COMMIT)
+                    self._settle_committed(txn)
             self.obs.metrics.inc("wal.group_commits")
             self.obs.metrics.observe("wal.group_size", float(len(batch.entries)))
         except BaseException as exc:
@@ -484,22 +494,20 @@ class WalManager:
             batch.done.set()
 
     def abort(self, txn: int) -> None:
-        """Mark an open transaction discarded (recovery will skip its ops)."""
+        """Mark an open transaction discarded (recovery will skip its ops).
+
+        Never synced: a transaction with no commit record is discarded
+        whether or not its abort record survives.
+        """
         with self._mutex:
             self._require_open(txn, "abort")
-            self._master_seq += 1
-            self._master.append(
-                {
-                    "seq": self._master_seq,
-                    "type": "abort",
-                    "txn": txn,
-                    "owner": self._open[txn],
-                }
-            )
+            if txn in self._journaled:
+                self._append({"type": "abort", "txn": txn, "owner": self._open[txn]})
             self._forget(txn)
         self.obs.metrics.inc("wal.aborts")
 
     def _forget(self, txn: int) -> None:
+        self._journaled.discard(txn)
         del self._owner_txn[self._open.pop(txn)]
 
     # -- crash points ----------------------------------------------------------
@@ -517,10 +525,11 @@ class WalManager:
     def start_new_segment(self) -> None:
         """Begin a fresh segment and garbage-collect the old ones.
 
-        Called by checkpointing after the snapshot is durable.  Recovery
-        is correct whether or not the old segments survive (replay skips
-        transactions at or below the snapshot watermark), so a crash at
-        any point inside this method is harmless.
+        Called by checkpointing after the snapshot is durable; the new
+        metadata is made durable too before anything is unlinked.
+        Recovery is correct whether or not the old segments survive
+        (replay skips transactions at or below the snapshot watermark),
+        so a crash at any point inside this method is harmless.
         """
         with self._mutex:
             if self._open:
@@ -529,20 +538,14 @@ class WalManager:
             old_segment = self.segment
             self.segment += 1
             self._write_meta()
-            self._open_writers()
+            self._open_writer()
             for stale in range(old_segment + 1):
-                (self.directory / master_segment_name(stale)).unlink(missing_ok=True)
-                for backend_id in range(self.backend_count):
-                    (self.directory / backend_segment_name(backend_id, stale)).unlink(
-                        missing_ok=True
-                    )
+                (self.directory / segment_name(stale)).unlink(missing_ok=True)
 
     def close(self) -> None:
-        """Close file handles (the manager can keep appending afterwards)."""
+        """Close the file handle (the manager can keep appending afterwards)."""
         with self._mutex:
-            self._master.close()
-            for writer in self._backends:
-                writer.close()
+            self._log.close()
 
     def __repr__(self) -> str:
         return (

@@ -26,23 +26,24 @@ worker-resident epochs and result caches restart coherent with the
 recovered contents.
 
 Checkpointing is snapshot-then-truncate: write the format-2 snapshot
-(which embeds the watermark) atomically, then start a fresh WAL segment
-and drop the old ones.  A crash anywhere inside checkpointing is safe:
-recovery filters replay by the watermark of whichever snapshot survived,
-and stale segments are skipped, not double-applied.
+(which embeds the watermark) atomically — and, under a ``sync=True``
+WAL, durably: the file is synced before the rename and the directory
+after it — then start a fresh WAL segment and drop the old ones.  A
+crash anywhere inside checkpointing is safe: recovery filters replay by
+the watermark of whichever snapshot survived, and stale segments are
+skipped, not double-applied.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import WalError
 from repro.wal.codec import decode_request
 from repro.wal.faults import CrashPoint, FaultInjector
-from repro.wal.log import CHECKPOINT_NAME, WalManager
+from repro.wal.log import CHECKPOINT_NAME, WalManager, replace_durably
 from repro.wal.reader import WalView, read_backend_count, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -230,7 +231,9 @@ def checkpoint_mlds(mlds: "MLDS", path: Union[str, Path, None] = None) -> Path:
 
     The snapshot is written atomically (temp file + rename), so a crash
     mid-checkpoint leaves either the old or the new snapshot in place —
-    never a torn one — and recovery is correct either way.
+    never a torn one — and recovery is correct either way.  With a sync
+    WAL it is on disk before the first old segment is unlinked, so a
+    power cut cannot leave neither snapshot nor log.
     """
     from repro.persistence import save_mlds
 
@@ -246,7 +249,7 @@ def checkpoint_mlds(mlds: "MLDS", path: Union[str, Path, None] = None) -> Path:
     target = Path(path) if path is not None else wal.directory / CHECKPOINT_NAME
     tmp = target.with_name(target.name + ".tmp")
     save_mlds(mlds, tmp)
-    os.replace(tmp, target)
+    replace_durably(tmp, target, wal.sync)
     wal.fire(CrashPoint.AFTER_CHECKPOINT_SNAPSHOT)
     wal.start_new_segment()
     wal.fire(CrashPoint.AFTER_CHECKPOINT)

@@ -36,9 +36,9 @@ class TestOwnedTransactionLog:
         wal = WalManager(tmp_path / "wal", 2)
         t_a = wal.begin(owner="alice")
         t_b = wal.begin(owner="bob")
-        wal.log_op(0, insert("f", a=1), txn=t_a)
-        wal.log_op(1, insert("g", b=2), txn=t_b)
-        wal.log_op(0, insert("f", a=3), txn=t_a)
+        wal.log_op([0], insert("f", a=1), txn=t_a)
+        wal.log_op([1], insert("g", b=2), txn=t_b)
+        wal.log_op([0], insert("f", a=3), txn=t_a)
         wal.commit(txn=t_b)
         wal.commit(txn=t_a)
         wal.close()
@@ -55,9 +55,9 @@ class TestOwnedTransactionLog:
         t_a = wal.begin(owner="alice")
         t_b = wal.begin(owner="bob")
         assert t_b > t_a
-        wal.log_op(0, insert("f", a=1), txn=t_b)
+        wal.log_op([0], insert("f", a=1), txn=t_b)
         wal.commit(txn=t_b)
-        wal.log_op(0, insert("f", a=2), txn=t_a)
+        wal.log_op([0], insert("f", a=2), txn=t_a)
         wal.commit(txn=t_a)
         assert wal.last_committed_txn == t_b
         wal.close()
@@ -66,7 +66,7 @@ class TestOwnedTransactionLog:
     def test_owned_commits_skip_distribution_counts(self, tmp_path):
         wal = WalManager(tmp_path / "wal", 2)
         txn = wal.begin(owner="alice")
-        wal.log_op(0, insert("f", a=1), txn=txn)
+        wal.log_op([0], insert("f", a=1), txn=txn)
         wal.commit(txn=txn)
         wal.close()
         view = read_wal(tmp_path / "wal")
@@ -83,7 +83,7 @@ class TestOwnedTransactionLog:
     def test_aborted_session_txn_not_in_committed(self, tmp_path):
         wal = WalManager(tmp_path / "wal", 1)
         txn = wal.begin(owner="alice")
-        wal.log_op(0, insert("f", a=MARKER), txn=txn)
+        wal.log_op([0], insert("f", a=MARKER), txn=txn)
         wal.abort(txn=txn)
         wal.close()
         view = read_wal(tmp_path / "wal")

@@ -11,12 +11,14 @@ engines.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.abdl.ast import Modifier
 from repro.core.mlds import MLDS
 from repro.wal.faults import CRASH_MATRIX, CrashPoint, FaultInjector, InjectedCrash
-from repro.wal.log import WalManager
+from repro.wal.log import WalManager, segment_name
 from repro.wal.recovery import checkpoint_mlds, recover_mlds
 
 from tests.wal.conftest import bulk, delete, farm_image, insert, update
@@ -24,7 +26,7 @@ from tests.wal.conftest import bulk, delete, farm_image, insert, update
 BACKENDS = 3
 
 #: Which durable state each crash point must recover to.  Everything
-#: before the commit record reaches the master log loses the transaction;
+#: before the commit record reaches the log loses the transaction;
 #: from AFTER_COMMIT on (including every checkpoint stage, which the
 #: harness runs after a committed transaction) the transaction survives.
 EXPECTED = {
@@ -127,23 +129,31 @@ def test_matrix_covers_every_crash_point():
     assert set(EXPECTED) == set(CRASH_MATRIX)
 
 
-def test_partially_journaled_broadcast_is_discarded(tmp_path):
-    """Crash mid-journal: 2 of 3 backend logs got the op; none may replay."""
-    injector = FaultInjector()
-    wal = WalManager(tmp_path / "wal", BACKENDS, injector=injector)
-    mlds = MLDS(backend_count=BACKENDS, wal=wal)
+def test_a_broadcast_is_one_journal_record_torn_or_whole(tmp_path):
+    """One record names every backend of a broadcast, so no crash can
+    journal it for some backends and not the others: cut the record
+    anywhere and all three backends lose it, leave it whole (with its
+    commit) and all three replay it."""
+    wal_dir = tmp_path / "wal"
+    mlds = MLDS(backend_count=BACKENDS, wal=wal_dir)
     seed(mlds.kds)
     pre = farm_image(mlds)
+    log = wal_dir / segment_name(0)
+    before = log.stat().st_size
+    mlds.kds.execute(delete(("a", ">=", 0)))  # broadcasts to all three
+    post = farm_image(mlds)
+    mlds.kds.shutdown()
 
-    injector.arm(CrashPoint.AFTER_LOG_APPEND, hits=2)
-    with pytest.raises(InjectedCrash):
-        mlds.kds.execute(delete(("a", ">=", 0)))  # broadcasts to all three
-    wal.close()
-    mlds.kds.controller.engine.shutdown()
-
-    recovered = recover_mlds(tmp_path / "wal", attach_wal=False)
-    assert farm_image(recovered) == pre
-    recovered.kds.shutdown()
+    data = log.read_bytes()
+    op_line, commit_line = data[before:].splitlines(keepends=True)
+    assert json.loads(op_line)["backends"] == [0, 1, 2]
+    assert json.loads(commit_line)["type"] == "commit"
+    for cut in range(before, len(data) + 1):
+        log.write_bytes(data[:cut])
+        recovered = recover_mlds(wal_dir, attach_wal=False)
+        image = farm_image(recovered)
+        recovered.kds.shutdown()
+        assert image == (post if cut == len(data) else pre), f"torn at byte {cut}"
 
 
 @pytest.mark.parametrize(

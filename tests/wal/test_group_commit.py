@@ -7,11 +7,11 @@ Three contracts on top of the PR-5 crash matrix:
   transaction, never applies part of a batch (serial AND process
   engines);
 * **concurrent committers sharing one fsync recover independently** —
-  each staged commit record stands on its own in the master log, so a
+  each staged commit record stands on its own in the stream, so a
   crash before the shared flush loses all of them and a crash after it
   keeps all of them, with no cross-transaction coupling;
 * the **coordinator itself**: batching under a window, sequence numbers
-  staying monotonic against interleaved begin/abort records, and a
+  staying monotonic against interleaved op/abort records, and a
   leader failure poisoning every follower instead of hanging them.
 """
 
@@ -105,8 +105,8 @@ class TestSharedFsyncIndependence:
         """Two owned transactions whose commits race into one group."""
         t_a = wal.begin(owner="alice")
         t_b = wal.begin(owner="bob")
-        wal.log_op(0, insert("fa", a=1), txn=t_a)
-        wal.log_op(1, insert("fb", b=2), txn=t_b)
+        wal.log_op([0], insert("fa", a=1), txn=t_a)
+        wal.log_op([1], insert("fb", b=2), txn=t_b)
         barrier = threading.Barrier(2)
         errors = []
 
@@ -210,20 +210,21 @@ class TestCoordinator:
     def test_window_zero_still_commits(self, tmp_path):
         wal = WalManager(tmp_path / "wal", 1, group_window_ms=0.0)
         txn = wal.begin(owner="alice")
-        wal.log_op(0, insert("f", a=1), txn=txn)
+        wal.log_op([0], insert("f", a=1), txn=txn)
         wal.commit(txn=txn)
         wal.close()
         assert [t.owner for t in read_wal(tmp_path / "wal").committed] == ["alice"]
 
     def test_sequences_stay_monotonic_across_interleaved_begins(self, tmp_path):
-        """Begin/abort records append immediately; staged commits get their
-        seqs at flush time, so the master log must still read cleanly."""
+        """Op/abort records append immediately; staged commits get their
+        seqs at flush time, so the stream must still read cleanly."""
         wal = WalManager(tmp_path / "wal", 1, group_window_ms=0.0)
         for i in range(5):
             txn = wal.begin(owner=f"o{i}")
-            wal.log_op(0, insert("f", a=i), txn=txn)
+            wal.log_op([0], insert("f", a=i), txn=txn)
             wal.commit(txn=txn)
         aborted = wal.begin(owner="quitter")
+        wal.log_op([0], insert("f", a=99), txn=aborted)
         wal.abort(txn=aborted)
         wal.close()
         view = read_wal(tmp_path / "wal")  # raises on non-monotonic seqs
@@ -234,7 +235,7 @@ class TestCoordinator:
         wal = WalManager(tmp_path / "wal", 1)
         wal.bind_obs(obs)
         txn = wal.begin(owner="alice")
-        wal.log_op(0, insert("f", a=1), txn=txn)
+        wal.log_op([0], insert("f", a=1), txn=txn)
         wal.commit(txn=txn)
         wal.close()
         registry = obs.metrics.as_dict()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.abdl import parse_request
 from repro.errors import ExecutionError, MLDSError, WalError
 from repro.persistence import load_mlds, save_mlds
 from repro.university import load_university
-from repro.wal.log import backend_segment_name
+from repro.wal.log import CHECKPOINT_NAME, META_NAME, WalManager, segment_name
 from repro.wal.recovery import checkpoint_mlds, recover_mlds, snapshot_watermark
 
 from tests.wal.conftest import delete, farm_image, insert, update
@@ -57,6 +59,73 @@ def test_recovery_after_checkpoint_replays_only_the_tail(tmp_path):
     # journaling resumes after everything already on disk
     assert recovered.kds.wal.last_committed_txn == watermark
     recovered.kds.shutdown()
+
+
+def test_commits_after_a_checkpointed_restart_survive_the_next_restart(tmp_path):
+    """Three generations.  The truncated log used to restart txn ids at 1,
+    below the snapshot's watermark, so the second restart skipped them."""
+    wal_dir = tmp_path / "wal"
+    first = MLDS(backend_count=3, wal=wal_dir)
+    for i in range(8):
+        first.kds.execute(insert("f", a=i))
+    checkpoint_mlds(first)
+    watermark = first.kds.wal.last_committed_txn
+    first.kds.shutdown()
+
+    second = recover_mlds(wal_dir)
+    assert second.kds.wal.last_committed_txn == watermark
+    second.kds.execute(insert("f", a=100))
+    second.kds.execute(insert("f", a=101))
+    assert second.kds.wal.last_committed_txn == watermark + 2
+    live = farm_image(second)
+    second.kds.shutdown()
+
+    third = recover_mlds(wal_dir)
+    assert farm_image(third) == live
+    assert third.kds.record_count() == 10
+    third.kds.shutdown()
+
+
+def test_sync_checkpoint_is_on_disk_before_any_segment_is_unlinked(
+    tmp_path, monkeypatch
+):
+    """Snapshot synced, renamed, directory synced; then the same for the
+    metadata; only then may the old segment go."""
+    wal_dir = tmp_path / "wal"
+    mlds = MLDS(backend_count=2, wal=WalManager(wal_dir, 2, sync=True))
+    mlds.kds.execute(insert("f", a=1))
+
+    events: list[tuple[str, str]] = []
+    real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+    def fsync(fd):
+        events.append(("fsync", Path(os.readlink(f"/proc/self/fd/{fd}")).name))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    def unlink(self, missing_ok=False):
+        events.append(("unlink", self.name))
+        real_unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    checkpoint_mlds(mlds)
+    monkeypatch.undo()
+    mlds.kds.shutdown()
+
+    assert events == [
+        ("fsync", CHECKPOINT_NAME + ".tmp"),
+        ("replace", CHECKPOINT_NAME),
+        ("fsync", wal_dir.name),
+        ("fsync", META_NAME + ".tmp"),
+        ("replace", META_NAME),
+        ("fsync", wal_dir.name),
+        ("unlink", segment_name(0)),
+    ]
 
 
 def test_checkpoint_carries_schemas_and_placement(tmp_path):
@@ -144,10 +213,10 @@ def test_missing_journaled_op_fails_the_count_checksum(tmp_path):
         mlds.kds.execute(insert("f", a=1))
         mlds.kds.execute(insert("f", a=2))
     mlds.kds.shutdown()
-    # drop the second (still well-formed) op line from the backend log
-    log = wal_dir / backend_segment_name(0, 0)
-    lines = log.read_text().splitlines()
-    log.write_text("\n".join(lines[:-1]) + "\n")
+    # drop the second (still well-formed) op line from the stream
+    log = wal_dir / segment_name(0)
+    first_op, _second_op, commit = log.read_text().splitlines()
+    log.write_text(first_op + "\n" + commit + "\n")
     with pytest.raises(WalError, match="checksum"):
         recover_mlds(wal_dir)
 
