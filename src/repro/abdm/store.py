@@ -291,21 +291,6 @@ class ABStore:
                 chain[-1].superseded_at = seq
         self.trim_versions(watermark)
 
-    def discard_pending(self, files: Optional[Iterable[str]] = None) -> None:
-        """Drop pending (uncommitted) version entries for *files* / all.
-
-        Used when a mutation fails before its commit seq is assigned
-        (auto-commit apply error) — the pre-image it parked describes a
-        state change that never happened.
-        """
-        names = list(files) if files is not None else list(self._versions)
-        for name in names:
-            chain = self._versions.get(name)
-            if chain and chain[-1].superseded_at is None:
-                chain.pop()
-                if not chain:
-                    del self._versions[name]
-
     def trim_versions(self, watermark: int) -> None:
         """GC sealed chain entries no snapshot at/after *watermark* needs.
 

@@ -67,7 +67,12 @@ class ConstraintViolation(ExecutionError):
 
 
 class TransactionAborted(ExecutionError):
-    """A multi-request translation was aborted mid-way (e.g. ERASE checks)."""
+    """The kernel aborted the transaction instead of running the step asked.
+
+    Raised by ``commit`` and by any further statement once a mutation of
+    the transaction failed after it was journaled: a commit record must
+    never follow an op that did not apply.
+    """
 
 
 class WalError(MLDSError):

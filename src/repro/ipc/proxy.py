@@ -16,7 +16,8 @@ Three details carry the engine contract:
   sends one request to every target worker before collecting any reply,
   which is what turns N CPU-bound scans into N concurrent processes.
 * **Request coalescing** — commands that need no immediate answer
-  (WAL replay during recovery) are buffered controller-side and shipped
+  (WAL replay during recovery, ``seal_versions`` at commit) are
+  buffered controller-side and shipped
   as one batch frame, either when the buffer reaches
   :data:`PIPELINE_LIMIT` or just before the next reply-requiring
   command.  A million-op replay costs thousands of frames instead of a
@@ -228,7 +229,8 @@ class ProcessBackend:
         command (so ordering is preserved).  Only commands that cannot
         fail in ways the caller must see synchronously belong here;
         today that is WAL ``replay``, whose errors surface at the next
-        flush and abort recovery exactly as the per-op round trip did.
+        flush and abort recovery exactly as the per-op round trip did,
+        and ``seal_versions``, which only stamps what is already there.
         """
         lock = getattr(self._engine, "_io_lock", None)
         if lock is None:
@@ -375,14 +377,6 @@ class ProcessBackend:
                 "files": list(files) if files is not None else None,
                 "seq": seq,
                 "watermark": watermark,
-            }
-        )
-
-    def discard_pending(self, files: Optional[list] = None) -> None:
-        self._defer(
-            {
-                "cmd": "discard_pending",
-                "files": list(files) if files is not None else None,
             }
         )
 

@@ -129,9 +129,6 @@ class _Worker:
                 message["files"], message["seq"], message["watermark"]
             )
             return {"ok": True}
-        if cmd == "discard_pending":
-            backend.discard_pending(message["files"])
-            return {"ok": True}
         if cmd == "rollback":
             return {"rolled": backend.rollback(message["files"])}
         if cmd == "summary":

@@ -237,7 +237,7 @@ class Backend:
         if mutating:
             # Version capture: the store parks a pre-image of each file
             # this request touches, sealed with the commit seq once the
-            # transaction is durable (or discarded on failure/abort).
+            # transaction is durable (or restored from on abort).
             self.store._capture = True
         try:
             result = self.executor.execute(request, snapshot=snapshot)
@@ -324,11 +324,6 @@ class Backend:
         """Stamp this slice's pending version entries with commit *seq*."""
         with self._lock:
             self.store.seal_versions(files, seq, watermark)
-
-    def discard_pending(self, files: Optional[list] = None) -> None:
-        """Drop pending version entries after a failed mutation."""
-        with self._lock:
-            self.store.discard_pending(files)
 
     def rollback(self, files: Optional[list]) -> int:
         """Undo a transaction's writes to *files* (session abort).

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -57,7 +58,7 @@ from repro.mbds.timing import (
 )
 from repro.obs import ObsSpec, resolve_obs
 from repro.qc import runtime as qc_runtime
-from repro.wal.faults import CrashPoint, InjectedCrash
+from repro.wal.faults import CrashPoint
 from repro.wal.log import WalManager
 
 _T = TypeVar("_T")
@@ -97,10 +98,10 @@ class ExecutionTrace:
     wall_ms: float = 0.0
     per_backend_wall_ms: list[float] = field(default_factory=list)
     phases: list[BroadcastPhase] = field(default_factory=list)
-    #: Global commit order stamped by the KDS for auto-commits (None for
-    #: reads and in-transaction requests — those get their order from
-    #: session_commit).  Serial replay of mutations in commit_seq order
-    #: reproduces the farm bit-identically.
+    #: Global commit order of the unit a mutation outside any
+    #: transaction ran as (None for reads and in-transaction requests —
+    #: those get their order from session_commit).  Serial replay of
+    #: mutations in commit_seq order reproduces the farm bit-identically.
     commit_seq: Optional[int] = None
     #: The commit seq a lock-free snapshot read pinned (None when the
     #: request ran on the ordinary locking path).  A retrieval with a
@@ -192,11 +193,12 @@ class BackendController:
         KDS passes ``left``/``right`` for RETRIEVE-COMMON's halves).
 
         *session* identifies the calling kernel session: its mutations
-        journal under the session's open WAL transaction, or a
-        per-request auto-commit transaction the session owns.  The KDS
+        journal under the WAL transaction the session has open, and
+        their placements are noted on it for abort to rewind.  The KDS
         always passes one (its own for session-less callers) and is
-        responsible for having acquired the request's locks before
-        calling in; only a controller without a WAL runs without.
+        responsible for having acquired the request's locks and opened
+        the transaction before calling in; only a controller without a
+        WAL runs without.
 
         *snapshot* (a commit seq) makes a RETRIEVE / RETRIEVE-COMMON
         read the committed state at that seq via the stores' version
@@ -215,100 +217,41 @@ class BackendController:
         self,
         ops: Sequence[tuple[Sequence[int], Request]],
         session: Optional[KernelSession],
-    ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
+    ) -> None:
         """Journal each ``(backend ids, request)`` of *ops* ahead of applying it.
 
         One log record per request, naming every backend that applies it
         — a broadcast is journaled once, not once per backend.  A
         BULK-INSERT is one record per shard (each backend's payload
-        differs).  Inside *session*'s open transaction the ops join it
-        and ``(None, None)`` is returned.  Otherwise they open an
-        auto-commit transaction the session owns, and the
-        ``(commit, abort)`` thunks returned settle it: *commit* writes
-        its commit record after the request applied (with the
-        record-count checksum when the session is ``counted``); *abort*
-        writes its abort record if the apply fails, so the owner's slot
-        is never left occupied by a request that will neither commit nor
-        be retried.
+        differs).  The ops join the WAL transaction *session* has open:
+        opening and settling it is the kernel's business (see
+        :meth:`KernelDatabaseSystem.session_transaction`), never the
+        controller's.
         """
         wal = self.wal
         if wal is None:
-            return None, None
-        if session is None:
-            raise WalError("a journaled request needs a kernel session")
-        txn = session.wal_txn
-        auto = txn is None
-        if auto:
-            txn = wal.begin(session.owner)
+            return
+        if session is None or session.wal_txn is None:
+            raise WalError(
+                "a journaled request needs a kernel session with a transaction open"
+            )
         for ids, request in ops:
             if not ids:
                 continue  # pruned to no backend: nothing applies, nothing to redo
             if isinstance(request, BulkInsertRequest):
-                wal.log_bulk(ids, request, txn)
+                wal.log_bulk(ids, request, session.wal_txn)
             else:
-                wal.log_op(ids, request, txn)
-        if not auto:
-            return None, None
-        return (
-            lambda: wal.commit(
-                txn, self.distribution() if session.counted else None
-            ),
-            lambda: wal.abort(txn),
-        )
+                wal.log_op(ids, request, session.wal_txn)
 
-    def _apply_journaled(
-        self,
-        apply: Callable[[], "_T"],
-        abort: Optional[Callable[[], None]],
-    ) -> "_T":
-        """Run *apply* between the crash points, aborting on real failure.
-
-        An :class:`~repro.wal.faults.InjectedCrash` is the simulated
-        machine dying — a dead machine writes no abort record, and
-        recovery discards the uncommitted transaction from the log — so
-        it propagates untouched.  Any other failure (ExecutionError,
-        WorkerCrashed, ...) aborts the transaction this request opened,
-        freeing its auto-commit slot for the session's next statement.
-        """
-        try:
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.BEFORE_APPLY)
-            result = apply()
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.AFTER_APPLY)
-            return result
-        except InjectedCrash:
-            raise
-        except BaseException:
-            if abort is not None:
-                abort()
-            raise
-
-    def _commit_journaled(
-        self,
-        commit: Optional[Callable[[], None]],
-        abort: Optional[Callable[[], None]],
-    ) -> None:
-        """Commit a journaled request, aborting if the commit itself fails.
-
-        The auto-commit record captures the farm's record-count checksum,
-        and computing it talks to every backend — so a worker dying at
-        just the wrong moment surfaces *here*, after the apply succeeded.
-        Without the abort the transaction would be stranded open, which
-        blocks farm healing (see :meth:`KernelDatabaseSystem.heal_workers`)
-        and checkpointing alike.  :class:`~repro.wal.faults.InjectedCrash`
-        still propagates untouched: a dead machine writes no abort record.
-        """
-        if commit is None:
-            return
-        try:
-            commit()
-        except InjectedCrash:
-            raise
-        except BaseException:
-            if abort is not None:
-                abort()
-            raise
+    def _apply_journaled(self, apply: Callable[[], "_T"]) -> "_T":
+        """Run *apply* between the BEFORE_APPLY / AFTER_APPLY crash points."""
+        wal = self.wal
+        if wal is not None:
+            wal.fire(CrashPoint.BEFORE_APPLY)
+        result = apply()
+        if wal is not None:
+            wal.fire(CrashPoint.AFTER_APPLY)
+        return result
 
     def _execute_insert(
         self,
@@ -319,30 +262,13 @@ class BackendController:
         start = time.perf_counter()
         with self.placement_lock:
             index = self.placement.place(request.record, self.backend_count)
-        if session is not None and session.in_transaction:
-            session.placed.append((request.record.file_name, index))
-        commit, abort = self._journal([([index], request)], session)
+        if session is not None:
+            session.note_placed(request.record.file_name, index)
+        self._journal([([index], request)], session)
         backend_result = self._apply_journaled(
-            lambda: self.engine.execute_one(self.backends[index], request, label),
-            abort,
+            lambda: self.engine.execute_one(self.backends[index], request, label)
         )
-        self._commit_journaled(commit, abort)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        self._account(label, [backend_result])
-        response = ResponseTime()
-        response.add(backend_result.elapsed_ms, self.timing.controller_ms(0))
-        phase = BroadcastPhase(
-            label, [backend_result.elapsed_ms], [backend_result.wall_ms]
-        )
-        return ExecutionTrace(
-            request,
-            backend_result.result,
-            response,
-            per_backend_ms=[backend_result.elapsed_ms],
-            wall_ms=wall_ms,
-            per_backend_wall_ms=[backend_result.wall_ms],
-            phases=[phase],
-        )
+        return self._trace(request, label, start, [backend_result], routed=True)
 
     def _execute_bulk_insert(
         self,
@@ -371,45 +297,23 @@ class BackendController:
                     groups.setdefault(index, []).append(record)
             if span:
                 span.record(records=len(request.records), shards=len(groups))
-        if session is not None and session.in_transaction:
+        if session is not None:
             for index, records in groups.items():
-                for record in records:
-                    session.placed.append((record.file_name, index))
+                for file_name, count in Counter(r.file_name for r in records).items():
+                    session.note_placed(file_name, index, count)
         indices = sorted(groups)
         targets = [self.backends[i] for i in indices]
         shards = [BulkInsertRequest(groups[i]) for i in indices]
-        commit, abort = self._journal(
+        self._journal(
             [([index], shard) for index, shard in zip(indices, shards)], session
         )
         # The apply span covers store mutation AND the deferred index
         # finalize (sort-once), which runs inside each backend's store.
         with self.obs.tracer.span("bulk.apply"):
             partials = self._apply_journaled(
-                lambda: self.engine.run_distinct(targets, shards, label),
-                abort,
+                lambda: self.engine.run_distinct(targets, shards, label)
             )
-        self._commit_journaled(commit, abort)
-        merged = _merge(request, partials)
-        per_backend_ms = [0.0] * self.backend_count
-        per_backend_wall_ms = [0.0] * self.backend_count
-        for partial in partials:
-            per_backend_ms[partial.backend_id] = partial.elapsed_ms
-            per_backend_wall_ms[partial.backend_id] = partial.wall_ms
-        slowest = max((p.elapsed_ms for p in partials), default=0.0)
-        response = ResponseTime()
-        response.add(slowest, self.timing.controller_ms(0))
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        self._account(label, partials)
-        phase = BroadcastPhase(label, per_backend_ms, per_backend_wall_ms)
-        return ExecutionTrace(
-            request,
-            merged,
-            response,
-            per_backend_ms=per_backend_ms,
-            wall_ms=wall_ms,
-            per_backend_wall_ms=per_backend_wall_ms,
-            phases=[phase],
-        )
+        return self._trace(request, label, start, partials)
 
     def _execute_broadcast(
         self,
@@ -431,42 +335,58 @@ class BackendController:
                 if observe is not None:
                     observe(request)
         if mutating:
-            commit, abort = self._journal(
+            self._journal(
                 [([backend.backend_id for backend in targets], request)], session
             )
             partials = self._apply_journaled(
-                lambda: self.engine.run(targets, request, label) if targets else [],
-                abort,
+                lambda: self.engine.run(targets, request, label) if targets else []
             )
-            self._commit_journaled(commit, abort)
         else:
             partials = (
                 self.engine.run(targets, request, label, snapshot)
                 if targets
                 else []
             )
-        merged = (
-            _merge(request, partials) if partials else _empty_result(request)
-        )
-        per_backend_ms = [0.0] * self.backend_count
-        per_backend_wall_ms = [0.0] * self.backend_count
-        for partial in partials:
-            per_backend_ms[partial.backend_id] = partial.elapsed_ms
-            per_backend_wall_ms[partial.backend_id] = partial.wall_ms
-        slowest = max((p.elapsed_ms for p in partials), default=0.0)
+        return self._trace(request, label, start, partials)
+
+    def _trace(
+        self,
+        request: Request,
+        label: str,
+        start: float,
+        partials: Sequence[BackendResult],
+        routed: bool = False,
+    ) -> ExecutionTrace:
+        """Merge one phase's *partials* into the request's trace.
+
+        The per-backend lists are indexed by backend id (backends that
+        did not run hold 0.0), except for a *routed* INSERT, whose lists
+        hold just the executing backend.
+        """
+        merged = _merge(request, partials) if partials else _empty_result(request)
+        if routed:
+            per_backend_ms = [p.elapsed_ms for p in partials]
+            per_backend_wall_ms = [p.wall_ms for p in partials]
+        else:
+            per_backend_ms = [0.0] * self.backend_count
+            per_backend_wall_ms = [0.0] * self.backend_count
+            for partial in partials:
+                per_backend_ms[partial.backend_id] = partial.elapsed_ms
+                per_backend_wall_ms[partial.backend_id] = partial.wall_ms
         response = ResponseTime()
-        response.add(slowest, self.timing.controller_ms(len(merged.records)))
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        response.add(
+            max(per_backend_ms, default=0.0),
+            self.timing.controller_ms(len(merged.records)),
+        )
         self._account(label, partials)
-        phase = BroadcastPhase(label, per_backend_ms, per_backend_wall_ms)
         return ExecutionTrace(
             request,
             merged,
             response,
             per_backend_ms=per_backend_ms,
-            wall_ms=wall_ms,
+            wall_ms=(time.perf_counter() - start) * 1000.0,
             per_backend_wall_ms=per_backend_wall_ms,
-            phases=[phase],
+            phases=[BroadcastPhase(label, per_backend_ms, per_backend_wall_ms)],
         )
 
     def _account(self, label: str, partials: Sequence[BackendResult]) -> None:

@@ -86,6 +86,10 @@ class ExecutionEngine:
     #: per-backend spans and metrics reach the system-wide sinks.
     obs = NULL_OBS
 
+    #: Whether the farm lost a worker and must be rebuilt before it can
+    #: be talked to again; only an engine with worker processes can.
+    needs_heal = False
+
     def create_backends(
         self,
         count: int,
@@ -341,7 +345,7 @@ class ProcessPoolEngine(ExecutionEngine):
 
         The latch only catches crashes surfaced through engine dispatch;
         a :class:`~repro.errors.WorkerCrashed` raised by a direct proxy
-        call (summary probes, ``distribution()`` during an auto-commit)
+        call (summary probes, ``distribution()`` inside ``session_commit``)
         bypasses it, so the farm's actual liveness is checked too.
         """
         if self._crashed is not None:

@@ -33,7 +33,13 @@ from repro.abdl.ast import (
 from repro.abdl.aggregates import digest_plan, merge_digests
 from repro.abdl.executor import RequestResult, merge_common, project
 from repro.abdm.record import Record
-from repro.errors import ExecutionError, SnapshotTooOld, WalError, WorkerCrashed
+from repro.errors import (
+    ExecutionError,
+    SnapshotTooOld,
+    TransactionAborted,
+    WalError,
+    WorkerCrashed,
+)
 from repro.mbds.controller import BackendController, ExecutionTrace
 from repro.mbds.engine import EngineSpec, ProcessPoolEngine
 from repro.mbds.locks import LockManager, lock_items
@@ -237,15 +243,20 @@ class KernelDatabaseSystem:
         is what makes the concurrent history conflict-equivalent to
         commit_seq order — and what makes the sealed pre-images the
         committed state every snapshot below the seq must see.
+
+        A doomed transaction (see :meth:`_refuse_doomed`) is aborted
+        instead, with :class:`~repro.errors.TransactionAborted`.
         """
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to commit")
+        self._refuse_doomed(session)
         if self.wal is not None:
             counts = self.controller.distribution() if session.counted else None
             self.wal.commit(session.wal_txn, counts)
         seq = self._seal(self._session_seal_files(session))
         session.end_transaction()
         session.commits += 1
+        session.commit_seq = seq
         self.locks.release_all(session.owner)
         return seq
 
@@ -258,52 +269,93 @@ class KernelDatabaseSystem:
         locks, so no other session can have observed the rolled-back
         state.  Placement routing for the transaction's INSERTs is rolled
         back too, and finally the locks are released.
+
+        A farm that lost a worker is not asked to undo anything: the
+        dead worker cannot answer and a survivor may still hold the
+        reply to a request the crash interrupted, so the next frame read
+        from it would be the wrong one.  The transaction then settles on
+        the WAL side only, and the farm's state is whatever comes next —
+        :meth:`heal_workers` rebuilding every worker from checkpoint +
+        WAL (which skips the aborted transaction), or full recovery.
         """
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to abort")
-        if self.wal is not None:
-            self.wal.abort(session.wal_txn)
-        files = self._session_seal_files(session)
-        if files is None or files:
-            rolled = sum(
-                backend.rollback(files) for backend in self.controller.backends
-            )
-            self.obs.metrics.inc("kds.abort.files_rolled_back", rolled)
-            with self.controller.placement_lock:
-                observe = getattr(self.controller.placement, "observe_abort", None)
-                if observe is not None:
-                    for file_name, backend_id in session.placed:
-                        observe(file_name, backend_id)
-        session.end_transaction()
-        session.aborts += 1
-        self.locks.release_all(session.owner)
+        try:
+            if self.wal is not None:
+                self.wal.abort(session.wal_txn)
+            files = self._session_seal_files(session)
+            if (files is None or files) and not self.controller.engine.needs_heal:
+                rolled = sum(
+                    backend.rollback(files) for backend in self.controller.backends
+                )
+                self.obs.metrics.inc("kds.abort.files_rolled_back", rolled)
+                with self.controller.placement_lock:
+                    observe = getattr(self.controller.placement, "observe_abort", None)
+                    if observe is not None:
+                        for (file_name, backend_id), count in session.placed.items():
+                            observe(file_name, backend_id, count)
+        finally:
+            # Whatever the undo met, the transaction is over: a session
+            # left open with its locks held would wedge every writer,
+            # checkpoint and heal behind it.
+            session.end_transaction()
+            session.aborts += 1
+            self.locks.release_all(session.owner)
 
     @contextmanager
     def session_transaction(self, session: KernelSession) -> Iterator[KernelSession]:
         """Scope a session transaction: commit on success, abort on error.
 
-        An :class:`~repro.wal.faults.InjectedCrash` is *not* handled — a
-        crashed machine writes no abort record; it just dies.
+        The kernel's one commit unit — an explicit transaction is this
+        around many requests, a mutation outside any transaction is this
+        around one (see :meth:`_execute_session`).  A failure of the
+        commit itself aborts too (computing the kernel session's
+        record-count checksum talks to every backend, so a dying worker
+        can surface there), unless the commit got as far as ending the
+        transaction.  An :class:`~repro.wal.faults.InjectedCrash` is
+        *not* handled — a crashed machine writes no abort record; it
+        just dies.
         """
         self.session_begin(session)
         try:
             yield session
+            self.session_commit(session)
         except InjectedCrash:
             raise
         except BaseException:
-            self.session_abort(session)
+            if session.in_transaction:
+                self.session_abort(session)
             raise
-        else:
-            self.session_commit(session)
+
+    def _refuse_doomed(self, session: KernelSession) -> None:
+        """Abort a doomed transaction in place of its next step.
+
+        A mutation is journaled before it is applied, so one that raised
+        from the farm leaves an op in the log that the live stores hold
+        half of, or none of.  No commit record may ever follow it:
+        recovery would replay the op in full (or fail where the live
+        apply failed) and the log would disagree with the farm it
+        describes.  The transaction can only abort, which restores the
+        stores from their pending pre-images.
+        """
+        if session.doomed:
+            self.session_abort(session)
+            raise TransactionAborted(
+                f"the transaction of session {session.owner!r} was aborted: "
+                "an earlier mutation in it failed after it was journaled"
+            )
 
     def _execute_session(self, request: Request, session: KernelSession) -> ExecutionTrace:
         """Execute one request for *session*: lock, note the write set, run.
 
-        Outside a transaction, locks span just this request and a
-        mutation auto-commits under a session-owned WAL transaction,
-        stamped with its commit seq and sealed into the version chains
-        before the locks drop.  Inside a transaction, locks accumulate
-        until commit/abort (2PL).
+        Inside a transaction, locks accumulate until commit/abort (2PL).
+        Outside one, locks span just this request, and a mutation runs
+        as a :meth:`session_transaction` of its own — the same begin,
+        journal, apply, commit record, seal and (on any failure) abort
+        an explicit transaction gets.  The unit opens only once the
+        request's locks are granted, so a writer parked in a lock wait
+        holds no transaction open and never makes a checkpoint or a
+        farm heal refuse.
 
         RETRIEVE / RETRIEVE-COMMON from a session that has not yet
         written in its transaction take the lock-free snapshot path
@@ -314,6 +366,7 @@ class KernelDatabaseSystem:
         session that has mutated must read its own uncommitted writes,
         which no snapshot contains, so it falls back to locking reads.
         """
+        self._refuse_doomed(session)
         mutating = isinstance(request, _MUTATING_REQUESTS)
         if (
             self.snapshot_reads
@@ -332,34 +385,38 @@ class KernelDatabaseSystem:
             self.locks.acquire(
                 session.owner, lock_items(request), session.lock_timeout
             )
-            if mutating and session.in_transaction:
-                files = self._request_files(request)
-                if files is None:
-                    session.wrote_unpinned = True
-                else:
-                    session.written.update(files)
-            try:
+            if not mutating:
                 trace = self._dispatch(request, session)
-            except InjectedCrash:
-                raise
-            except BaseException:
-                if mutating and release_after:
-                    # The auto-commit mutation failed (and the WAL
-                    # already aborted it); drop the pending version
-                    # entries it may have opened so a later commit
-                    # cannot seal a pre-image that isn't its own.
-                    # In-transaction failures keep their pendings:
-                    # the captured pre-image is still the committed
-                    # state, and commit/abort settles them.
-                    self._discard_pending(self._request_files(request))
-                raise
-            if mutating and release_after:
-                trace.commit_seq = self._seal(self._request_files(request))
+            elif release_after:
+                with self.session_transaction(session):
+                    trace = self._mutate(request, session)
+                trace.commit_seq = session.commit_seq
+            else:
+                trace = self._mutate(request, session)
             self._account(trace, session)
             return trace
         finally:
             if release_after:
+                # A no-op after a unit, whose commit or abort released.
                 self.locks.release_all(session.owner)
+
+    def _mutate(self, request: Request, session: KernelSession) -> ExecutionTrace:
+        """Run one mutation inside *session*'s open transaction.
+
+        The write set is noted first (what commit seals and abort rolls
+        back), and the transaction is doomed for exactly as long as the
+        journaled op is not known to have applied: any way out of
+        :meth:`_dispatch` other than returning leaves it so.
+        """
+        files = self._request_files(request)
+        if files is None:
+            session.wrote_unpinned = True
+        else:
+            session.written.update(files)
+        session.doomed = True
+        trace = self._dispatch(request, session)
+        session.doomed = False
+        return trace
 
     def _dispatch(
         self, request: Request, session: KernelSession, snapshot: Optional[int] = None
@@ -410,8 +467,8 @@ class KernelDatabaseSystem:
 
     # -- MVCC snapshots ----------------------------------------------------------
     #
-    # Every commit unit — a session commit or a session auto-commit —
-    # seals the pending version-chain entries it opened exactly once,
+    # Every commit unit (session_commit; there is no other) seals the
+    # pending version-chain entries it opened exactly once,
     # after its commit record, with its commit seq (repro.abdm.store
     # keeps the chains), then publishes the seq as *stable* once every
     # earlier seq is sealed too.  A lock-free read pins the stable seq;
@@ -470,10 +527,6 @@ class KernelDatabaseSystem:
             self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
         self._mark_stable(seq)
         return seq
-
-    def _discard_pending(self, files: Optional[list]) -> None:
-        for backend in self.controller.backends:
-            backend.discard_pending(files)
 
     @staticmethod
     def _request_files(request: Request) -> Optional[list]:

@@ -530,6 +530,8 @@ class LockManager:
                 "timeouts": self.timeout_total,
                 "upgrade_deadlocks": self.upgrade_deadlock_total,
                 "deadlocks": self.deadlock_total,
+                # A gauge, not a counter: resources held right now.
+                "held": len(self._held),
             }
 
     def wait_histograms(self) -> Dict[str, dict]:

@@ -73,16 +73,19 @@ class RoundRobinPlacement:
                 file_name = record.file_name or ""
                 self._counters[file_name] = self._counters.get(file_name, 0) + 1
 
-    def observe_abort(self, file_name: Optional[str], backend_id: int) -> None:
-        # A session transaction's INSERT was rolled back: rewind the
-        # counter its ``place`` advanced, so future placement matches a
-        # history in which the transaction never ran.  Safe because the
-        # aborting session held the file's exclusive lock from place to
-        # abort — no other session's placement interleaved on this file.
+    def observe_abort(
+        self, file_name: Optional[str], backend_id: int, count: int
+    ) -> None:
+        # A session transaction's INSERTs were rolled back: rewind the
+        # counter their ``place`` calls advanced, so future placement
+        # matches a history in which the transaction never ran.  Safe
+        # because the aborting session held the file's exclusive lock
+        # from place to abort — no other session's placement interleaved
+        # on this file.
         key = file_name or ""
-        count = self._counters.get(key, 0)
-        if count > 1:
-            self._counters[key] = count - 1
+        remaining = self._counters.get(key, 0) - count
+        if remaining > 0:
+            self._counters[key] = remaining
         else:
             self._counters.pop(key, None)  # as if the file was never placed
 
@@ -123,9 +126,11 @@ class LeastLoadedPlacement:
             self._pad(backend_count)
             self._loads[backend_id] += len(request.records)
 
-    def observe_abort(self, file_name: Optional[str], backend_id: int) -> None:
-        if backend_id < len(self._loads) and self._loads[backend_id] > 0:
-            self._loads[backend_id] -= 1
+    def observe_abort(
+        self, file_name: Optional[str], backend_id: int, count: int
+    ) -> None:
+        if backend_id < len(self._loads):
+            self._loads[backend_id] = max(self._loads[backend_id] - count, 0)
 
     def rebalance(self, distribution: Sequence[int]) -> None:
         """Reset load counts to the actual per-backend record counts.

@@ -335,6 +335,8 @@ class MLDSServer:
                 "errors_total": self.errors_total,
             }
         counters["uptime_s"] = round(time.monotonic() - self._started, 3)
+        wal = self.mlds.kds.wal
+        counters["open_transactions"] = wal.open_owners() if wal is not None else []
         counters["admission"] = self.admission.stats()
         counters["auth"] = self.authenticator.stats()
         return counters

@@ -72,6 +72,17 @@ def segment_name(segment: int) -> str:
     return f"wal-{segment:06d}.jsonl"
 
 
+def sync_directory(directory: Path) -> None:
+    """fsync *directory* itself: the names created in or renamed into it
+    so far survive a power cut (a file's own fsync covers its bytes, not
+    the entry that makes them reachable)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def replace_durably(tmp: Path, target: Path, sync: bool) -> None:
     """Rename *tmp* over *target*.  With *sync* the file is synced before
     the rename and the directory after it, so on return *target* is on
@@ -81,11 +92,7 @@ def replace_durably(tmp: Path, target: Path, sync: bool) -> None:
             os.fsync(handle.fileno())
     os.replace(tmp, target)
     if sync:
-        directory = os.open(target.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        sync_directory(target.parent)
 
 
 class _StreamWriter:
@@ -98,6 +105,11 @@ class _StreamWriter:
         #: File offset the last fsync covered — what a power cut cannot
         #: take.  Bytes already in the file at open count as synced.
         self.synced_bytes = path.stat().st_size if path.exists() else 0
+        #: Whether this writer has synced the segment's directory entry.
+        #: The first append may be what creates the file (and a file
+        #: found at open may have been created moments before a kill),
+        #: so the first sync of every writer covers the directory too.
+        self._entry_synced = False
 
     def append(self, record: dict) -> None:
         """Write *record* and flush it to the OS (never an fsync)."""
@@ -118,6 +130,10 @@ class _StreamWriter:
             start = time.perf_counter()
             os.fsync(self._handle.fileno())
         obs.metrics.observe("wal.fsync_ms", (time.perf_counter() - start) * 1000.0)
+        if not self._entry_synced:
+            sync_directory(self.path.parent)
+            obs.metrics.inc("wal.dir_fsyncs")
+            self._entry_synced = True
         self.synced_bytes = self._handle.tell()
 
     def close(self) -> None:

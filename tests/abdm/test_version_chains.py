@@ -59,12 +59,19 @@ class TestCapture:
         store.insert(make_record("pay", "pay$10", x=10))
         assert store.version_depths() == {"pay": 1}
 
-    def test_discard_pending_drops_uncommitted_pre_image(self):
+    def test_rollback_never_seals_a_failed_mutations_pre_image(self):
         store = seeded_store()
         store._capture = True
         store.insert(make_record("pay", "pay$9", x=9))
-        store.discard_pending(["pay"])
-        assert store.version_depths() == {}
+        store._capture = False
+        assert store.rollback_pending(["pay"]) == ["pay"]
+        assert store.version_depths() == {}  # the pre-image is gone...
+        assert len(store.records_at("pay", 0)) == 3  # ...and is live again
+        # A later commit of the file seals its own pre-image, not that one.
+        captured_insert(store, make_record("pay", "pay$10", x=10), seq=1)
+        assert store.version_depths() == {"pay": 1}
+        assert len(store.records_at("pay", 0)) == 3
+        assert len(store.records_at("pay", 1)) == 4
 
 
 class TestSnapshotReads:

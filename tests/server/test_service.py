@@ -333,3 +333,55 @@ class TestMetricsEndpoint:
         assert server_stats["admission"]["admitted_total"] >= 1
         assert "acquired" in snapshot["locks"]
         assert "metrics" in snapshot["obs"]  # the obs registry JSON
+
+
+class TestDoomedTransactionOverTheWire:
+    """A mutation that fails after it was journaled dooms its transaction:
+    the error reaches the client typed, ``commit`` is refused typed, and
+    the ``metrics`` op shows the kernel holding nothing for it."""
+
+    @pytest.fixture()
+    def durable(self, tmp_path):
+        from repro.wal.recovery import recover_mlds
+
+        wal_dir = tmp_path / "wal"
+        mlds = MLDS(backend_count=2, wal=wal_dir)
+        mlds.define_relational_database(REL_DDL)
+        authenticator = Authenticator()
+        authenticator.register(Credential(token="open-sesame", user="alice"))
+        handle = MLDSServer(mlds, authenticator).serve_in_thread()
+        yield handle, mlds
+        handle.stop()
+        mlds.kds.shutdown()
+        recover_mlds(wal_dir, attach_wal=False).kds.shutdown()  # the log replays
+
+    def test_execute_error_then_commit_is_a_typed_refusal(self, durable, monkeypatch):
+        handle, mlds = durable
+        engine = mlds.kds.controller.engine
+        real = engine.execute_one
+
+        def fail_once(backend, request, *args, **kwargs):
+            if request.operation != "INSERT":  # the key-uniqueness probe
+                return real(backend, request, *args, **kwargs)
+            monkeypatch.setattr(engine, "execute_one", real)
+            raise errors.ExecutionError("backend died mid-apply")
+
+        with connect(handle) as client:
+            sql = client.open("sql", "payroll")
+            client.execute(sql, "INSERT INTO pay VALUES (1, 1.0)")
+            errors_before = client.metrics()["server"]["errors_total"]
+            client.begin()
+            client.execute(sql, "INSERT INTO pay VALUES (2, 2.0)")
+            monkeypatch.setattr(engine, "execute_one", fail_once)
+            with pytest.raises(errors.ExecutionError, match="mid-apply"):
+                client.execute(sql, "INSERT INTO pay VALUES (3, 3.0)")
+            with pytest.raises(errors.TransactionAborted):
+                client.commit()
+            snapshot = client.metrics()
+            assert snapshot["locks"]["held"] == 0
+            assert snapshot["server"]["open_transactions"] == []
+            assert snapshot["server"]["errors_total"] == errors_before + 2
+            # The whole transaction went, the connection did not.
+            rows = client.execute(sql, "SELECT pid FROM pay WHERE pid >= 1")
+            assert rows[0]["rows"] == [{"pid": 1}]
+            client.execute(sql, "INSERT INTO pay VALUES (4, 4.0)")

@@ -2,7 +2,9 @@
 
 Counted through the metrics registry (``wal.fsyncs``): a count repeats
 exactly, where a wall-clock ratio between WAL modes could only bound
-the invariant from afar.
+the invariant from afar.  ``wal.fsyncs`` counts syncs of the log *file*;
+the directory sync that makes a new segment's name durable happens once
+per segment, not per commit, and is counted as ``wal.dir_fsyncs``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.abdl.ast import Modifier, RetrieveRequest
 from repro.core.mlds import MLDS
 from repro.obs import Observability
 from repro.wal.log import WalManager, segment_name
+from repro.wal.recovery import checkpoint_mlds
 
 from tests.wal.conftest import bulk, insert, query, update
 
@@ -40,6 +43,18 @@ def fsyncs_of(obs, work) -> int:
     before = obs.metrics.counter_value("wal.fsyncs")
     work()
     return int(obs.metrics.counter_value("wal.fsyncs") - before)
+
+
+def test_directory_is_synced_once_per_segment_not_per_commit(system):
+    mlds, obs = system
+    # The fixture's eight commits: eight file syncs, one directory sync.
+    assert obs.metrics.counter_value("wal.fsyncs") == 8
+    assert obs.metrics.counter_value("wal.dir_fsyncs") == 1
+    checkpoint_mlds(mlds)  # a new segment: its first commit syncs its name
+    for i in range(3):
+        mlds.kds.execute(insert("f", a=100 + i))
+    assert obs.metrics.counter_value("wal.fsyncs") == 11
+    assert obs.metrics.counter_value("wal.dir_fsyncs") == 2
 
 
 def test_auto_commit_insert_is_one_fsync(system):

@@ -12,6 +12,8 @@ commit record survived the cut whole.  Never a partial transaction.
 
 from __future__ import annotations
 
+import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,3 +220,42 @@ def test_random_cut_points(names, point, hits, grouped, fraction):
     with tempfile.TemporaryDirectory() as scratch:
         outage = lose_power(Path(scratch) / "wal", steps, point, hits, grouped)
         outage.check(outage.synced + round(fraction * (len(outage.data) - outage.synced)))
+
+
+@pytest.mark.parametrize("fresh_by", ["first-open", "checkpoint"])
+def test_a_fresh_segments_first_commit_survives_losing_unsynced_names(
+    tmp_path, monkeypatch, fresh_by
+):
+    """A file's fsync covers its bytes, not its directory entry: a power
+    cut also takes every name the directory gained since the directory
+    itself was last synced.  The first commit into a segment file that
+    did not exist before must therefore sync the directory, or the whole
+    file — acknowledged commit included — is gone."""
+    wal_dir = tmp_path / "wal"
+    durable_names: set = set()
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            durable_names.clear()
+            durable_names.update(os.listdir(wal_dir))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    wal = WalManager(wal_dir, BACKENDS, sync=True)
+    mlds = MLDS(backend_count=BACKENDS, wal=wal)
+    acked: list = []
+    if fresh_by == "checkpoint":
+        assert drive(mlds.kds, SEED, acked) is None
+        checkpoint_mlds(mlds)
+    assert not (wal_dir / segment_name(wal.segment)).exists()
+    assert drive(mlds.kds, SCENARIOS["auto-insert"], acked) is None
+    wal.close()
+    mlds.kds.controller.engine.shutdown()
+
+    for name in set(os.listdir(wal_dir)) - durable_names:
+        (wal_dir / name).unlink()  # the power cut
+    recovered = recover_mlds(wal_dir, attach_wal=False)
+    image = farm_image(recovered)
+    recovered.kds.shutdown()
+    assert image == oracle_image(acked)
