@@ -319,51 +319,29 @@ class ClusteredStore(ABStore):
         if not pinned:
             return super().find(query)
         found: list[Record] = []
-        matches = self.matcher(query)
+        select = self.selector(query)
         for file_name in sorted(pinned):
-            for record in self._candidate_clusters(file_name, query):
-                self.stats.records_examined += 1
-                if matches(record):
-                    found.append(record)
+            found += self._scan(select, self._candidate_clusters(file_name, query))
         self.stats.records_touched += len(found)
         return found
 
-    def find_at(self, query: Query, snapshot: int) -> list[Record]:
-        """Snapshot RETRIEVE with directory pruning preserved.
+    def _snapshot_candidates(self, name, state, query):
+        """Snapshot reads keep directory pruning.
 
-        Superseded files regroup their pre-image records into a cluster
+        A superseded file regroups its pre-image records into a cluster
         map (first-appearance key order — identical to both the
-        incremental build order and :meth:`_rebuild_clusters`) and run
+        incremental build order and :meth:`_rebuild_clusters`) and runs
         the same descriptor search the live path uses, so candidate
-        order matches a store replayed to *snapshot* exactly.
+        order matches a store replayed to the snapshot exactly.
         """
-        pinned = query.file_names()
-        if not pinned:
-            return super().find_at(query, snapshot)
-        if not self._versions and not self._trimmed_below:
-            return self.find(query)
-        names = sorted(pinned)
-        states = {name: self._version_state(name, snapshot) for name in names}
-        if all(state is None for state in states.values()):
-            return self.find(query)
-        found: list[Record] = []
-        matches = self.matcher(query)
-        for file_name in names:
-            records = states[file_name]
-            if records is None:
-                candidates = self._candidate_clusters(file_name, query)
-            else:
-                regrouped: dict[tuple[int, ...], list[Record]] = {}
-                for record in records:
-                    key = self.directory.cluster_key(record)
-                    regrouped.setdefault(key, []).append(record)
-                candidates = self._scan_clusters(regrouped, query)
-            for record in candidates:
-                self.stats.records_examined += 1
-                if matches(record):
-                    found.append(record)
-        self.stats.records_touched += len(found)
-        return found
+        if not query.file_names():
+            return super()._snapshot_candidates(name, state, query)
+        if state is None:
+            return self._candidate_clusters(name, query)
+        regrouped: dict[tuple[int, ...], list[Record]] = {}
+        for record in state:
+            regrouped.setdefault(self.directory.cluster_key(record), []).append(record)
+        return self._scan_clusters(regrouped, query)
 
     def delete(self, query: Query) -> int:
         deleted = super().delete(query)

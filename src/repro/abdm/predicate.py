@@ -120,6 +120,11 @@ class Query:
         """True when at least one clause is satisfied by *record*."""
         return any(clause.matches(record) for clause in self.clauses)
 
+    def select(self, records: Iterable[Record]) -> list[Record]:
+        """The records satisfying this query, in order (the reference every
+        compiled scan is held to)."""
+        return [record for record in records if self.matches(record)]
+
     def file_names(self) -> set[str]:
         """Union of file names pinned by every clause; empty means unknown.
 

@@ -31,7 +31,7 @@ many stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.abdm.plan import (
     EMPTY_DIGEST,
@@ -44,7 +44,7 @@ from repro.abdm.record import Record
 from repro.abdm.values import Value
 from repro.errors import ExecutionError, SnapshotTooOld
 from repro.obs import NULL_OBS, ObsSpec, resolve_obs
-from repro.qc.compile import compile_query
+from repro.qc.compile import CompiledQuery, compile_query
 from repro.qc.lru import LRUCache, MISSING
 from repro.qc import runtime as qc_runtime
 
@@ -210,18 +210,13 @@ class ABStore:
 
     # -- query compilation ----------------------------------------------------
 
-    def matcher(self, query: Query) -> Callable[[Record], bool]:
-        """The fastest available record matcher for *query*.
+    def _compile(self, query: Query) -> CompiledQuery:
+        """*query*'s cached compilation.
 
-        With compilation enabled this is a cached CompiledQuery closure;
-        otherwise it is the interpreted ``query.matches`` bound method,
-        the reference the compiled path is held bit-identical to.
         The cache key carries the clause count besides the rendered text
         because the empty query and the empty-clause query both render
         as ``()`` while matching nothing / everything respectively.
         """
-        if not qc_runtime.config.compile_enabled:
-            return query.matches
         key = (query.render(), len(query.clauses))
         compiled = self._compiled.get(key)
         if compiled is MISSING:
@@ -229,8 +224,42 @@ class ABStore:
                 compiled = compile_query(query)
             if compiled.inset_groups:
                 self._obs.metrics.inc("qc.compile.inset_groups", compiled.inset_groups)
+            if compiled.codegen:
+                self._obs.metrics.inc("qc.compile.codegen")
             self._compiled.put(key, compiled)
-        return compiled.matches
+        return compiled
+
+    def matcher(self, query: Query) -> Callable[[Record], bool]:
+        """The fastest available single-record matcher for *query*.
+
+        With compilation enabled this is a cached CompiledQuery's
+        ``matches``; otherwise it is the interpreted ``query.matches``
+        bound method, the reference the compiled path is held
+        bit-identical to.
+        """
+        if not qc_runtime.config.compile_enabled:
+            return query.matches
+        return self._compile(query).matches
+
+    def selector(self, query: Query) -> Callable[[Sequence[Record]], list[Record]]:
+        """:meth:`matcher` for a whole candidate list: the records of it
+        that satisfy *query*, in order, from one call."""
+        if not qc_runtime.config.compile_enabled:
+            return query.select
+        return self._compile(query).select
+
+    def _scan(
+        self,
+        select: Callable[[Sequence[Record]], list[Record]],
+        candidates: Sequence[Record],
+    ) -> list[Record]:
+        """Examine *candidates* (charging every one) and return the matches.
+
+        Every scan in the store and its subclasses goes through here, so
+        ``records_examined`` is charged one way on every access path.
+        """
+        self.stats.records_examined += len(candidates)
+        return select(candidates)
 
     # -- mutation epochs ------------------------------------------------------
 
@@ -386,18 +415,21 @@ class ABStore:
         if all(state is None for state in states.values()):
             return self.find(query)
         found: list[Record] = []
-        matches = self.matcher(query)
+        select = self.selector(query)
         for name in names:
-            records = states[name]
-            if records is None:
-                abfile = self._files.get(name)
-                records = abfile.records() if abfile else []
-            for record in records:
-                self.stats.records_examined += 1
-                if matches(record):
-                    found.append(record)
+            found += self._scan(select, self._snapshot_candidates(name, states[name], query))
         self.stats.records_touched += len(found)
         return found
+
+    def _snapshot_candidates(
+        self, name: str, state: Optional[list[Record]], query: Query
+    ) -> Sequence[Record]:
+        """What a snapshot read of *query* examines in file *name*: the
+        superseded record list *state*, or (None) the still-valid live file."""
+        if state is not None:
+            return state
+        abfile = self._files.get(name)
+        return abfile.records() if abfile else []
 
     def rollback_pending(self, files: Optional[Iterable[str]] = None) -> list[str]:
         """Undo the uncommitted writes to *files* (None = every file).
@@ -677,15 +709,14 @@ class ABStore:
     def find(self, query: Query) -> list[Record]:
         """Return every record satisfying *query* (in file/insertion order)."""
         found: list[Record] = []
-        matches = self.matcher(query)
+        select = self.selector(query)
         paths: set[str] = set()
         for abfile in self._candidate_files(query):
             candidates, label = self._served_candidates(abfile.name, query)
             paths.add(label)
-            for record in abfile if candidates is None else _records(candidates):
-                self.stats.records_examined += 1
-                if matches(record):
-                    found.append(record)
+            found += self._scan(
+                select, abfile.records() if candidates is None else _records(candidates)
+            )
         self.stats.records_touched += len(found)
         span = self._obs.tracer.current
         if span is not None and self._indexed:
@@ -695,38 +726,21 @@ class ABStore:
     def delete(self, query: Query) -> int:
         """Delete every record satisfying *query*; return the count."""
         deleted = 0
-        matches = self.matcher(query)
+        select = self.selector(query)
         for abfile in self._candidate_files(query):
             records = abfile.records()
             candidates, _ = self._served_candidates(abfile.name, query)
-            if candidates is None:
-                kept = []
-                removed = 0
-                for record in records:
-                    self.stats.records_examined += 1
-                    if matches(record):
-                        removed += 1
-                    else:
-                        kept.append(record)
-                if removed:
-                    self._ensure_pending(abfile.name)
-                    records[:] = kept
-            else:
-                victims = []
-                for record in _records(candidates):
-                    self.stats.records_examined += 1
-                    if matches(record):
-                        victims.append(record)
-                removed = len(victims)
-                if removed:
-                    self._ensure_pending(abfile.name)
-                    victim_ids = {id(record) for record in victims}
-                    records[:] = [r for r in records if id(r) not in victim_ids]
-            if removed:
+            victims = self._scan(
+                select, records if candidates is None else _records(candidates)
+            )
+            if victims:
+                self._ensure_pending(abfile.name)
+                victim_ids = {id(record) for record in victims}
+                records[:] = [r for r in records if id(r) not in victim_ids]
                 self._bump_epoch(abfile.name)
                 if self._indexed:
                     self._rebuild_index(abfile.name)
-            deleted += removed
+            deleted += len(victims)
         self.stats.records_touched += deleted
         return deleted
 
@@ -754,19 +768,21 @@ class ABStore:
         once instead — per record a rebuild is the cheaper of the two.
         """
         updated = 0
-        matches = self.matcher(query)
+        select = self.selector(query)
         for abfile in self._candidate_files(query):
             name = abfile.name
             live = abfile.records()
             candidates, _ = self._served_candidates(name, query)
+            hits = self._scan(select, live if candidates is None else _records(candidates))
+            # A record's seq is its live position (see _plan_candidates).
+            entries = enumerate(live) if candidates is None else candidates
+            seq_of = {id(record): seq for seq, record in entries} if hits else {}
             table = self._indexes.get(name, {})
             patch_limit = len(live) // 4
             cow = self._capture
             touched = 0
-            for seq, record in enumerate(live) if candidates is None else candidates:
-                self.stats.records_examined += 1
-                if not matches(record):
-                    continue
+            for record in hits:
+                seq = seq_of[id(record)]
                 keys = record.keyword_map()
                 before = [keys.get(attribute, _ABSENT) for attribute in table]
                 if cow:

@@ -3,8 +3,9 @@
 The hot-path levers, from the thesis's "response time bounded by the
 hardware" goal:
 
-* :mod:`repro.qc.compile` — DNF queries flattened into matcher closures
-  over the record keyword map (bit-identical to interpreted matching).
+* :mod:`repro.qc.compile` — DNF queries bound to one generated
+  set-at-a-time scan function per query shape (bit-identical to
+  interpreted matching).
 * :mod:`repro.qc.lru` — the bounded, counter-instrumented LRU each of
   the three caches is.
 * :mod:`repro.qc.runtime` — the three reference-path switches and the

@@ -11,7 +11,9 @@ bound set where it is constructed:
     but the text — no schema, session or currency state reaches a parser
     — and sharing the value is safe because every AST class is a frozen
     dataclass of tuples and scalars that the engines only read.
-``qc.compile`` — compiled queries, one LRU per :class:`~repro.abdm.store.ABStore`.
+``qc.compile`` — compiled queries, one LRU per :class:`~repro.abdm.store.ABStore`
+    (the generated code they bind is kept once per process, per query
+    shape, by :mod:`repro.qc.compile`).
 ``qc.result`` — RETRIEVE results, one epoch-guarded LRU per backend.
 
 :class:`QCConfig` is a mutable singleton (:data:`config`) holding the
@@ -86,9 +88,12 @@ def memo_snapshot() -> dict[str, object]:
 
 
 def reset() -> None:
-    """Restore the switches and empty the statement memo (test isolation)."""
+    """Restore the switches, empty the statement memo and forget the
+    generated scan kernels (test isolation)."""
     from repro.obs.metrics import NULL_METRICS
+    from repro.qc.compile import reset_kernels
 
+    reset_kernels()
     vars(config).update(asdict(QCConfig()))
     _statements.clear()
     _statements.bind_metrics(NULL_METRICS)

@@ -31,6 +31,7 @@ from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro import errors
 from repro.core.mlds import MLDS
+from repro.obs.gcprobe import GcProbe
 from repro.server import protocol
 from repro.server.admission import AdmissionController
 from repro.server.auth import Authenticator, Credential
@@ -84,6 +85,9 @@ class MLDSServer:
             thread_name_prefix="mlds-server",
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        # Installed in start() only when the MLDS is instrumented: without
+        # a registry to report to, the interpreter gets no hook at all.
+        self._gc_probe = GcProbe(mlds.obs.metrics)
         self._started = time.monotonic()
         self._lock = threading.Lock()
         self.connections_total = 0
@@ -110,6 +114,8 @@ class MLDSServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.monotonic()
+        if self.mlds.obs.enabled:
+            self._gc_probe.install()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -123,6 +129,7 @@ class MLDSServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        self._gc_probe.remove()
         self._pool.shutdown(wait=False, cancel_futures=True)
 
     def serve_in_thread(self) -> "ServerHandle":
@@ -310,6 +317,7 @@ class MLDSServer:
         # The observability plane: open to unauthenticated scrapes, like
         # a conventional /metrics endpoint.
         locks = self.mlds.kds.locks
+        self._gc_probe.flush()
         return {
             "obs": self.mlds.obs.as_dict(),
             "server": self.stats(),

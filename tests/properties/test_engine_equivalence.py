@@ -87,11 +87,15 @@ def run(script, engine, workers=None):
             "clock": kds.clock.as_dict(),
             "stores": [b.store.snapshot() for b in kds.controller.backends],
             # Histograms track *wall* milliseconds (non-deterministic);
-            # counters/gauges are the deterministic half of the registry.
+            # counters/gauges are the deterministic half of the registry —
+            # but for qc.compile.codegen, which counts the scan kernels a
+            # *process* had to generate: it depends on what that process
+            # compiled before and on how many processes share the work.
             "metrics": {
                 name: payload
                 for name, payload in obs.metrics.as_dict().items()
                 if payload.get("type") in ("counter", "gauge")
+                and name != "qc.compile.codegen"
             },
         }
     finally:

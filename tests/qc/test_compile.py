@@ -7,6 +7,7 @@ import pytest
 from repro.abdm.predicate import Conjunction, Predicate, Query
 from repro.abdm.record import Record
 from repro.abdm.store import ABStore
+from repro.obs import Observability
 from repro.qc.compile import CompiledQuery, compile_query
 
 
@@ -111,3 +112,70 @@ def test_store_find_results_identical_with_and_without_compile(config):
     config.compile_enabled = False
     interpreted = [r.pairs() for r in store.find(query)]
     assert compiled == interpreted
+
+
+# -- generated kernels: one per shape, and no client text in their source ------
+
+
+def test_one_code_object_serves_every_statement_of_a_shape():
+    obs = Observability()
+    stores = [ABStore(), ABStore()]  # two backends share the process's kernels
+    for store in stores:
+        store.bind_obs(obs)
+        store.insert(record(FILE="t", id=7, bal=1.5))
+    for key in range(1000):
+        query = Query.conjunction(
+            [Predicate("FILE", "=", "t"), Predicate("id", "=", key), Predicate("bal", "<", key / 2)]
+        )
+        for store in stores:
+            assert len(store.find(query)) == (key == 7)
+    assert obs.metrics.counter_value("qc.compile.misses") == 2000
+    assert obs.metrics.counter_value("qc.compile.codegen") == 1
+
+
+def test_shape_distinguishes_operator_domain_structure_and_shared_attributes():
+    def kernel(*predicates):
+        return compile_query(Query.conjunction(list(predicates))).kernel_source
+
+    base = kernel(Predicate("a", "<", 1), Predicate("b", "=", 2))
+    assert kernel(Predicate("x", "<", 9.5), Predicate("y", "=", "s")) == base
+    assert kernel(Predicate("a", "<=", 1), Predicate("b", "=", 2)) != base   # operator
+    assert kernel(Predicate("a", "<", "1"), Predicate("b", "=", 2)) != base  # constant domain
+    assert kernel(Predicate("a", "<", None), Predicate("b", "=", 2)) != base
+    assert kernel(Predicate("a", "<", 1), Predicate("a", "=", 2)) != base    # one fetch, two tests
+    assert kernel(Predicate("a", "<", 1)) != base                             # structure
+
+
+HOSTILE = [
+    "it's", 'say "hi"', "line\nbreak", "back\\slash", "__import__('os').system('true')",
+    "\u2028", "'''", "{c0}", "%s", "\x00", "x" * 10_000,
+]
+
+
+@pytest.mark.parametrize("text", HOSTILE)
+def test_no_client_text_reaches_generated_source(text):
+    def conjunction(attribute, value):
+        return Query(
+            [
+                Conjunction(
+                    [Predicate("FILE", "=", "f"), Predicate(attribute, "=", value),
+                     Predicate(attribute, "!=", value + "?"), Predicate(attribute, ">=", value)]
+                ),
+                Conjunction([Predicate(value, "<", attribute)]),
+            ]
+        )
+
+    rows = [
+        record(FILE="f", **{text: text}),
+        record(FILE="f", **{text: text + "?"}),
+        record(FILE="g", **{text: ""}),
+        record(FILE="f", benign=text),
+        record(**{text: 1}),
+    ]
+    hostile, benign = conjunction(text, text), conjunction("benign", "value")
+    compiled = compile_query(hostile)
+    assert compiled.kernel_source == compile_query(benign).kernel_source
+    assert text not in compiled.kernel_source
+    selected = compiled.select(rows)
+    assert [id(r) for r in selected] == [id(r) for r in rows if hostile.matches(r)]
+    assert selected  # the hostile text is matched as data

@@ -156,6 +156,61 @@ class TestWhatIsFolded:
         assert obs.metrics.counter_value("qc.compile.inset_groups") == 1
 
 
+def plain(**attrs) -> Record:
+    return Record.from_pairs(attrs.items())
+
+
+def unhashable() -> Record:
+    rec = record()
+    rec.set("k", [1])
+    return rec
+
+
+def one(attribute, operator, value) -> Query:
+    return Query.single(attribute, operator, value)
+
+
+#: (what the row is about, query, records, positions the kernel must select)
+CATALOG = [
+    ("absent is not null", one("k", "=", None), [plain(k=None), plain(j=None), plain()], [0]),
+    ("!= needs the keyword", one("k", "!=", 1), [plain(k=2), plain(j=2), plain(k=None), plain(k=1)], [0, 2]),
+    ("!= null", one("k", "!=", None), [plain(k=None), plain(k=0), plain()], [1]),
+    ("nothing orders against null", one("k", ">=", None), [plain(k=None), plain(k=0), plain(k="")], []),
+    ("null orders against nothing", one("k", "<", 5), [plain(k=None), plain(), plain(k=4)], [2]),
+    ("int float bool mix", one("k", "=", 1), [plain(k=1), plain(k=1.0), plain(k=True), plain(k="1")], [0, 1, 2]),
+    ("bool orders as a number", one("k", "<", 1), [plain(k=False), plain(k=True), plain(k=0.5)], [0, 2]),
+    ("wide ints stay exact", one("k", "=", 2**53 + 1), [plain(k=2**53 + 1), plain(k=float(2**53))], [0]),
+    ("signed zeros are equal", one("k", "=", 0), [plain(k=0.0), plain(k=-0.0), plain(k=0)], [0, 1, 2]),
+    ("signed zeros order alike", one("k", "<", 0.0), [plain(k=-0.0), plain(k=-1e-300)], [1]),
+    ("NaN constant equals nothing", one("k", "=", NAN), [plain(k=NAN), plain(k=float("nan")), plain(k=0)], []),
+    ("NaN constant differs from all", one("k", "!=", NAN), [plain(k=NAN), plain(k=0), plain()], [0, 1]),
+    ("NaN constant orders nothing", one("k", "<=", NAN), [plain(k=NAN), plain(k=0), plain(k=-1.0)], []),
+    ("NaN stored orders nowhere", one("k", ">", -1), [plain(k=NAN), plain(k=0)], [1]),
+    ("NaN stored differs", one("k", "!=", 0), [plain(k=NAN), plain(k=0)], [0]),
+    ("str never equals num", one("k", "=", "1"), [plain(k=1), plain(k="1"), plain(k=1.0)], [1]),
+    ("str never orders with num", one("k", ">", 0), [plain(k="1"), plain(k=1), plain(k="")], [1]),
+    ("num never orders with str", one("k", ">", ""), [plain(k="a"), plain(k=1), plain(k="")], [0]),
+    ("empty query selects nothing", Query(()), [plain(k=1), plain()], []),
+    ("empty clause selects all", Query((Conjunction(()),)), [plain(k=1), plain()], [0, 1]),
+    ("empty clause beside a false one", Query((Conjunction([Predicate("k", "<", None)]), Conjunction(()))), [plain()], [0]),
+    ("key list with a NaN member", key_list([NAN, 7, 8]), [record(k=NAN), record(k=7), record(k=8), record(k=9)], [1, 2]),
+    ("key list int/float/zero", key_list([0, 1, 2.0]), [record(k=-0.0), record(k=True), record(k=2), record(k="2")], [0, 1, 2]),
+    ("key list null vs absent", key_list([None, 1]), [record(k=None), record(), record(k=1.0)], [0, 2]),
+    ("unhashable stored value", key_list([1, 2]), [record(k=1), unhashable(), record(k=2.0)], [0, 2]),
+    ("one attribute, two bounds", Query.conjunction([Predicate("k", ">=", 1), Predicate("k", "<", 3), Predicate("k", "!=", 2)]), [plain(k=1), plain(k=2), plain(k=2.5), plain(k="2"), plain(k=3), plain()], [0, 2]),
+    ("one attribute, two domains", Query.conjunction([Predicate("k", ">=", 1), Predicate("k", "<", "z")]), [plain(k=1), plain(k="a")], []),
+]
+
+
+@pytest.mark.parametrize("query,rows,expected", [row[1:] for row in CATALOG], ids=[row[0] for row in CATALOG])
+def test_batch_kernel_pitfall_catalog(query, rows, expected):
+    compiled = compile_query(query)
+    selected = compiled.select(rows)
+    assert [id(r) for r in selected] == [id(rows[n]) for n in expected]
+    assert selected == query.select(rows)
+    assert [compiled.matches(r) for r in rows] == [query.matches(r) for r in rows]
+
+
 values = st.sampled_from(PITFALLS)
 attributes = st.sampled_from(["k", "j", "FILE"])
 predicates = st.builds(
@@ -189,3 +244,4 @@ def test_factored_dnf_matches_exactly_what_the_interpreter_matches(query, rows):
     compiled = compile_query(query)
     for row in rows:
         assert compiled.matches(row) == query.matches(row), (query.render(), row.pairs())
+    assert [id(r) for r in compiled.select(rows)] == [id(r) for r in rows if query.matches(r)]

@@ -8,12 +8,15 @@ transactions, and the metrics endpoint.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
 import pytest
 
 from repro import MLDS, errors
+from repro.obs import Observability
+from repro.obs.gcprobe import GcProbe
 from repro.server import (
     Authenticator,
     Credential,
@@ -333,6 +336,25 @@ class TestMetricsEndpoint:
         assert server_stats["admission"]["admitted_total"] >= 1
         assert "acquired" in snapshot["locks"]
         assert "metrics" in snapshot["obs"]  # the obs registry JSON
+
+    def test_gc_pauses_are_counted_on_an_instrumented_server(self, served):
+        def probes():
+            return [cb for cb in gc.callbacks if isinstance(getattr(cb, "__self__", None), GcProbe)]
+
+        assert probes() == []  # the module's server has obs=None: nothing installed
+        mlds = MLDS(backend_count=1, obs=Observability())
+        authenticator = Authenticator()
+        try:
+            with MLDSServer(mlds, authenticator).serve_in_thread() as handle:
+                assert len(probes()) == 1
+                gc.collect()  # a full (generation 2) pass
+                with ServerClient(handle.host, handle.port) as client:
+                    metrics = client.metrics()["obs"]["metrics"]
+                assert metrics["proc.gc.collections.gen2"]["value"] >= 1
+                assert metrics["proc.gc.pause_s.gen2"]["value"] > 0
+            assert probes() == []  # shutdown removed it
+        finally:
+            mlds.kds.shutdown()
 
 
 class TestDoomedTransactionOverTheWire:
