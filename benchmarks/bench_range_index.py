@@ -3,7 +3,7 @@
 PR 5's tentpole claim: per-file sorted attribute indexes plus the
 selectivity-based access planner answer equality *and* range predicates
 from bisected index slices instead of full scans, while staying
-**record-identical** to the interpreted path.  This benchmark holds three
+**record-identical** to the interpreted path.  This benchmark holds two
 claims at once:
 
 * **fidelity** — every request is executed once with planning disabled
@@ -18,10 +18,6 @@ claims at once:
   round-robin across modes); the gate requires
   ``scan wall / indexed wall >= --min-speedup`` (default 3, the ISSUE's
   line).
-* **pruning** — the population is placed in gpa bands, one band per
-  backend, so a narrow range conjunction can only live on one backend;
-  with pruning on, the value-range summaries must charge **zero simulated
-  time** to at least one backend (reported and gated).
 
 An ungated context row times the MIN/MAX/COUNT digest fast path (whole-
 file aggregates answered from index statistics without a scan).
@@ -75,7 +71,7 @@ class GpaBandPlacement:
         return self._next % backend_count
 
 
-def build_system(backends: int, records: int, pruning: bool) -> KernelDatabaseSystem:
+def build_system(backends: int, records: int) -> KernelDatabaseSystem:
     """A University-shaped population of *records* records, gpa-banded.
 
     Students (with name/age/major/gpa) dominate the population the way
@@ -88,9 +84,7 @@ def build_system(backends: int, records: int, pruning: bool) -> KernelDatabaseSy
         departments=4,
         seed=7,
     )
-    kds = KernelDatabaseSystem(
-        backend_count=backends, placement=GpaBandPlacement(), pruning=pruning
-    )
+    kds = KernelDatabaseSystem(backend_count=backends, placement=GpaBandPlacement())
     kds.controller.add_index("gpa", "age", "major", "credits", "semester")
     for index, person in enumerate(data.persons):
         pairs = [
@@ -237,10 +231,9 @@ def check_engine_fidelity(
     backends: int, records: int, requests: list[RetrieveRequest]
 ) -> dict:
     """Serial vs thread-pool with planning on: full bit-identity."""
-    serial = build_system(backends, records, pruning=False)
+    serial = build_system(backends, records)
     threaded_kds = KernelDatabaseSystem(
-        backend_count=backends, placement=GpaBandPlacement(), pruning=False,
-        engine="threads",
+        backend_count=backends, placement=GpaBandPlacement(), engine="threads"
     )
     threaded_kds.controller.add_index("gpa", "age", "major", "credits", "semester")
     # Replay the serial farm's exact contents into the threaded farm.
@@ -269,7 +262,7 @@ def time_modes(
     """Min-of-N interleaved wall times: scan vs indexed vs digest aggregates."""
     config = qc_runtime.config
     best = {"scan": float("inf"), "indexed": float("inf"), "aggregate_digest": float("inf")}
-    # Warm-up: compile caches, index structures, summaries.
+    # Warm-up: compile caches and index structures.
     for request in requests + aggregates:
         kds.execute(request)
     for _ in range(repeat):
@@ -289,30 +282,6 @@ def time_modes(
             best["aggregate_digest"], time.perf_counter() - start
         )
     return best
-
-
-def check_pruning(backends: int, records: int) -> dict:
-    """A narrow gpa range on a banded farm leaves whole backends idle."""
-    kds = build_system(backends, records, pruning=True)
-    request = RetrieveRequest(
-        Query.conjunction(
-            [
-                Predicate("FILE", "=", "student"),
-                Predicate("gpa", ">=", 3.9),
-                Predicate("gpa", "<=", 4.0),
-            ]
-        ),
-        [ALL_ATTRIBUTES],
-    )
-    trace = kds.execute(request)
-    pruned = sum(1 for ms in trace.per_backend_ms if ms == 0.0)
-    kds.shutdown()
-    return {
-        "request": request.render(),
-        "matched": trace.result.count,
-        "per_backend_ms": trace.per_backend_ms,
-        "pruned_backends": pruned,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -353,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         f"loading gpa-banded University population (records={args.records}, "
         f"backends={args.backends})..."
     )
-    kds = build_system(args.backends, args.records, pruning=False)
+    kds = build_system(args.backends, args.records)
     requests = build_requests()
     aggregates = build_aggregate_requests()
 
@@ -387,12 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{agg_n / max(best['aggregate_digest'], 1e-9):>9.0f}  {'(context)':>8}"
     )
 
-    pruning = check_pruning(args.backends, min(args.records, 10_000))
-    print(
-        f"pruning: {pruning['pruned_backends']}/{args.backends} backends at zero "
-        f"simulated time for {pruning['request']}"
-    )
-
     kds.shutdown()
     report = {
         "benchmark": "range_index",
@@ -406,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         "engine_fidelity": engines,
         "wall_s": best,
         "indexed_speedup_x": speedup,
-        "pruning": pruning,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -425,13 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: indexed speedup {speedup:.2f}x is below "
             f"--min-speedup {args.min_speedup}",
-            file=sys.stderr,
-        )
-        failed = True
-    if pruning["pruned_backends"] < 1:
-        print(
-            "FAIL: no backend was pruned to zero simulated time on the "
-            "banded range workload",
             file=sys.stderr,
         )
         failed = True

@@ -385,28 +385,3 @@ class ClusteredStore(ABStore):
 
     def cluster_count(self, file_name: str) -> int:
         return len(self._clusters.get(file_name, {}))
-
-    def file_descriptor_ids(self, file_name: str) -> tuple[frozenset[int], ...]:
-        """One file's position-wise union of descriptor ids over its
-        non-empty clusters (positions follow the directory's attribute
-        order).  This is the digest MBDS broadcast pruning consults: a
-        query whose descriptor search is incompatible with every resident
-        cluster of a backend cannot match there.  Computed per file so
-        the pruning-summary cache can rebuild only the files a mutation
-        touched.
-        """
-        width = len(self.directory.attributes)
-        positions: list[set[int]] = [set() for _ in range(width)]
-        for key, records in self._clusters.get(file_name, {}).items():
-            if not records:
-                continue
-            for index, descriptor_id in enumerate(key):
-                positions[index].add(descriptor_id)
-        return tuple(frozenset(ids) for ids in positions)
-
-    def cluster_descriptor_ids(self) -> dict[str, tuple[frozenset[int], ...]]:
-        """Per file, :meth:`file_descriptor_ids` (whole-store digest)."""
-        return {
-            file_name: self.file_descriptor_ids(file_name)
-            for file_name in self._clusters
-        }

@@ -74,8 +74,8 @@ class Conjunction:
         }
 
     def render(self) -> str:
-        # Rendered text is cached on the instance: the WAL codec, pruning
-        # keys, span labels and every cache layer re-render the same
+        # Rendered text is cached on the instance: the WAL codec, span
+        # labels and every cache layer re-render the same
         # frozen clause on each dispatch.  The cache rides in __dict__,
         # invisible to dataclass eq/hash (which use fields only).
         cached = self.__dict__.get("_rendered")

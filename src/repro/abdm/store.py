@@ -184,8 +184,7 @@ class ABStore:
         self._compiled = LRUCache(COMPILE_CACHE_SIZE, prefix="qc.compile")
         # Mutation epochs: one counter per file plus a whole-store counter
         # bumped by clear().  Result caches key on epoch_signature() so any
-        # mutation of a contributing file invalidates their entries —
-        # the same discipline the broadcast-pruning summaries use.
+        # mutation of a contributing file invalidates their entries.
         self._file_epochs: dict[str, int] = {}
         self._store_epoch = 0
         # MVCC version chains (snapshot reads).  While _capture is True

@@ -433,12 +433,6 @@ def build_parser() -> "argparse.ArgumentParser":
         "newest stable commit seq lock-free from the version chains",
     )
     parser.add_argument(
-        "--prune",
-        action="store_true",
-        help="skip backends whose file/descriptor summaries cannot match a "
-        "broadcast (pruned backends are charged zero simulated time)",
-    )
-    parser.add_argument(
         "--wal-dir",
         metavar="DIR",
         default=None,
@@ -601,7 +595,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
                 wal_dir,
                 engine=args.engine,
                 workers=args.workers,
-                pruning=args.prune,
                 placement=placement,
                 attach_wal=False,
                 obs=obs,
@@ -613,7 +606,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
                 backend_count=args.backends,
                 engine=args.engine,
                 workers=args.workers,
-                pruning=args.prune,
                 placement=placement,
                 wal=None if wal_dir is None else open_wal(args.backends),
                 obs=obs,

@@ -66,7 +66,6 @@ class MLDS:
         store_factory=None,
         engine=None,
         workers: Optional[int] = None,
-        pruning: bool = False,
         latency_scale: float = 0.0,
         wal: Union[None, str, Path, WalManager] = None,
         obs: ObsSpec = None,
@@ -81,8 +80,7 @@ class MLDS:
         :mod:`repro.mbds.placement` — :class:`HashShardPlacement` adds
         single-backend request routing).  *engine*/*workers* pick the
         kernel's wall-clock dispatch strategy ('serial', 'threads', or
-        'process'); *pruning* enables summary-based broadcast pruning
-        (see :mod:`repro.mbds.engine` and :mod:`repro.mbds.summary`).
+        'process'; see :mod:`repro.mbds.engine`).
         *latency_scale* makes each backend emulate its disk stalls in
         real time (see :class:`~repro.mbds.backend.Backend`), and
         *lock_timeout* bounds how long a kernel session waits for a
@@ -107,7 +105,6 @@ class MLDS:
             store_factory=store_factory,
             engine=engine,
             workers=workers,
-            pruning=pruning,
             latency_scale=latency_scale,
             wal=wal,
             obs=obs,

@@ -10,7 +10,7 @@ fully message-passing-clean: no live object, lock, or cache ever crosses.
 
 * :mod:`repro.ipc.codec` — objects ↔ plain values: requests (extending
   the WAL's mutating-request codec to retrievals), results, scan
-  statistics, pruning summaries, index digests, and trace spans.
+  statistics, index digests, and trace spans.
 * :mod:`repro.ipc.frames` / :mod:`repro.ipc.transport` — the frame
   header and the marshal-bodied pipe transport.
 * :mod:`repro.ipc.worker` — the worker process main loop.

@@ -10,8 +10,7 @@ verbatim and adds what a *live* backend conversation needs on top:
 * the reply side — :class:`~repro.abdl.executor.RequestResult` and
   :class:`~repro.mbds.backend.BackendResult` with their scan-statistics
   deltas;
-* pruning summaries, aggregate index digests, and observability span
-  trees.
+* aggregate index digests and observability span trees.
 
 Every encoder returns plain values (dicts, lists, strings, numbers,
 booleans, None) and every decoder inverts its encoder exactly.  The
@@ -33,12 +32,10 @@ from repro.abdl.ast import (
     TargetItem,
 )
 from repro.abdl.executor import RequestResult
-from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.errors import ExecutionError
 from repro.mbds.backend import BackendResult
-from repro.mbds.summary import AttributeRange, BackendSummary, FileSummary
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
 from repro.wal.codec import (
@@ -159,77 +156,6 @@ def decode_backend_result(payload: Mapping[str, Any]) -> BackendResult:
         payload["index_hits"],
         payload["range_hits"],
         payload["fallback_scans"],
-    )
-
-
-# -- pruning summaries ---------------------------------------------------------
-
-
-def _encode_range(attr_range: AttributeRange) -> list[Any]:
-    return [
-        attr_range.num_min,
-        attr_range.num_max,
-        attr_range.str_min,
-        attr_range.str_max,
-        attr_range.has_null,
-        attr_range.has_nan,
-    ]
-
-
-def _decode_range(payload: list[Any]) -> AttributeRange:
-    return AttributeRange(*payload)
-
-
-def encode_summary(summary: BackendSummary) -> dict[str, Any]:
-    """Encode a summary minus its directory (which is schema, not state).
-
-    The decoder re-attaches a directory supplied by the caller: directory
-    definitions are fixed per store factory, so the controller-side proxy
-    keeps a template store and lends its directory to every decoded
-    summary.
-    """
-    return {
-        "clustered": summary.directory is not None,
-        "files": {
-            name: {
-                "records": file_summary.records,
-                "ranges": {
-                    attribute: _encode_range(attr_range)
-                    for attribute, attr_range in file_summary.ranges.items()
-                },
-                "descriptors": (
-                    None
-                    if file_summary.descriptors is None
-                    else [sorted(ids) for ids in file_summary.descriptors]
-                ),
-            }
-            for name, file_summary in summary.file_summaries.items()
-        },
-    }
-
-
-def decode_summary(
-    payload: Mapping[str, Any], directory: Optional[Directory] = None
-) -> BackendSummary:
-    file_summaries = {
-        name: FileSummary(
-            entry["records"],
-            {
-                attribute: _decode_range(encoded)
-                for attribute, encoded in entry["ranges"].items()
-            },
-            (
-                None
-                if entry["descriptors"] is None
-                else tuple(frozenset(ids) for ids in entry["descriptors"])
-            ),
-        )
-        for name, entry in payload["files"].items()
-    }
-    return BackendSummary(
-        frozenset(file_summaries),
-        directory if payload["clustered"] else None,
-        file_summaries,
     )
 
 

@@ -22,11 +22,9 @@ Three details carry the engine contract:
   :data:`PIPELINE_LIMIT` or just before the next reply-requiring
   command.  A million-op replay costs thousands of frames instead of a
   round trip per op.
-* **Summary caching** — pruning consults summaries on every broadcast,
-  so the proxy caches the last decoded summary and drops it whenever a
-  mutating request (or replay, restore, direct store edit) goes through,
-  mirroring the per-file invalidation the worker's own
-  :class:`~repro.mbds.summary.SummaryCache` performs on its side.
+* **One conversation at a time** — every command and every split-phase
+  dispatch holds the engine's ``_io_lock``, so one session never reads
+  the reply to another's request.
 
 Workers are daemonic: an abandoned controller (the crash-matrix tests
 kill systems mid-transaction without shutdown) cannot leak processes
@@ -46,19 +44,16 @@ from repro.errors import ExecutionError, WorkerCrashed
 from repro.ipc import codec
 from repro.ipc.transport import PipeTransport
 from repro.ipc.worker import config_state, worker_main
-from repro.obs import NULL_OBS, ObsSpec, resolve_obs
+from repro.obs import ObsSpec, resolve_obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.abdl.ast import Request
     from repro.abdm.plan import AttributeIndexDigest
     from repro.abdm.record import Record
     from repro.mbds.backend import BackendResult, StoreFactory
-    from repro.mbds.summary import BackendSummary
+    from repro.mbds.engine import ProcessPoolEngine
     from repro.mbds.timing import TimingModel
     from repro.obs.trace import Span
-
-#: Mutating request operation names (mirrors the WAL's journaled set).
-_MUTATING_OPS = ("INSERT", "BULK-INSERT", "DELETE", "UPDATE")
 
 #: Deferred commands buffered per worker before a batch frame is forced.
 PIPELINE_LIMIT = 128
@@ -92,17 +87,14 @@ class ProcessStore:
         return iter([codec.decode_record(r) for r in reply["records"]])
 
     def drop_file(self, name: str) -> None:
-        self._backend._summary_cache = None
         self._backend._call({"cmd": "store_drop_file", "file": name})
 
     def insert(self, record: "Record") -> None:
-        self._backend._summary_cache = None
         self._backend._call(
             {"cmd": "store_insert", "record": codec.encode_record(record)}
         )
 
     def bulk_insert(self, records: Sequence["Record"]) -> int:
-        self._backend._summary_cache = None
         reply = self._backend._call(
             {
                 "cmd": "store_bulk_insert",
@@ -122,11 +114,16 @@ class ProcessStore:
 
 
 class ProcessBackend:
-    """A :class:`~repro.mbds.backend.Backend` living in a worker process."""
+    """A :class:`~repro.mbds.backend.Backend` living in a worker process.
+
+    Built only by :meth:`ProcessPoolEngine.create_backends
+    <repro.mbds.engine.ProcessPoolEngine.create_backends>`, whose engine
+    it keeps for the I/O lock and the observability bundle.
+    """
 
     def __init__(
         self,
-        engine: Any,
+        engine: "ProcessPoolEngine",
         backend_id: int,
         timing: "TimingModel",
         store_factory: Optional["StoreFactory"] = None,
@@ -137,11 +134,9 @@ class ProcessBackend:
         self.latency_scale = latency_scale
         self._engine = engine
         self._stopped = False
-        self._summary_cache: Optional["BackendSummary"] = None
         # Retained for respawn: a replacement worker must rebuild the
         # same schema (store factory) under the same timing model.
         self._store_factory = store_factory
-        self._directory = self._template_directory(store_factory)
         #: Deferred commands awaiting the next batch frame (see _defer).
         self._pending: list[dict[str, Any]] = []
         self._spawn()
@@ -182,27 +177,14 @@ class ProcessBackend:
         else:
             self._close_transport()
         self._pending = []
-        self._summary_cache = None
         self._stopped = False
         self._spawn()
-
-    @staticmethod
-    def _template_directory(store_factory: Optional["StoreFactory"]) -> Any:
-        """A local directory for decoded summaries (descriptor search).
-
-        Directory definitions are part of the store factory — schema, not
-        state — so a template store built from the same factory carries
-        the same descriptors the worker's store classifies records by.
-        """
-        if store_factory is None:
-            return None
-        return getattr(store_factory(), "directory", None)
 
     # -- protocol plumbing -----------------------------------------------------
 
     @property
     def obs(self) -> Any:
-        return self._engine.obs if self._engine is not None else NULL_OBS
+        return self._engine.obs
 
     def _check_alive(self) -> None:
         if not self._process.is_alive():
@@ -232,13 +214,7 @@ class ProcessBackend:
         flush and abort recovery exactly as the per-op round trip did,
         and ``seal_versions``, which only stamps what is already there.
         """
-        lock = getattr(self._engine, "_io_lock", None)
-        if lock is None:
-            self._pending.append(message)
-            if len(self._pending) >= PIPELINE_LIMIT:
-                self._flush()
-            return
-        with lock:
+        with self._engine._io_lock:
             self._pending.append(message)
             if len(self._pending) >= PIPELINE_LIMIT:
                 self._flush()
@@ -303,11 +279,7 @@ class ProcessBackend:
     def _call(self, message: dict[str, Any]) -> dict[str, Any]:
         # Serialize against in-flight split-phase dispatches: another
         # session's engine.run must not find our reply on the pipe.
-        lock = getattr(self._engine, "_io_lock", None)
-        if lock is None:
-            self._send(message)
-            return self._receive()
-        with lock:
+        with self._engine._io_lock:
             self._send(message)
             return self._receive()
 
@@ -317,8 +289,6 @@ class ProcessBackend:
         self, request: "Request", snapshot: Optional[int] = None
     ) -> None:
         """Ship *request* to the worker without waiting for the reply."""
-        if request.operation in _MUTATING_OPS:
-            self._summary_cache = None
         message: dict[str, Any] = {
             "cmd": "execute",
             "request": codec.encode_any_request(request),
@@ -357,7 +327,6 @@ class ProcessBackend:
         # Recovery replays whole WALs op by op; nobody reads the acks
         # until the next real command, so coalesce them into batch
         # frames instead of paying a round trip per op.
-        self._summary_cache = None
         self._defer(
             {"cmd": "replay", "request": codec.encode_any_request(request)}
         )
@@ -381,25 +350,7 @@ class ProcessBackend:
         )
 
     def rollback(self, files: Optional[list]) -> int:
-        self._summary_cache = None
         return self._call({"cmd": "rollback", "files": files})["rolled"]
-
-    # -- content summary (broadcast pruning) -----------------------------------
-
-    def summary(self) -> "BackendSummary":
-        if self._summary_cache is None:
-            reply = self._call({"cmd": "summary"})
-            self._summary_cache = codec.decode_summary(
-                reply["summary"], self._directory
-            )
-        return self._summary_cache
-
-    def summary_rebuild_counts(self) -> dict[str, int]:
-        return dict(self._call({"cmd": "rebuild_counts"})["counts"])
-
-    def invalidate_summary(self) -> None:
-        self._summary_cache = None
-        self._call({"cmd": "invalidate_summary"})
 
     # -- aggregates and accounting ---------------------------------------------
 

@@ -131,13 +131,6 @@ class _Worker:
             return {"ok": True}
         if cmd == "rollback":
             return {"rolled": backend.rollback(message["files"])}
-        if cmd == "summary":
-            return {"summary": codec.encode_summary(backend.summary())}
-        if cmd == "rebuild_counts":
-            return {"counts": backend.summary_rebuild_counts()}
-        if cmd == "invalidate_summary":
-            backend.invalidate_summary()
-            return {"ok": True}
         if cmd == "charge_access":
             elapsed, wall = backend.charge_access()
             return {"elapsed_ms": elapsed, "wall_ms": wall}

@@ -30,14 +30,12 @@ from repro.mbds.placement import (
     PlacementPolicy,
     RoundRobinPlacement,
 )
-from repro.mbds.summary import BackendSummary
 from repro.mbds.timing import BroadcastPhase, ResponseTime, TimingModel
 
 __all__ = [
     "Backend",
     "BackendController",
     "BackendResult",
-    "BackendSummary",
     "BroadcastPhase",
     "DatabaseTemplate",
     "ExecutionEngine",

@@ -43,7 +43,6 @@ from repro.abdl.ast import (
 from repro.abdl.executor import Executor, RequestResult
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.store import ABStore
-from repro.mbds.summary import BackendSummary, SummaryCache, affected_files
 from repro.mbds.timing import TimingModel
 from repro.obs import ObsSpec, resolve_obs
 from repro.qc.lru import LRUCache, MISSING
@@ -62,8 +61,8 @@ RESULT_CACHE_MAX_RECORDS = 256
 #: RETRIEVE results each backend's cache keeps.
 RESULT_CACHE_SIZE = 128
 
-#: Request types that can change what a backend's slice contains (and so
-#: invalidate its cached content summary).
+#: Request types that change what a backend's slice contains (and so
+#: park a version pre-image of each file they touch).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
 
 
@@ -141,10 +140,6 @@ class Backend:
         #: Real milliseconds slept per simulated millisecond (0 = no sleep).
         self.latency_scale = latency_scale
         self._lock = threading.Lock()
-        self._summary: Optional[BackendSummary] = None
-        #: Per-file summary digests; mutations invalidate only the files
-        #: they touched, so one write never re-summarizes the whole slice.
-        self._summaries = SummaryCache()
         self._result_cache = LRUCache(RESULT_CACHE_SIZE, prefix="qc.result")
 
     def bind_obs(self, obs: ObsSpec) -> None:
@@ -211,23 +206,6 @@ class Backend:
             )
             return backend_result
 
-    def _invalidate_for(self, request: Request) -> None:
-        """Invalidate summaries for the files *request* may have touched."""
-        self._summary = None
-        if isinstance(request, InsertRequest):
-            name = request.record.file_name
-            self._summaries.invalidate([name] if name else None)
-        elif isinstance(request, BulkInsertRequest):
-            # One invalidation per touched file for the whole batch, not
-            # one per record — the per-batch summary discipline.
-            names = {record.file_name for record in request.records}
-            self._summaries.invalidate(None if None in names else sorted(names))  # type: ignore[arg-type]
-        else:
-            query = getattr(request, "query", None)
-            self._summaries.invalidate(
-                affected_files(query) if query is not None else None
-            )
-
     def _execute_locked(
         self, request: Request, snapshot: Optional[int] = None
     ) -> BackendResult:
@@ -249,8 +227,6 @@ class Backend:
         index_hits = stats.index_hits - before.index_hits
         range_hits = stats.range_hits - before.range_hits
         fallback_scans = stats.fallback_scans - before.fallback_scans
-        if isinstance(request, _MUTATING_REQUESTS):
-            self._invalidate_for(request)
         if isinstance(request, InsertRequest):
             elapsed = self.timing.backend_insert_ms()
         elif isinstance(request, BulkInsertRequest):
@@ -307,14 +283,13 @@ class Backend:
         """Re-apply a journaled mutation without timing or result accounting.
 
         Recovery is not a workload: no simulated or wall time is charged
-        and no summary is consulted — the store is simply brought back to
-        the state the journal proves it reached.  Routing the op through
-        the executor keeps hash indexes and clustering maintained exactly
-        as they were during the original execution.
+        — the store is simply brought back to the state the journal
+        proves it reached.  Routing the op through the executor keeps
+        hash indexes and clustering maintained exactly as they were
+        during the original execution.
         """
         with self._lock:
             self.executor.execute(request)
-            self._invalidate_for(request)
 
     # -- version chains (MVCC snapshot reads) ------------------------------------
 
@@ -335,35 +310,7 @@ class Backend:
         this slice rolled back.
         """
         with self._lock:
-            rolled = self.store.rollback_pending(files)
-            if rolled:
-                self._summary = None
-                self._summaries.invalidate(rolled)
-            return len(rolled)
-
-    # -- content summary (broadcast pruning) ------------------------------------
-
-    def summary(self) -> BackendSummary:
-        """This backend's content summary, rebuilt lazily after mutations.
-
-        Per-file digests are memoized in :class:`SummaryCache`, so after
-        a mutation only the touched files are re-digested.
-        """
-        with self._lock:
-            if self._summary is None:
-                self._summary = self._summaries.summarize(self.store)
-            return self._summary
-
-    def summary_rebuild_counts(self) -> dict[str, int]:
-        """How often each file was re-digested (per-file invalidation tests)."""
-        with self._lock:
-            return dict(self._summaries.rebuild_counts)
-
-    def invalidate_summary(self) -> None:
-        """Drop the cached summary (after out-of-band store mutation)."""
-        with self._lock:
-            self._summary = None
-            self._summaries.invalidate()
+            return len(self.store.rollback_pending(files))
 
     def charge_access(self) -> tuple[float, float]:
         """Charge one simulated disk access (the aggregate fast path).

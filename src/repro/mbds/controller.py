@@ -8,21 +8,20 @@ backend contribution to response time is the *maximum* of their individual
 times, not the sum — this is the mechanism behind both MBDS performance
 claims.
 
-Two orthogonal layers make the parallelism real rather than only
-simulated:
-
-* an :class:`~repro.mbds.engine.ExecutionEngine` decides how a broadcast
-  is dispatched in wall-clock terms — serially (default, deterministic)
-  or concurrently on a thread pool — without affecting results or
-  simulated time;
-* optional **broadcast pruning** consults each backend's cached
-  :class:`~repro.mbds.summary.BackendSummary` and skips backends whose
-  slice cannot match the request's query.  Pruned backends are charged
-  zero simulated time and zero wall time; their slots in the per-backend
-  lists stay at 0.0 so the lists remain indexed by backend id.
+An :class:`~repro.mbds.engine.ExecutionEngine` decides how a broadcast
+is dispatched in wall-clock terms — serially (default, deterministic),
+on a thread pool, or across worker processes — without affecting
+results or simulated time.
 
 INSERT requests are not broadcast: the placement policy routes each new
-record to exactly one backend.
+record to exactly one backend.  The same policy is the one thing that
+narrows a broadcast: a policy exposing ``route`` (hash sharding) names
+the backends that may hold matches, and the rest are skipped — charged
+zero simulated and wall time, their slots in the per-backend lists left
+at 0.0 so the lists stay indexed by backend id.  Within each backend
+reached, the store's own directory (a
+:class:`~repro.abdm.directory.ClusteredStore`) does the descriptor
+search, as in the paper.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class ExecutionTrace:
     """Merged outcome of one request across all backends.
 
     *per_backend_ms* / *per_backend_wall_ms* are indexed by backend id
-    for broadcasts (pruned backends hold 0.0); for routed INSERTs they
+    for broadcasts (backends routed away hold 0.0); for routed INSERTs they
     hold the single executing backend.  For multi-phase requests
     (RETRIEVE-COMMON) they are the element-wise per-backend totals
     across phases, with the per-phase breakdown in *phases*.
@@ -120,7 +119,6 @@ class BackendController:
         store_factory: Optional[StoreFactory] = None,
         engine: EngineSpec = None,
         workers: Optional[int] = None,
-        pruning: bool = False,
         latency_scale: float = 0.0,
         wal: Optional[WalManager] = None,
         obs: ObsSpec = None,
@@ -134,7 +132,6 @@ class BackendController:
         #: serialize their updates here.
         self.placement_lock = threading.RLock()
         self.engine: ExecutionEngine = make_engine(engine, workers)
-        self.pruning = pruning
         #: Observability bundle shared with the engine and the WAL; the
         #: default is the null bundle (every hook a constant-time no-op).
         self.obs = resolve_obs(obs)
@@ -237,7 +234,7 @@ class BackendController:
             )
         for ids, request in ops:
             if not ids:
-                continue  # pruned to no backend: nothing applies, nothing to redo
+                continue  # routed to no backend: nothing applies, nothing to redo
             if isinstance(request, BulkInsertRequest):
                 wal.log_bulk(ids, request, session.wal_txn)
             else:
@@ -409,49 +406,25 @@ class BackendController:
     def _broadcast_targets(self, request: Request) -> list[Backend]:
         """The backends a broadcast must reach.
 
-        Two independent narrowing layers compose here:
-
-        1. **Shard routing** — a placement policy exposing ``route``
-           (e.g. :class:`~repro.mbds.placement.HashShardPlacement`) can
-           prove from placement alone that only certain backends may
-           hold matches.  Routing is metadata-only: no backend is
-           consulted.
-        2. **Summary pruning** — when enabled, the surviving targets are
-           further filtered against each backend's cached content
-           summary, which also catches backends whose routed slice
-           happens to hold nothing matching the predicate values.
-
-        Skipped backends (by either layer) are charged zero simulated
-        and zero wall time, exactly as pruning always has.
+        A placement policy exposing ``route`` (e.g.
+        :class:`~repro.mbds.placement.HashShardPlacement`) can prove from
+        placement alone that only certain backends may hold matches;
+        routing is metadata-only, no backend is consulted.  Without one,
+        every backend is reached.  Skipped backends are charged zero
+        simulated and zero wall time.
         """
-        targets = list(self.backends)
         router = getattr(self.placement, "route", None)
-        if router is not None:
-            routed = router(request, self.backend_count)
-            if routed is not None:
-                targets = [b for b in targets if b.backend_id in routed]
-                metrics = self.obs.metrics
-                if metrics.enabled:
-                    metrics.inc("route.requests")
-                    skipped = self.backend_count - len(targets)
-                    if skipped:
-                        metrics.inc("route.skipped_backends", skipped)
-        if not self.pruning:
-            return targets
-        query = getattr(request, "query", None)
-        if query is None:
-            return targets
-        with self.obs.tracer.span("prune.decision") as span:
-            pruned = [b for b in targets if b.summary().may_match(query)]
-        skipped = len(targets) - len(pruned)
-        if span:
-            span.record(targets=len(pruned), skipped=skipped)
+        routed = router(request, self.backend_count) if router is not None else None
+        if routed is None:
+            return list(self.backends)
+        targets = [b for b in self.backends if b.backend_id in routed]
         metrics = self.obs.metrics
         if metrics.enabled:
-            metrics.inc("prune.broadcasts")
+            metrics.inc("route.requests")
+            skipped = self.backend_count - len(targets)
             if skipped:
-                metrics.inc("prune.skipped_backends", skipped)
-        return pruned
+                metrics.inc("route.skipped_backends", skipped)
+        return targets
 
     # -- maintenance -------------------------------------------------------------
 
@@ -479,11 +452,6 @@ class BackendController:
             for b in self.backends
         }
 
-    def invalidate_summaries(self) -> None:
-        """Drop every cached backend summary (after direct store edits)."""
-        for backend in self.backends:
-            backend.invalidate_summary()
-
     def shutdown(self) -> None:
         """Release engine resources (worker threads, if any)."""
         self.engine.shutdown()
@@ -507,7 +475,7 @@ class BackendController:
 
 
 def _empty_result(request: Request) -> RequestResult:
-    """The result of a broadcast every backend was pruned from."""
+    """The result of a broadcast routed to no backend."""
     for request_type, operation in _OPERATION_NAMES.items():
         if isinstance(request, request_type):
             return RequestResult(operation)

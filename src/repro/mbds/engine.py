@@ -345,7 +345,7 @@ class ProcessPoolEngine(ExecutionEngine):
 
         The latch only catches crashes surfaced through engine dispatch;
         a :class:`~repro.errors.WorkerCrashed` raised by a direct proxy
-        call (summary probes, ``distribution()`` inside ``session_commit``)
+        call (``distribution()`` inside ``session_commit``, an aggregate probe)
         bypasses it, so the farm's actual liveness is checked too.
         """
         if self._crashed is not None:

@@ -42,10 +42,15 @@ from repro.errors import (
 )
 from repro.mbds.controller import BackendController, ExecutionTrace
 from repro.mbds.engine import EngineSpec, ProcessPoolEngine
-from repro.mbds.locks import LockManager, lock_items
+from repro.mbds.locks import (
+    GLOBAL_RESOURCE,
+    LockManager,
+    LockMode,
+    affected_files,
+    lock_items,
+)
 from repro.mbds.placement import PlacementPolicy
 from repro.mbds.sessions import KernelSession
-from repro.mbds.summary import affected_files
 from repro.mbds.timing import (
     PHASE_AGGREGATE_INDEX,
     PHASE_COMMON_LEFT,
@@ -91,7 +96,6 @@ class KernelDatabaseSystem:
         store_factory=None,
         engine: EngineSpec = None,
         workers: Optional[int] = None,
-        pruning: bool = False,
         latency_scale: float = 0.0,
         wal: Optional[WalManager] = None,
         obs: ObsSpec = None,
@@ -101,9 +105,9 @@ class KernelDatabaseSystem:
         """*engine* picks the wall-clock dispatch strategy ('serial',
         'threads' or 'process', or an
         :class:`~repro.mbds.engine.ExecutionEngine`);
-        simulated response time is identical for every engine.  *pruning*
-        enables summary-based broadcast pruning; *latency_scale* emulates
-        real disk stalls (see :class:`~repro.mbds.backend.Backend`).
+        simulated response time is identical for every engine.
+        *latency_scale* emulates real disk stalls (see
+        :class:`~repro.mbds.backend.Backend`).
         *wal* attaches a write-ahead log: mutating requests are journaled
         before applying and grouped into transactions (see
         :meth:`session_transaction`).  *obs* attaches an
@@ -118,7 +122,6 @@ class KernelDatabaseSystem:
             store_factory,
             engine=engine,
             workers=workers,
-            pruning=pruning,
             latency_scale=latency_scale,
             wal=wal,
             obs=obs,
@@ -164,7 +167,7 @@ class KernelDatabaseSystem:
         # crashes (no WAL, mid-transaction) still shut the farm down —
         # see _handle_worker_crash.
         engine_obj = self.controller.engine
-        if hasattr(engine_obj, "defer_crash_shutdown"):
+        if isinstance(engine_obj, ProcessPoolEngine):
             engine_obj.defer_crash_shutdown = True
 
     @property
@@ -604,20 +607,37 @@ class KernelDatabaseSystem:
         return list(self._catalog.values())
 
     def drop_database(self, name: str) -> None:
-        """Remove a database and delete its files from every backend."""
+        """Remove a database and delete its files from every backend.
+
+        The drop runs on the kernel's own session under the global
+        exclusive lock, so no other session is reading or writing the
+        files while they go.  It is not journaled: a kernel with a WAL
+        attached refuses it with :class:`~repro.errors.WalError`, since
+        recovery would bring the files and the catalog entry back.
+        """
+        if self.wal is not None:
+            raise WalError(
+                f"cannot drop database {name!r} with a WAL attached: "
+                "a drop is not journaled, so recovery would restore it"
+            )
         template = self.database(name)
-        for backend in self.controller.backends:
-            for file_name in template.files:
-                backend.store.drop_file(file_name)
-        # Dropping files bypasses Backend.execute, so the cached pruning
-        # summaries no longer describe the stores; rebuild them lazily.
-        # It also bypasses placement, so load-tracking policies get the
-        # farm's actual distribution to resynchronize against.
-        self.controller.invalidate_summaries()
-        rebalance = getattr(self.controller.placement, "rebalance", None)
-        if rebalance is not None:
-            rebalance(self.controller.distribution())
-        del self._catalog[name]
+        session = self._own
+        try:
+            self.locks.acquire(
+                session.owner, [(GLOBAL_RESOURCE, LockMode.X)], session.lock_timeout
+            )
+            for backend in self.controller.backends:
+                for file_name in template.files:
+                    backend.store.drop_file(file_name)
+            # Dropping files bypasses placement, so load-tracking policies
+            # get the farm's actual distribution to resynchronize against.
+            rebalance = getattr(self.controller.placement, "rebalance", None)
+            if rebalance is not None:
+                rebalance(self.controller.distribution())
+            del self._catalog[name]
+        finally:
+            if not session.in_transaction:
+                self.locks.release_all(session.owner)
 
     # -- execution ---------------------------------------------------------------
 

@@ -79,8 +79,8 @@ from repro.abdl.ast import (
     RetrieveRequest,
     UpdateRequest,
 )
+from repro.abdm.predicate import Query
 from repro.errors import DeadlockDetected, LockTimeout
-from repro.mbds.summary import affected_files
 from repro.obs.metrics import NULL_METRICS, Histogram
 
 #: Reserved resource name for the whole store.  AB file names come from
@@ -142,6 +142,21 @@ def supremum(held: LockMode, wanted: LockMode) -> LockMode:
 
 
 LockItem = Tuple[str, LockMode]
+
+
+def affected_files(query: Query) -> Optional[frozenset[str]]:
+    """The files a request through *query* can touch (None = unknown).
+
+    A query whose every clause pins ``FILE`` can only touch the pinned
+    files; any unpinned clause makes the whole store suspect.
+    """
+    names: set[str] = set()
+    for clause in query:
+        pinned = clause.file_names()
+        if not pinned:
+            return None
+        names.update(pinned)
+    return frozenset(names)
 
 
 def lock_items(request: Request) -> List[LockItem]:

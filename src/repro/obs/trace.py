@@ -7,7 +7,6 @@ objects mirroring the layers it crossed::
     └─ kms.translate                 DML → ABDL translation + dispatch
        └─ kc.dispatch                one per ABDL request the KMS emitted
           └─ kds.execute             the kernel database system
-             ├─ prune.decision       broadcast pruning (when enabled)
              ├─ wal.append           journaling, one record per request
              ├─ wal.commit           the atomic commit point
              │  └─ wal.fsync         only with sync=True WALs

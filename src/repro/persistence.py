@@ -132,25 +132,21 @@ def load_mlds(
     *,
     engine=None,
     workers: Optional[int] = None,
-    pruning: bool = False,
     placement=None,
     store_factory=None,
     obs=None,
 ) -> MLDS:
     """Restore an :class:`MLDS` from a snapshot written by :func:`save_mlds`.
 
-    The kernel knobs (*engine*, *workers*, *pruning*, *placement*,
-    *store_factory*, *obs*) are not part of the snapshot — they describe
-    the machine, not the data — so callers pick them at load time,
-    defaulting to the serial, unpruned, untraced, round-robin
-    configuration.  The snapshot's placement *state* (round-robin
+    The kernel knobs (*engine*, *workers*, *placement*, *store_factory*,
+    *obs*) are not part of the snapshot — they describe the machine, not
+    the data — so callers pick them at load time, defaulting to the
+    serial, untraced, round-robin configuration.  The snapshot's placement *state* (round-robin
     counters, hash-shard taints, load counts) is re-applied when the
     chosen policy matches the kind that wrote it.
 
     Records are restored through each backend's store, which rebuilds
-    hash indexes and clustering as it inserts; cached broadcast-pruning
-    summaries are explicitly invalidated afterwards so a pruned RETRIEVE
-    issued immediately after the load sees the restored contents.
+    hash indexes and clustering as it inserts.
     """
     snapshot = json.loads(Path(path).read_text())
     version = snapshot.get("format")
@@ -166,7 +162,6 @@ def load_mlds(
         placement=placement,
         engine=engine,
         workers=workers,
-        pruning=pruning,
         store_factory=store_factory,
         obs=obs,
     )
@@ -212,7 +207,4 @@ def load_mlds(
     if isinstance(restored, LeastLoadedPlacement):
         # Whatever the snapshot said, the true load is what was restored.
         restored.rebalance(mlds.kds.controller.distribution())
-    # Restoring bypassed Backend.execute, so any cached content summaries
-    # no longer describe the stores; drop them (they rebuild lazily).
-    mlds.kds.controller.invalidate_summaries()
     return mlds

@@ -91,7 +91,6 @@ def replay_committed(
                     f"got {observed}"
                 )
         replayed += 1
-    controller.invalidate_summaries()
     return replayed
 
 
@@ -174,7 +173,6 @@ def recover_mlds(
     *,
     engine=None,
     workers: Optional[int] = None,
-    pruning: bool = False,
     placement=None,
     store_factory=None,
     attach_wal: bool = True,
@@ -201,7 +199,6 @@ def recover_mlds(
     kwargs = dict(
         engine=engine,
         workers=workers,
-        pruning=pruning,
         placement=placement,
         store_factory=store_factory,
         obs=obs,

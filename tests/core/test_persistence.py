@@ -91,40 +91,12 @@ class TestRoundTrip:
         restored = load_mlds(path)
         assert restored.kds.controller.timing == original.kds.controller.timing
 
-    def test_pruned_retrieve_right_after_restore(self, populated):
-        """Regression: load_mlds bypasses Backend.execute, so stale (empty)
-        pruning summaries must not make a pruned broadcast skip backends
-        that do hold restored records."""
+    def test_load_accepts_engine_knobs(self, populated):
         original, path = populated
-        restored = load_mlds(path, pruning=True)
-        from repro.abdl.ast import RetrieveRequest
-        from repro.abdm.predicate import Query
-
-        request = RetrieveRequest(Query.single("FILE", "=", "person"))
-        expected = original.kds.execute(request).result.count
-        assert expected > 0
-        assert restored.kds.execute(request).result.count == expected
-
-    def test_restore_rebuilds_summaries_not_reuses_them(self, populated):
-        """Every backend's summary reflects its restored slice."""
-        _, path = populated
-        restored = load_mlds(path, pruning=True)
-        from repro.abdm.predicate import Query
-
-        query = Query.single("FILE", "=", "person")
-        for backend in restored.kds.controller.backends:
-            holds = any(
-                r.file_name == "person" for r in backend.store.all_records()
-            )
-            if holds:
-                assert backend.summary().may_match(query)
-
-    def test_load_accepts_engine_and_pruning_knobs(self, populated):
-        original, path = populated
-        restored = load_mlds(path, engine="threads", workers=2, pruning=True)
+        restored = load_mlds(path, engine="threads", workers=2)
         try:
             assert restored.kds.record_count() == original.kds.record_count()
-            assert restored.kds.controller.pruning
+            assert restored.kds.controller.engine.name == "threads"
         finally:
             restored.kds.shutdown()
 

@@ -2,9 +2,8 @@
 
 Every test here is an equivalence claim: bulk loading must produce the
 *bit-identical* post-load state — store contents, placement counters,
-index arrays, pruning summaries, persistence snapshots — that inserting
-the same records one request at a time produces, under every execution
-engine.  The bulk path is allowed to change wall clock and fsync counts,
+index arrays, persistence snapshots — that inserting the same records
+one request at a time produces, under every execution engine.  The bulk path is allowed to change wall clock and fsync counts,
 never state.
 """
 

@@ -14,12 +14,10 @@ import math
 
 from repro.abdl import parse_request
 from repro.abdl.executor import RequestResult
-from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.ipc import codec
 from repro.mbds.backend import BackendResult
-from repro.mbds.summary import AttributeRange, BackendSummary, FileSummary
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
 
@@ -104,40 +102,6 @@ class TestRecordsAndResults:
 
 
 class TestImagesSummariesDigests:
-    def test_summary_roundtrips_minus_directory(self):
-        summary = BackendSummary(
-            frozenset({"f"}),
-            None,
-            {
-                "f": FileSummary(
-                    5,
-                    {
-                        "x": AttributeRange(0, 9, None, None, False, True),
-                        "s": AttributeRange(None, None, "a", "zz", True, False),
-                    },
-                    None,
-                )
-            },
-        )
-        decoded = codec.decode_summary(
-            through_json(codec.encode_summary(summary))
-        )
-        assert decoded == summary
-
-    def test_clustered_summary_reattaches_lent_directory(self):
-        directory = Directory()
-        directory.add_ranges("x", 0, 100, 4)
-        summary = BackendSummary(
-            frozenset({"f"}),
-            directory,
-            {"f": FileSummary(2, {}, (frozenset({0, 1}), frozenset({3})))},
-        )
-        decoded = codec.decode_summary(
-            through_json(codec.encode_summary(summary)), directory
-        )
-        assert decoded.directory is directory
-        assert decoded.file_summaries == summary.file_summaries
-
     def test_digest_roundtrips(self):
         digest = AttributeIndexDigest(
             entries=7, nulls=1, nans=1, distinct=4, num_min=0, num_max=9,

@@ -16,6 +16,7 @@ from repro.mbds import (
     HashShardPlacement,
     KernelDatabaseSystem,
     LeastLoadedPlacement,
+    RoundRobinPlacement,
 )
 from repro.obs import Observability
 
@@ -78,6 +79,29 @@ class TestFileShardRouting:
         controller.execute(parse_request("RETRIEVE (FILE = a) (*)"))
         assert obs.metrics.counter_value("route.requests") >= 1
         assert obs.metrics.counter_value("route.skipped_backends") >= 3
+
+
+class NoBackendRoute(RoundRobinPlacement):
+    """Routes every broadcast to no backend at all."""
+
+    def route(self, request, backend_count):
+        return set()
+
+
+class TestEmptyRoute:
+    def test_no_backend_route_yields_typed_empty_result(self):
+        controller = BackendController(3, placement=NoBackendRoute())
+        controller.execute(insert("a", "a$0"))
+        for text, operation in (
+            ("RETRIEVE (FILE = a) (*)", "RETRIEVE"),
+            ("DELETE (FILE = a)", "DELETE"),
+            ("UPDATE (FILE = a) (k = 1)", "UPDATE"),
+        ):
+            trace = controller.execute(parse_request(text))
+            assert trace.result.operation == operation
+            assert trace.result.count == 0
+            assert trace.per_backend_ms == [0.0, 0.0, 0.0]
+        assert controller.record_count() == 1
 
 
 class TestValueShardRouting:

@@ -68,7 +68,6 @@ class TestProcessEngineParity:
                 backend_count=3,
                 engine=engine,
                 store_factory=lambda: ClusteredStore(directory),
-                pruning=True,
             )
             for i in range(30):
                 kds.execute(

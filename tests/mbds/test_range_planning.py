@@ -1,10 +1,9 @@
-"""Access planning across the farm: engines, pruning, aggregates, durability.
+"""Access planning across the farm: engines, aggregates, durability.
 
 The MBDS-level half of PR 5's fidelity story: the planner's choices are
-invisible to every consumer — thread-pool execution, value-range
-broadcast pruning, the MIN/MAX/COUNT digest fast path, and index rebuilds
-after checkpoint/restore or WAL crash recovery all return exactly what
-the scanning baseline returns.
+invisible to every consumer — thread-pool execution, the MIN/MAX/COUNT
+digest fast path, and index rebuilds after checkpoint/restore or WAL
+crash recovery all return exactly what the scanning baseline returns.
 """
 
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from repro.abdl import parse_request
 from repro.abdl.ast import InsertRequest
 from repro.abdm import ABStore, Record
-from repro.mbds import BackendController, KernelDatabaseSystem
+from repro.mbds import KernelDatabaseSystem
 from repro.obs import Observability
 from repro.qc import runtime as qc_runtime
 
@@ -90,109 +89,6 @@ class TestEngineBitIdentity:
         finally:
             indexed.shutdown()
             plain.shutdown()
-
-
-class BandPlacement:
-    """x < 50 on backend 0, the rest on backend 1 (range partitioning)."""
-
-    def place(self, record, backend_count):
-        value = record.get("x")
-        if isinstance(value, (int, float)):
-            return 0 if value < 50 else 1 % backend_count
-        return 0
-
-
-class TestValueRangePruning:
-    def build(self, pruning):
-        controller = BackendController(
-            2, placement=BandPlacement(), pruning=pruning
-        )
-        for i in range(30):
-            controller.execute(insert("data", f"d${i}", x=(i * 7) % 100))
-        return controller
-
-    def test_range_conjunction_prunes_to_zero_simulated_time(self):
-        controller = self.build(pruning=True)
-        trace = controller.execute(parse_request("RETRIEVE ((FILE = data) AND (x >= 80)) (*)"))
-        # No directory anywhere: the value-range summaries alone prove
-        # backend 0 (x < 50) cannot satisfy x >= 80.
-        assert trace.result.count > 0
-        assert trace.per_backend_ms[0] == 0.0
-        assert trace.per_backend_ms[1] > 0.0
-
-    def test_pruned_results_identical_to_unpruned(self):
-        pruned = self.build(pruning=True)
-        unpruned = self.build(pruning=False)
-        for text in (
-            "RETRIEVE ((FILE = data) AND (x >= 80)) (*)",
-            "RETRIEVE ((FILE = data) AND (x < 10)) (*)",
-            "RETRIEVE ((FILE = data) AND (x > 30) AND (x <= 60)) (*)",
-            "RETRIEVE ((FILE = data) AND (x = 999)) (*)",
-        ):
-            left = pruned.execute(parse_request(text))
-            right = unpruned.execute(parse_request(text))
-            assert [r.pairs() for r in left.result.records] == [
-                r.pairs() for r in right.result.records
-            ]
-
-    def test_insert_after_priming_reopens_the_band(self):
-        controller = self.build(pruning=True)
-        assert (
-            controller.execute(
-                parse_request("RETRIEVE ((FILE = data) AND (x >= 200)) (*)")
-            ).result.count
-            == 0
-        )
-        controller.execute(insert("data", "d$new", x=250))
-        trace = controller.execute(
-            parse_request("RETRIEVE ((FILE = data) AND (x >= 200)) (*)")
-        )
-        assert trace.result.count == 1
-
-
-class TestPerFileInvalidation:
-    def prime(self, controller):
-        controller.execute(parse_request("RETRIEVE (FILE = student) (*)"))
-        controller.execute(parse_request("RETRIEVE (FILE = course) (*)"))
-
-    def test_write_to_course_does_not_redigest_student(self):
-        controller = BackendController(1, pruning=True)
-        controller.execute(insert("student", "s$0", gpa=3.1))
-        controller.execute(insert("course", "c$0", credits=3))
-        self.prime(controller)
-        backend = controller.backends[0]
-        before = backend.summary_rebuild_counts()
-        assert before["student"] == before["course"] == 1
-        controller.execute(insert("course", "c$1", credits=4))
-        self.prime(controller)
-        after = backend.summary_rebuild_counts()
-        assert after["student"] == 1  # untouched file: digest reused
-        assert after["course"] == 2  # written file: re-digested once
-
-    def test_pinned_delete_invalidates_only_its_file(self):
-        controller = BackendController(1, pruning=True)
-        controller.execute(insert("student", "s$0", gpa=3.1))
-        controller.execute(insert("course", "c$0", credits=3))
-        controller.execute(insert("course", "c$1", credits=4))
-        self.prime(controller)
-        controller.execute(parse_request("DELETE ((FILE = course) AND (credits = 3))"))
-        self.prime(controller)
-        counts = controller.backends[0].summary_rebuild_counts()
-        assert counts["student"] == 1
-        assert counts["course"] == 2
-
-    def test_unpinned_mutation_invalidates_everything(self):
-        controller = BackendController(1, pruning=True)
-        controller.execute(insert("student", "s$0", shared=1))
-        controller.execute(insert("student", "s$1", shared=2))
-        controller.execute(insert("course", "c$0", shared=1))
-        controller.execute(insert("course", "c$1", shared=2))
-        self.prime(controller)
-        controller.execute(parse_request("DELETE (shared = 1)"))
-        self.prime(controller)
-        counts = controller.backends[0].summary_rebuild_counts()
-        assert counts["student"] == 2
-        assert counts["course"] == 2
 
 
 class TestAggregateDigestFastPath:
@@ -321,7 +217,7 @@ class TestDurability:
         expected = self.fingerprint(mlds.kds)
         save_mlds(mlds, tmp_path / "snap.json")
 
-        restored = load_mlds(tmp_path / "snap.json", store_factory=factory, pruning=True)
+        restored = load_mlds(tmp_path / "snap.json", store_factory=factory)
         assert self.fingerprint(restored.kds) == expected
         # The rebuilt indexes actually serve the range: candidates only.
         backend = restored.kds.controller.backends[0]
@@ -330,7 +226,7 @@ class TestDurability:
         examined = backend.store.stats.records_examined - before
         assert 0 < examined < backend.store.count()
 
-    def test_wal_recovery_rebuilds_indexes_and_summaries(self, tmp_path):
+    def test_wal_recovery_rebuilds_indexes(self, tmp_path):
         from repro.core.mlds import MLDS
         from repro.wal.recovery import recover_mlds
 
@@ -342,12 +238,12 @@ class TestDurability:
         mlds.kds.shutdown()
 
         recovered = recover_mlds(
-            tmp_path / "wal", store_factory=factory, pruning=True, attach_wal=False
+            tmp_path / "wal", store_factory=factory, attach_wal=False
         )
         assert self.fingerprint(recovered.kds) == expected
-        # Pruning works off rebuilt value-range summaries immediately.
-        trace = recovered.kds.execute(
-            parse_request("RETRIEVE ((FILE = data) AND (x > 900)) (*)")
-        )
-        assert trace.result.count == 0
-        assert trace.response.backend_ms == 0.0
+        # The replayed indexes serve the range: candidates only.
+        backend = recovered.kds.controller.backends[0]
+        before = backend.store.stats.records_examined
+        recovered.kds.execute(parse_request("RETRIEVE ((FILE = data) AND (x = 0)) (*)"))
+        examined = backend.store.stats.records_examined - before
+        assert 0 < examined < backend.store.count()

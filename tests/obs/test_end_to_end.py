@@ -34,7 +34,6 @@ def traced(request, tmp_path):
     mlds = MLDS(
         backend_count=3,
         engine=request.param,
-        pruning=True,
         wal=tmp_path / "wal",
         obs=obs,
     )
@@ -59,15 +58,15 @@ class TestSingleTransactionTrace:
         assert any(name.startswith("backend[") for name in names)
         assert all(span.closed for span in root.walk())
 
-    def test_retrieve_trace_has_prune_and_backend_phases(self, traced):
+    def test_retrieve_trace_has_backend_phases(self, traced):
         mlds, obs = traced
         session = mlds.open_sql_session("registrar")
         session.execute("INSERT INTO student VALUES (1, 'Ann', 'cs')")
         session.execute("SELECT sname FROM student WHERE major = 'cs'")
         root = obs.last_trace
         names = {span.name for span in root.walk()}
-        assert "prune.decision" in names
-        assert any(name.endswith(".broadcast") for name in names)
+        # Round-robin placement routes nothing: every backend is reached.
+        assert {f"backend[{i}].broadcast" for i in range(3)} <= names
 
     def test_simulated_totals_bit_identical_to_clock(self, traced):
         mlds, obs = traced
@@ -139,7 +138,6 @@ class TestMetricsAcrossRequests:
         assert metrics.counter_value("wal.commits") >= 1
         assert metrics.counter_value("backend.requests") >= 1
         assert metrics.get("kds.request.simulated_ms").count >= 2
-        assert metrics.counter_value("prune.broadcasts") >= 1
 
     def test_export_is_json_serialisable(self, traced):
         mlds, obs = traced

@@ -55,7 +55,7 @@ def workloads(draw):
 
 def run_workload(engine: str, statements: list[str]):
     obs = Observability(tracing=True, trace_capacity=256)
-    mlds = MLDS(backend_count=3, engine=engine, pruning=True, obs=obs)
+    mlds = MLDS(backend_count=3, engine=engine, obs=obs)
     mlds.define_relational_database(DDL)
     session = mlds.open_sql_session("registrar")
     for statement in statements:

@@ -144,6 +144,26 @@ def test_checkpoint_carries_schemas_and_placement(tmp_path):
     recovered.kds.shutdown()
 
 
+def test_drop_database_is_refused_rather_than_undone_by_recovery(tmp_path):
+    # A drop is not journaled: allowed, it would empty the live farm and
+    # recovery would bring every record and the catalog entry back.
+    wal_dir = tmp_path / "wal"
+    mlds = MLDS(backend_count=2, wal=wal_dir)
+    load_university(mlds)
+    checkpoint_mlds(mlds)
+    live = farm_image(mlds)
+    with pytest.raises(WalError, match="not journaled"):
+        mlds.kds.drop_database("university")
+    assert farm_image(mlds) == live
+    assert [t.name for t in mlds.kds.databases()] == ["university"]
+    mlds.kds.shutdown()
+
+    recovered = recover_mlds(wal_dir)
+    assert farm_image(recovered) == live
+    assert [t.name for t in recovered.kds.databases()] == ["university"]
+    recovered.kds.shutdown()
+
+
 def test_uncommitted_tail_is_discarded(tmp_path):
     wal_dir = tmp_path / "wal"
     mlds = MLDS(backend_count=2, wal=wal_dir)
