@@ -4,7 +4,9 @@ The executor is storage-engine-agnostic: it runs over any
 :class:`~repro.abdm.store.ABStore`, and MBDS backends embed one executor
 each.  Results are :class:`RequestResult` objects carrying either records
 (RETRIEVE / RETRIEVE-COMMON) or a touched-record count (INSERT / DELETE /
-UPDATE).
+UPDATE).  No read copies a record: a ``*`` retrieval returns the store's
+own sealed records, and projected, joined and aggregate rows are sealed
+before they leave, so every record a result carries is read-only.
 """
 
 from __future__ import annotations
@@ -32,15 +34,17 @@ from repro.errors import ExecutionError
 class RequestResult:
     """Outcome of one ABDL request.
 
-    *records* is populated for retrievals (already projected onto the
-    target list; the raw matching records are kept in *raw_records* for
-    callers, like the kernel controller, that fill request buffers).
-    *count* is the number of records inserted / deleted / updated.
+    *records* is populated for retrievals, projected onto the target
+    list.  Every record in it is sealed and may be shared — with the
+    store (a ``*`` target hands out the stored objects themselves), the
+    result cache and other callers — so a caller that wants a changed
+    record builds one from ``Record.copy()``.  The list itself is the
+    caller's.  *count* is the number of records retrieved / inserted /
+    deleted / updated.
     """
 
     operation: str
     records: list[Record] = field(default_factory=list)
-    raw_records: list[Record] = field(default_factory=list)
     count: int = 0
 
     def __len__(self) -> int:
@@ -48,7 +52,12 @@ class RequestResult:
 
 
 class Executor:
-    """Evaluates ABDL requests over one :class:`ABStore`."""
+    """Evaluates ABDL requests over one :class:`ABStore`.
+
+    Writes hand the store a copy of each request record (the store seals
+    what it takes, and the request stays the caller's); reads hand back
+    what the store found without copying it.
+    """
 
     def __init__(self, store: ABStore) -> None:
         self.store = store
@@ -107,12 +116,8 @@ class Executor:
             matching = self.store.find(request.query)
         else:
             matching = self.store.find_at(request.query, snapshot)
-        projected = project(matching, request)
         return RequestResult(
-            "RETRIEVE",
-            records=projected,
-            raw_records=[r.copy() for r in matching],
-            count=len(matching),
+            "RETRIEVE", records=project(matching, request), count=len(matching)
         )
 
     def _retrieve_common(
@@ -126,12 +131,8 @@ class Executor:
             right = self.store.find_at(request.right_query, snapshot)
         merged = merge_common(left, right, request)
         plain = RetrieveRequest(request.left_query, request.target)
-        projected = project(merged, plain)
         return RequestResult(
-            "RETRIEVE-COMMON",
-            records=projected,
-            raw_records=merged,
-            count=len(merged),
+            "RETRIEVE-COMMON", records=project(merged, plain), count=len(merged)
         )
 
 
@@ -143,7 +144,8 @@ def merge_common(
     """Hash-join two record sets on the request's common attribute pair.
 
     Right-side keywords that collide with left-side attributes are kept
-    under a ``<right-file>.<attribute>`` name in the merged record.
+    under a ``<right-file>.<attribute>`` name in the merged record, which
+    is sealed like every other record a read returns.
     Shared between the single-store executor and the kernel controller —
     a partitioned RETRIEVE-COMMON must join at the controller, since
     matching records may live on different backends.
@@ -165,7 +167,7 @@ def merge_common(
                     combined.set(f"{partner.file_name}.{attribute}", value)
                 else:
                     combined.set(attribute, value)
-            merged.append(combined)
+            merged.append(combined.seal())
     return merged
 
 
@@ -178,10 +180,13 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
     group without it) and each group yields one output record carrying the
     group key plus the aggregate values; plain attributes mixed into an
     aggregate target list take their value from the group's first record.
+
+    The ``*`` target returns the input records themselves (they are
+    sealed); every row built here is sealed before it is returned.
     """
     if not request.has_aggregates:
         if request.wants_all:
-            output = [record.copy() for record in records]
+            output = list(records)
         else:
             output = []
             for record in records:
@@ -189,7 +194,7 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
                 for item in request.target:
                     if item.attribute in record:
                         projected.set(item.attribute, record.get(item.attribute))
-                output.append(projected)
+                output.append(projected.seal())
         if request.by is not None:
             # A BY clause without aggregates orders the output by the
             # grouping attribute, keeping groups contiguous.
@@ -209,5 +214,5 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
                 row.set(item.output_name, evaluate_aggregate(item.aggregate, item.attribute, group))
             elif item.attribute != request.by:
                 row.set(item.attribute, group[0].get(item.attribute) if group else None)
-        results.append(row)
+        results.append(row.seal())
     return results

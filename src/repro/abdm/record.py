@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.abdm.values import Value, render
+from repro.errors import RecordSealed
 
 #: The distinguished attribute naming the file a record belongs to.
 FILE_ATTRIBUTE = "FILE"
+
+_SEALED = "the record is sealed (stored records are shared); modify a copy()"
 
 
 @dataclass(frozen=True)
@@ -34,21 +37,31 @@ class Keyword:
 class Record:
     """An ABDM record: ordered keywords plus an optional textual portion.
 
-    The class enforces the at-most-one-keyword-per-attribute rule and keeps
-    both the insertion order (for rendering and for the FILE/dbkey
-    conventions) and a hash index (for predicate evaluation).
+    The class enforces the at-most-one-keyword-per-attribute rule.  One
+    dict holds the keywords: it is the hash index predicate evaluation
+    reads, and its insertion order is the keyword order rendering and the
+    FILE/dbkey conventions rely on (a removed-then-set attribute moves to
+    the end).  Holding only strings and scalars, the dict is not a
+    container the cyclic garbage collector tracks (CPython 3.13 and
+    earlier), so a record costs the collector one object.
+
+    A record is **sealed** once a store takes it (:meth:`seal`): from then
+    on every read shares the object — the store's live list, its version
+    chains, the result cache and every caller's result — so :meth:`set`
+    and :meth:`remove` raise :class:`~repro.errors.RecordSealed`.  Build a
+    changed version from :meth:`copy` instead.
     """
 
-    __slots__ = ("_order", "_index", "text")
+    __slots__ = ("_index", "text", "_sealed")
 
     def __init__(
         self,
         keywords: Iterable[Keyword] = (),
         text: str = "",
     ) -> None:
-        self._order: list[str] = []
         self._index: dict[str, Value] = {}
         self.text = text
+        self._sealed = False
         for keyword in keywords:
             self.set(keyword.attribute, keyword.value)
 
@@ -56,21 +69,17 @@ class Record:
     def from_pairs(cls, pairs: Iterable[tuple[str, Value]], text: str = "") -> "Record":
         """Build a record from ``(attribute, value)`` tuples."""
         record = cls.__new__(cls)
-        record._order = []
-        record._index = {}
+        record._index = dict(pairs)
         record.text = text
-        for attribute, value in pairs:
-            if attribute not in record._index:
-                record._order.append(attribute)
-            record._index[attribute] = value
+        record._sealed = False
         return record
 
     # -- mapping-style access -------------------------------------------------
 
     def set(self, attribute: str, value: Value) -> None:
         """Set (or overwrite) the keyword for *attribute*."""
-        if attribute not in self._index:
-            self._order.append(attribute)
+        if self._sealed:
+            raise RecordSealed(f"cannot set {attribute!r}: {_SEALED}")
         self._index[attribute] = value
 
     def get(self, attribute: str, default: Value = None) -> Value:
@@ -81,11 +90,12 @@ class Record:
         return self._index[attribute]
 
     def keyword_map(self) -> dict[str, Value]:
-        """The live attribute→value dict backing this record.
+        """The attribute→value dict backing this record.
 
-        This is the fast accessor compiled matchers evaluate against.
-        Callers must treat it as read-only; mutate via :meth:`set` /
-        :meth:`remove` so insertion order stays consistent.
+        This is the fast accessor compiled matchers evaluate against.  It
+        is the record's own dict, not a copy, so callers must treat it as
+        read-only: mutate an unsealed record via :meth:`set` /
+        :meth:`remove`, which are the checks sealing rests on.
         """
         return self._index
 
@@ -94,23 +104,28 @@ class Record:
 
     def remove(self, attribute: str) -> None:
         """Drop the keyword for *attribute* if present."""
-        if attribute in self._index:
-            del self._index[attribute]
-            self._order.remove(attribute)
+        if self._sealed:
+            raise RecordSealed(f"cannot remove {attribute!r}: {_SEALED}")
+        self._index.pop(attribute, None)
+
+    def seal(self) -> "Record":
+        """Make this record read-only (idempotent); returns it."""
+        self._sealed = True
+        return self
 
     @property
     def attributes(self) -> list[str]:
         """Attribute names in insertion order."""
-        return list(self._order)
+        return list(self._index)
 
     def keywords(self) -> Iterator[Keyword]:
         """Iterate the keywords in insertion order."""
-        for attribute in self._order:
-            yield Keyword(attribute, self._index[attribute])
+        for attribute, value in self._index.items():
+            yield Keyword(attribute, value)
 
     def pairs(self) -> list[tuple[str, Value]]:
         """Return ``(attribute, value)`` tuples in insertion order."""
-        return [(a, self._index[a]) for a in self._order]
+        return list(self._index.items())
 
     # -- conventions ----------------------------------------------------------
 
@@ -121,17 +136,21 @@ class Record:
         return value if isinstance(value, str) else None
 
     def copy(self) -> "Record":
-        """Return an independent copy of this record."""
+        """An unsealed copy: the way to build a changed version of a record.
+
+        UPDATE copies, modifies and seals each match before swapping it
+        into the store; reads never copy, they share the sealed original.
+        """
         twin = Record.__new__(Record)
-        twin._order = list(self._order)
         twin._index = dict(self._index)
         twin.text = self.text
+        twin._sealed = False
         return twin
 
     # -- dunder helpers -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):

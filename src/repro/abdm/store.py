@@ -90,10 +90,11 @@ class _Version:
 
     *records* is the file's full record list as it stood immediately
     before the mutation that superseded it.  The list is **shallow**
-    (record objects are shared with older versions and, for unmodified
-    records, with the live file) — safe because capture-mode mutations
-    never modify a :class:`~repro.abdm.record.Record` in place (UPDATE
-    goes copy-on-write, see :meth:`ABStore.update`).
+    (record objects are shared with older versions, with the live file
+    for unmodified records, and with any result still holding them) —
+    safe because stored records are sealed: nothing modifies a
+    :class:`~repro.abdm.record.Record` a store has taken (UPDATE swaps in
+    a sealed copy, see :meth:`ABStore.update`).
 
     *superseded_at* is the commit seq of the transaction that replaced
     this state, or None while that transaction is still pending (not yet
@@ -193,7 +194,7 @@ class ABStore:
         # entry holding the file's pre-image; seal_versions() stamps it
         # with the commit seq once the transaction is durable.  Replay,
         # recovery, persistence, and direct store use leave _capture
-        # False and pay nothing.
+        # False and park no pre-image.
         self._capture = False
         self.version_retain = DEFAULT_VERSION_RETAIN
         #: file name -> oldest-first chain of superseded record lists
@@ -655,12 +656,16 @@ class ABStore:
     # -- physical operations --------------------------------------------------
 
     def insert(self, record: Record) -> None:
-        """Insert *record* into the file named by its FILE keyword."""
+        """Insert *record* into the file named by its FILE keyword.
+
+        The store takes the object itself and seals it: from here on it
+        is shared by every read, never copied.
+        """
         name = record.file_name
         if name is None:
             raise ExecutionError("record has no FILE keyword; cannot be stored")
         self._ensure_pending(name)
-        self.file(name).insert(record)
+        self.file(name).insert(record.seal())
         if self._indexed:
             self._index_add(name, record)
         self._bump_epoch(name)
@@ -674,7 +679,8 @@ class ABStore:
         end of the batch instead of bisect-inserted per record, and each
         touched file's mutation epoch is bumped once.  The batch is
         validated up front so a bad record leaves the store untouched —
-        a bulk insert is never partially applied.
+        a bulk insert is never partially applied.  Each record is sealed
+        as it is taken, like :meth:`insert`'s.
         """
         batch = list(records)
         for record in batch:
@@ -685,7 +691,7 @@ class ABStore:
             name = record.file_name
             assert name is not None
             self._ensure_pending(name)
-            self.file(name).insert(record)
+            self.file(name).insert(record.seal())
             if self._indexed:
                 self._index_add_deferred(name, record)
             touched[name] = None
@@ -750,18 +756,18 @@ class ABStore:
     ) -> int:
         """Apply *modify* to every record satisfying *query*.
 
-        Outside version capture (WAL replay, recovery, direct store use)
-        records are modified in place.  Under capture the update goes
-        copy-on-write instead: the chain's shallow pre-images share
-        record objects with the live list, so each match is cloned,
-        modified, and swapped into the live list at its seq, leaving the
-        shared original untouched for snapshot readers.  The pre-image
-        is captured lazily at the first match, while the live list is
-        still pristine.
+        Every update is copy-on-write, whoever calls it (a served
+        request, WAL replay, recovery, direct store use): stored records
+        are sealed and shared — by version pre-images, the result cache
+        and results callers still hold — so each match is copied,
+        modified, sealed, and swapped into the live list at its seq,
+        leaving the original untouched for everyone holding it.  Under
+        version capture the pre-image is parked once something matched,
+        while the live list is still pristine.
 
-        Either way the cost is what the statement touches: the planner
-        hands back each candidate's seq, which *is* its live position,
-        and only the changed records' index entries are patched (see
+        The cost is what the statement touches: the planner hands back
+        each candidate's seq, which *is* its live position, and only the
+        swapped records' index entries are patched (see
         :meth:`_index_patch`).  A statement that changes more than a
         quarter of the file stops patching and rebuilds the file's index
         once instead — per record a rebuild is the cheaper of the two.
@@ -778,22 +784,19 @@ class ABStore:
             seq_of = {id(record): seq for seq, record in entries} if hits else {}
             table = self._indexes.get(name, {})
             patch_limit = len(live) // 4
-            cow = self._capture
             touched = 0
+            if hits:
+                self._ensure_pending(name)
             for record in hits:
                 seq = seq_of[id(record)]
                 keys = record.keyword_map()
                 before = [keys.get(attribute, _ABSENT) for attribute in table]
-                if cow:
-                    if not touched:
-                        self._ensure_pending(name)
-                    record = record.copy()
+                record = record.copy()
                 modify(record)
-                if cow:
-                    live[seq] = record
+                live[seq] = record.seal()
                 touched += 1
                 if table and touched <= patch_limit:
-                    self._index_patch(table, seq, before, record, swapped=cow)
+                    self._index_patch(table, seq, before, record)
             if touched:
                 self._bump_epoch(name)
                 if touched > patch_limit:
@@ -808,22 +811,20 @@ class ABStore:
         seq: int,
         before: list[Any],
         record: Record,
-        swapped: bool,
     ) -> None:
-        """Re-index the one record an UPDATE changed at *seq*.
+        """Re-index the record an UPDATE swapped in at *seq*.
 
-        *before* holds the record's indexed values as they stood before
-        the modifier ran (``_ABSENT`` where it lacked the attribute — a
-        null value is a key like any other).  An attribute whose value
-        object is unchanged keeps its bucket; its entry only needs
-        pointing at *record* when the copy-on-write path *swapped* a new
-        object into the file.
+        *before* holds the replaced record's indexed values
+        (``_ABSENT`` where it lacked the attribute — a null value is a
+        key like any other).  An attribute whose value object is
+        unchanged keeps its bucket, but its entry is re-pointed at the
+        new *record* object.
         """
         keys = record.keyword_map()
         patched = 0
         for (attribute, index), old in zip(table.items(), before):
             new = keys.get(attribute, _ABSENT)
-            if new is old and (new is _ABSENT or not swapped):
+            if new is _ABSENT and old is _ABSENT:
                 continue
             if new is not old and old is not _ABSENT:
                 index.remove(old, seq, attribute)

@@ -53,6 +53,15 @@ class ExecutionError(MLDSError):
     """The kernel rejected or failed to execute a request."""
 
 
+class RecordSealed(ExecutionError):
+    """Code tried to change a record a store has taken.
+
+    Stored records are shared by every reader — the live file, version
+    chains, the result cache and each caller's result — so they are
+    read-only; a changed version is built from ``Record.copy()``.
+    """
+
+
 class CurrencyError(ExecutionError):
     """A DML statement needs a currency indicator that is null."""
 

@@ -109,17 +109,19 @@ def encode_record(record: Record) -> list[Any]:
 
 
 def decode_record(payload: list[Any]) -> Record:
+    """The record *payload* encodes, sealed: a decoded record is always a
+    stored one (a scan result, a store dump, a batch a worker stores), so
+    it keeps the read-only contract it had on the other side of the pipe."""
     pairs, text = payload
     return Record.from_pairs(
         [(attribute, value) for attribute, value in pairs], text=text
-    )
+    ).seal()
 
 
 def encode_result(result: RequestResult) -> dict[str, Any]:
     return {
         "operation": result.operation,
         "records": [encode_record(r) for r in result.records],
-        "raw_records": [encode_record(r) for r in result.raw_records],
         "count": result.count,
     }
 
@@ -128,7 +130,6 @@ def decode_result(payload: Mapping[str, Any]) -> RequestResult:
     return RequestResult(
         payload["operation"],
         records=[decode_record(r) for r in payload["records"]],
-        raw_records=[decode_record(r) for r in payload["raw_records"]],
         count=payload["count"],
     )
 

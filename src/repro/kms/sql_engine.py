@@ -223,7 +223,7 @@ class SqlEngine:
             Query.conjunction(right_predicates),
             join.right.column,  # type: ignore[union-attr]
         )
-        records = self.kc.execute(request).raw_records
+        records = self.kc.execute(request).records
         columns: list[str] = []
         refs: list[tuple[str, str]] = []  # (record attribute, owning table)
         for item in statement.items:

@@ -52,10 +52,12 @@ from repro.qc import runtime as qc_runtime
 #: scan store for a directory-clustered one (see repro.abdm.directory).
 StoreFactory = Callable[[], ABStore]
 
-#: Largest result (in records) the result cache admits.  An entry holds
-#: its own copy of every record and raw record, so without a per-entry
-#: limit the cache's memory is set by the widest SELECT anyone ever ran
-#: (one 4 000-row read held 6 MB of peak RSS), not by its entry count.
+#: Largest result (in records) the result cache admits.  An entry shares
+#: the store's sealed records instead of copying them, but it owns the
+#: rows a projection built (an uncapped 4 000-row, four-column SELECT
+#: held 1.0 MB; a ``*`` read of as many, 0.04 MB) and it pins records an
+#: UPDATE has since replaced.  The cap keeps that set by entry count, not
+#: by the widest SELECT anyone ever ran.
 RESULT_CACHE_MAX_RECORDS = 256
 
 #: RETRIEVE results each backend's cache keeps.
@@ -70,11 +72,14 @@ _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateReq
 class _CachedRetrieve:
     """One result-cache entry: the result plus its full cost accounting.
 
-    *signature* is the store's epoch signature at compute time; an entry
-    only serves while the signature still matches (any mutation of a
-    contributing file bumps an epoch and strands the entry).  The cost
-    fields are replayed on a hit so cumulative ScanStats, simulated time,
-    and emulated disk latency stay bit-identical to an uncached run.
+    *result* is the computed result itself — its lists, and the sealed
+    records they share with the store; a hit hands out new lists of the
+    same records.  *signature* is the store's epoch signature at compute
+    time; an entry only serves while the signature still matches (any
+    mutation of a contributing file bumps an epoch and strands the
+    entry).  The cost fields are replayed on a hit so cumulative
+    ScanStats, simulated time, and emulated disk latency stay
+    bit-identical to an uncached run.
     """
 
     signature: tuple
@@ -85,16 +90,6 @@ class _CachedRetrieve:
     touched: int
     range_hits: int = 0
     fallback_scans: int = 0
-
-
-def _copy_retrieve_result(result: RequestResult) -> RequestResult:
-    """An independent copy (callers may mutate the records they receive)."""
-    return RequestResult(
-        result.operation,
-        records=[r.copy() for r in result.records],
-        raw_records=[r.copy() for r in result.raw_records],
-        count=result.count,
-    )
 
 
 @dataclass
@@ -195,7 +190,7 @@ class Backend:
                 key,
                 _CachedRetrieve(
                     signature,
-                    _copy_retrieve_result(backend_result.result),
+                    backend_result.result,
                     backend_result.elapsed_ms,
                     backend_result.records_examined,
                     backend_result.index_hits,
@@ -266,9 +261,10 @@ class Backend:
         wall_ms = (time.perf_counter() - start) * 1000.0
         self.busy_ms += entry.elapsed_ms
         self.busy_wall_ms += wall_ms
+        cached = entry.result
         return BackendResult(
             self.backend_id,
-            _copy_retrieve_result(entry.result),
+            RequestResult(cached.operation, list(cached.records), cached.count),
             entry.elapsed_ms,
             wall_ms,
             entry.examined,

@@ -490,7 +490,7 @@ def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult
     merged by concatenation in general (AVG of AVGs is wrong), so the
     controller is expected to receive aggregate queries only through
     :class:`~repro.mbds.kds.KernelDatabaseSystem`, which evaluates
-    aggregates at the controller from raw records.
+    aggregates at the controller from a ``*`` retrieval's records.
     """
     if not partials:
         raise ExecutionError("no backend results to merge")
@@ -498,6 +498,5 @@ def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult
     merged = RequestResult(operation)
     for partial in partials:
         merged.records.extend(partial.result.records)
-        merged.raw_records.extend(partial.result.raw_records)
         merged.count += partial.result.count
     return merged

@@ -689,19 +689,13 @@ class KernelDatabaseSystem:
             label=PHASE_COMMON_RIGHT,
             snapshot=snapshot,
         )
-        merged = merge_common(
-            left.result.raw_records, right.result.raw_records, request
-        )
+        merged = merge_common(left.result.records, right.result.records, request)
         plain = RetrieveRequest(request.left_query, request.target)
-        projected = project(merged, plain)
         result = RequestResult(
-            "RETRIEVE-COMMON",
-            records=projected,
-            raw_records=merged,
-            count=len(merged),
+            "RETRIEVE-COMMON", records=project(merged, plain), count=len(merged)
         )
         join_ms = (
-            len(left.result.raw_records) + len(right.result.raw_records)
+            len(left.result.records) + len(right.result.records)
         ) * self.controller.timing.merge_record_ms
         response = ResponseTime(
             left.response.total_ms + right.response.total_ms + join_ms,
@@ -742,8 +736,7 @@ class KernelDatabaseSystem:
         path when any digest reports resident NaNs (the scan evaluator
         folds NaN through ``min``/``max``, whose result depends on input
         order — only a real scan reproduces it).  The returned row is
-        bit-identical to the scan path's projection; ``raw_records``
-        stays empty, which is safe because aggregates never feed joins.
+        bit-identical to the scan path's projection.
         """
         if not qc_runtime.config.plan_enabled:
             return None
@@ -782,7 +775,7 @@ class KernelDatabaseSystem:
             )
         result = RequestResult(
             "RETRIEVE",
-            records=[row],
+            records=[row.seal()],
             count=sum(count for _, count in probes),
         )
         per_backend_ms = [0.0] * self.controller.backend_count
@@ -826,15 +819,12 @@ class KernelDatabaseSystem:
             return fast
         raw = RetrieveRequest(request.query, (ALL_ATTRIBUTES,))
         trace = self.controller.execute(raw, snapshot=snapshot)
-        projected = project(trace.result.raw_records, request)
+        rows = trace.result.records
         merged = RequestResult(
-            "RETRIEVE",
-            records=projected,
-            raw_records=trace.result.raw_records,
-            count=trace.result.count,
+            "RETRIEVE", records=project(rows, request), count=trace.result.count
         )
         # Charge extra controller time for the aggregate evaluation pass.
-        extra = len(trace.result.raw_records) * self.controller.timing.merge_record_ms
+        extra = len(rows) * self.controller.timing.merge_record_ms
         response = ResponseTime(
             trace.response.total_ms + extra,
             trace.response.backend_ms,

@@ -1,9 +1,9 @@
 """Cyclic-GC pauses as metrics: how often each generation runs, and for how long.
 
-A gen-2 pass walks every container the process holds, so a server whose
-caches keep tens of thousands of record copies alive pays tens of
-milliseconds for one — inside whichever statement happened to allocate
-the object that tipped the threshold.  That is a latency tail no span
+A gen-2 pass walks every container the process holds — every stored
+record among them, and every row a cache keeps alive — so a loaded
+server pays tens of milliseconds for one, inside whichever statement
+happened to allocate the object that tipped the threshold.  That is a latency tail no span
 explains; :class:`GcProbe` makes it a number:
 
 ``proc.gc.collections.gen<N>``

@@ -4,6 +4,7 @@ import pytest
 
 from repro.abdl import Executor, parse_request
 from repro.abdm import ABStore
+from repro.errors import RecordSealed
 
 
 @pytest.fixture()
@@ -54,9 +55,14 @@ class TestRetrieve:
         result = executor.execute(parse_request("RETRIEVE (FILE = course) (*)"))
         assert all("credits" in r for r in result.records)
 
-    def test_raw_records_are_copies(self, executor):
+    def test_results_share_sealed_stored_records(self, executor):
+        """A ``*`` RETRIEVE hands out the stored objects, read-only: a
+        caller cannot change them, so the store stays as it was."""
         result = executor.execute(parse_request("RETRIEVE (FILE = course) (*)"))
-        result.raw_records[0].set("title", "HACKED")
+        stored = executor.store.file("course").records()
+        assert all(got is kept for got, kept in zip(result.records, stored))
+        with pytest.raises(RecordSealed):
+            result.records[0].set("title", "HACKED")
         again = executor.execute(parse_request("RETRIEVE (FILE = course) (title)"))
         assert "HACKED" not in [r.get("title") for r in again.records]
 
@@ -144,7 +150,7 @@ class TestRetrieveCommon:
                 "(FILE = department) (*)"
             )
         )
-        assert any("department.FILE" in r for r in result.raw_records)
+        assert any("department.FILE" in r for r in result.records)
 
 
 class TestTransactions:

@@ -1,8 +1,12 @@
 """ABDM records: keyword order, FILE convention, textual portion (Fig 2.3)."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.abdm import FILE_ATTRIBUTE, Keyword, Record
+from repro.errors import RecordSealed
 
 
 @pytest.fixture()
@@ -84,6 +88,39 @@ class TestCopyEquality:
 
     def test_not_equal_other_type(self, course_record):
         assert course_record != 42
+
+
+class TestSealing:
+    def test_sealed_record_refuses_set_and_remove(self, course_record):
+        assert course_record.seal() is course_record
+        with pytest.raises(RecordSealed):
+            course_record.set("credits", 5)
+        with pytest.raises(RecordSealed):
+            course_record.remove("title")
+        assert course_record["credits"] == 4
+        assert "title" in course_record
+
+    def test_copy_of_a_sealed_record_is_writable(self, course_record):
+        clone = course_record.seal().copy()
+        clone.set("credits", 5)
+        assert course_record["credits"] == 4
+
+    def test_remove_then_set_moves_the_attribute_last(self, course_record):
+        course_record.remove("course")
+        course_record.set("course", "course$2")
+        assert course_record.attributes == ["FILE", "title", "credits", "course"]
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info >= (3, 14),
+        reason="CPython up to 3.13 leaves a dict of scalars untracked",
+    )
+    def test_a_scalar_keyword_map_is_not_gc_tracked(self, course_record):
+        """A stored record is one object for the cyclic collector to walk:
+        its keyword dict holds only strings and scalars."""
+        built = Record([Keyword("a", 1), Keyword("b", None)])
+        built.set("c", 2.5)
+        for record in (course_record, course_record.copy(), built):
+            assert not gc.is_tracked(record.keyword_map())
 
 
 class TestRendering:

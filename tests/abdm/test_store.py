@@ -3,7 +3,7 @@
 import pytest
 
 from repro.abdm import ABStore, Predicate, Query, Record
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, RecordSealed
 
 
 def make_record(file_name, key, **extra):
@@ -31,6 +31,14 @@ class TestInsert:
     def test_insert_without_file_rejected(self):
         with pytest.raises(ExecutionError):
             ABStore().insert(Record.from_pairs([("a", 1)]))
+
+    def test_insert_seals_the_stored_record(self):
+        store = ABStore()
+        record = make_record("f", "f$0", x=1)
+        store.insert(record)
+        with pytest.raises(RecordSealed):
+            record.set("x", 2)
+        assert store.find(Query.single("FILE", "=", "f"))[0] is record
 
     def test_file_created_on_demand(self):
         store = ABStore()
@@ -87,6 +95,22 @@ class TestUpdate:
         assert len(store.find(Query.conjunction(
             [Predicate("FILE", "=", "course"), Predicate("credits", "=", 9)]
         ))) == 2
+
+    def test_update_swaps_in_a_sealed_copy(self, store):
+        """Every UPDATE is copy-on-write, version capture or not (replay,
+        recovery and direct store use included): a record someone still
+        holds keeps its values, and the file gets a new sealed object."""
+        query = Query.conjunction(
+            [Predicate("FILE", "=", "course"), Predicate("credits", "=", 0)]
+        )
+        held = store.find(query)
+        assert store.update(query, lambda r: r.set("credits", 9)) == 2
+        assert [r["credits"] for r in held] == [0, 0]
+        fresh = store.find(Query.single("FILE", "=", "course"))
+        assert [r["credits"] for r in fresh] == [9, 1, 2, 9, 1]
+        assert not any(new is old for new in fresh for old in held)
+        with pytest.raises(RecordSealed):
+            fresh[0].set("credits", 0)
 
     def test_update_none_matching(self, store):
         assert store.update(Query.single("FILE", "=", "ghost"), lambda r: None) == 0

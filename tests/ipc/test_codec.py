@@ -85,9 +85,7 @@ class TestRecordsAndResults:
         records = [Record.from_pairs([("FILE", "f"), ("x", i)]) for i in range(3)]
         result = BackendResult(
             2,
-            RequestResult(
-                "RETRIEVE", records=records, raw_records=records[:1], count=3
-            ),
+            RequestResult("RETRIEVE", records=records, count=3),
             elapsed_ms=12.75,
             wall_ms=0.31,
             records_examined=9,

@@ -3,12 +3,15 @@
 The contract under test: engine choice changes only wall-clock behavior.
 Merged results, record distribution, simulated response times, and
 per-backend accounting must be byte-identical between SerialEngine and
-ThreadPoolEngine across every request type.
+ThreadPoolEngine across every request type.  So must the read contract:
+every record a result carries is sealed, whichever engine produced it.
 """
 
 import pytest
 
 from repro.abdl import parse_request
+from repro.abdm import Record
+from repro.errors import RecordSealed
 from repro.mbds import (
     KernelDatabaseSystem,
     SerialEngine,
@@ -47,7 +50,6 @@ def trace_fingerprint(trace):
         trace.result.operation,
         trace.result.count,
         [record.pairs() for record in trace.result.records],
-        [record.pairs() for record in trace.result.raw_records],
         trace.response.total_ms,
         trace.response.backend_ms,
         trace.response.controller_ms,
@@ -124,6 +126,86 @@ class TestCommonPhases:
                 common.phases[0].per_backend_ms[index]
                 + common.phases[1].per_backend_ms[index]
             )
+
+
+#: One read of each kind a caller can hold records from.
+READS = {
+    "plain": "RETRIEVE (FILE = a) (*)",
+    "projected": "RETRIEVE ((FILE = a) AND (x = 3)) (x, k)",
+    "aggregate": "RETRIEVE (FILE = a) (AVG(x)) BY x",
+    "digest aggregate": "RETRIEVE (FILE = a) (COUNT(*))",
+    "join": "RETRIEVE-COMMON (FILE = a) COMMON (k) (FILE = b) (*)",
+}
+LOAD = WORKLOAD[:40]
+ENGINES = ["serial", "threads", "process"]
+
+
+def loaded(engine):
+    kds = KernelDatabaseSystem(backend_count=4, engine=engine)
+    for text in LOAD:
+        kds.execute(parse_request(text))
+    return kds
+
+
+def result_cache_hits(kds):
+    backends = kds.controller.cache_snapshots()["backends"].values()
+    return sum(snapshot["result"]["hits"] for snapshot in backends)
+
+
+class TestSealedResults:
+    """No read copies a record, so no returned record may be changed."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mutating_any_returned_record_raises_and_changes_nothing(self, engine):
+        kds = loaded(engine)
+        try:
+            before = [b.store.snapshot() for b in kds.controller.backends]
+            for name, text in READS.items():
+                for attempt in ("first", "repeat"):  # a repeat RETRIEVE is a cache hit
+                    records = kds.execute(parse_request(text)).result.records
+                    assert records, (name, attempt)
+                    for record in records:
+                        with pytest.raises(RecordSealed):
+                            record.set("x", -1)
+                        with pytest.raises(RecordSealed):
+                            record.remove("FILE")
+            assert result_cache_hits(kds) >= 3
+            assert [b.store.snapshot() for b in kds.controller.backends] == before
+        finally:
+            kds.shutdown()
+
+    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    def test_star_retrieve_returns_the_stored_objects_uncopied(self, engine, monkeypatch):
+        kds = loaded(engine)
+        copies = []
+        copy = Record.copy
+        monkeypatch.setattr(Record, "copy", lambda self: copies.append(self) or copy(self))
+        try:
+            stored = [r for b in kds.controller.backends for r in b.store.file("a")]
+            for _ in range(2):  # a miss, then a result-cache hit
+                records = kds.execute(parse_request(READS["plain"])).result.records
+                assert len(records) == len(stored) == 20
+                assert all(got is kept for got, kept in zip(records, stored))
+            assert result_cache_hits(kds) == 4
+            for name in ("projected", "aggregate", "digest aggregate"):
+                for _ in range(2):
+                    kds.execute(parse_request(READS[name]))
+            assert copies == []
+        finally:
+            kds.shutdown()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_held_result_keeps_its_values_across_a_later_update(self, engine):
+        kds = loaded(engine)
+        try:
+            held = kds.execute(parse_request(READS["plain"])).result.records
+            image = [record.pairs() for record in held]
+            kds.execute(parse_request("UPDATE (FILE = a) (x = x + 100)"))
+            assert [record.pairs() for record in held] == image
+            fresh = kds.execute(parse_request(READS["plain"])).result.records
+            assert [r.get("x") for r in fresh] == [r.get("x") + 100 for r in held]
+        finally:
+            kds.shutdown()
 
 
 class TestEngineFactory:

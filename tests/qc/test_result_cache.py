@@ -13,6 +13,7 @@ import pytest
 
 from repro.abdl.ast import ALL_ATTRIBUTES, Modifier, RetrieveRequest
 from repro.core.mlds import MLDS
+from repro.errors import RecordSealed
 from repro.obs import Observability
 from repro.wal.recovery import checkpoint_mlds, recover_mlds
 
@@ -65,8 +66,8 @@ class TestHits:
         assert first.response.backend_ms == second.response.backend_ms
 
     def test_results_over_the_entry_limit_are_not_admitted(self, mlds, monkeypatch):
-        """An entry copies every record, so the widest result anyone asks
-        for must not decide the cache's memory: it is recomputed."""
+        """An entry pins every row it holds, so the widest result anyone
+        asks for must not decide the cache's memory: it is recomputed."""
         from repro.mbds import backend
 
         monkeypatch.setattr(backend, "RESULT_CACHE_MAX_RECORDS", 2)
@@ -102,11 +103,18 @@ class TestHits:
         ]
         assert stats(cached) == stats(uncached)
 
-    def test_hit_returns_fresh_record_copies(self, mlds):
+    def test_hit_shares_sealed_records_in_fresh_lists(self, mlds):
+        """An entry keeps the stored records, not copies: a hit returns
+        the same objects in a list of its own, and nobody can change them."""
         first = mlds.kds.execute(retrieve(*REQ))
-        first.result.records[0].set("n", 999)  # caller mangles its copy
+        with pytest.raises(RecordSealed):
+            first.result.records[0].set("n", 999)
+        first.result.records.clear()  # the list is the caller's own
         second = mlds.kds.execute(retrieve(*REQ))
-        assert ("n", 999) not in second.result.records[0].pairs()
+        third = mlds.kds.execute(retrieve(*REQ))
+        assert total_result_snapshot(mlds)["hits"] >= 2
+        assert result_image(second) == result_image(third) != []
+        assert all(a is b for a, b in zip(second.result.records, third.result.records))
 
     def test_disabled_flag_bypasses(self, mlds, config):
         config.result_cache_enabled = False
