@@ -12,13 +12,27 @@ from __future__ import annotations
 import pytest
 
 from repro.abdl import parse_request
-from repro.mbds import FileAffinityPlacement, KernelDatabaseSystem
+from repro.abdm.record import Record
+from repro.mbds import KernelDatabaseSystem, RoundRobinPlacement
 
 from .conftest import print_series
 
 BACKENDS = [1, 2, 4, 8]
 RECORDS = 1600
 QUERY = "RETRIEVE ((FILE = data) AND (x = 13)) (*)"
+
+
+class FileAffinityPlacement(RoundRobinPlacement):
+    """Places each *file* wholly on one backend (by its name).
+
+    This is the anti-pattern MBDS's data placement avoids: a request over
+    one file is served by a single backend, so broadcast parallelism buys
+    nothing.
+    """
+
+    def place(self, record: Record, backend_count: int) -> int:
+        file_name = record.file_name or ""
+        return sum(file_name.encode()) % backend_count
 
 
 def build(backends: int, placement=None) -> KernelDatabaseSystem:

@@ -25,9 +25,9 @@ holds that path to three promises:
   more.
   The same pair without a WAL is reported ungated and shows that term
   alone;
-* **equivalence** — the post-load farm (stores, routing counters, index
-  report) must be bit-identical to the incremental path under the
-  serial, thread, and process engines.
+* **equivalence** — the post-load farm (stores, placement counters,
+  index report) must be bit-identical to the incremental path under the
+  serial and process engines.
 
 It also measures the durability ledger with ``sync=True``: fsyncs per
 commit for the one-at-a-time path (every record a transaction) against
@@ -66,20 +66,10 @@ from repro.abdm.predicate import Conjunction, Predicate, Query
 from repro.abdm.record import Record
 from repro.core.mlds import MLDS
 from repro.ingest import bulk_load, stream_university_records
-from repro.mbds.placement import HashShardPlacement
 from repro.obs import Observability
 from repro.wal.log import WalManager
 
-#: Every generated file hash-shards on its unique stream ID.
-SHARD_KEYS = {
-    "student": "ID",
-    "faculty": "ID",
-    "support_staff": "ID",
-    "course": "ID",
-    "department": "ID",
-}
-
-ENGINES = [("serial", None), ("threads", 2), ("process", 2)]
+ENGINES = [("serial", None), ("process", 2)]
 
 #: Record counts and bound of the write-flatness row (ROADMAP item 2).
 WRITE_BASE_RECORDS = 10_000
@@ -193,9 +183,7 @@ def run_latency_flatness(
     base: int, scale: int, backends: int, batch: int, queries: int
 ) -> dict:
     """Load to *base*, measure, keep loading to *scale*, measure again."""
-    mlds = MLDS(
-        backend_count=backends, placement=HashShardPlacement(dict(SHARD_KEYS))
-    )
+    mlds = MLDS(backend_count=backends)
     mlds.kds.controller.add_index("ID")
     # Student IDs are the 0..9 residues of each 20-record cycle; sample
     # inside the base prefix so both measurements run identical queries.
@@ -259,11 +247,7 @@ def run_write_flatness(
     try:
         for size in sizes:
             wal = WalManager(wal_dir / str(size), backends, sync=True) if wal_dir else None
-            mlds = MLDS(
-                backend_count=backends,
-                placement=HashShardPlacement(dict(SHARD_KEYS)),
-                wal=wal,
-            )
+            mlds = MLDS(backend_count=backends, wal=wal)
             systems.append((size, mlds, mlds.kds.create_session("bench-writer")))
             mlds.kds.controller.add_index("ID", "gpa")
             bulk_load(mlds.kds, stream_university_records(size), batch_size=batch)

@@ -1,25 +1,21 @@
 """CPU: real multi-core speedup of ProcessPoolEngine on compiled scans.
 
-``bench_wallclock_scaling.py`` shows ThreadPoolEngine overlapping
-*emulated disk stalls*; this benchmark attacks the harder half of the
-claim.  With ``latency_scale=0`` the workload is pure CPU — compiled
-predicate matching over every backend's slice — and the GIL serializes
-the thread pool right back to 1x.  ProcessPoolEngine runs each backend's
-scan in its own process, so records/s scales with cores.
+The workload is pure CPU — compiled predicate matching over every
+backend's slice — which the GIL would serialize inside one process.
+ProcessPoolEngine runs each backend's scan in its own process, so
+records/s scales with cores.
 
-Three gates:
+Two gates:
 
 * **bit-identity (always enforced)** — per-request result counts and
   simulated response times, the final simulated clock, and the merged
-  selection totals must be identical across Serial, ThreadPool, and
-  ProcessPool.  Engine choice may never change results.
+  selection totals must be identical across SerialEngine and
+  ProcessPoolEngine.  Engine choice may never change results.
 * **speedup (enforced on capable hosts)** — process records/s must reach
   ``--min-speedup`` (default 2.0) times serial at the largest farm.
   Checked only when the host has >= --min-cpus cores (default 4): on a
   single-core container the parallelism physically cannot pay, and a
   gate that cannot pass is a gate nobody runs.  The skip is loud.
-* **threads stay GIL-bound** — informational only (printed, not gated):
-  the thread-pool column documents why the process engine exists.
 
 Run standalone (writes ``BENCH_cpu.json``)::
 
@@ -42,7 +38,7 @@ try:  # shared dataset/workload builders (see workloads.py)
 except ImportError:
     from workloads import build_kds, run_workload
 
-ENGINES = ("serial", "threads", "process")
+ENGINES = ("serial", "process")
 
 
 def bench_one(
@@ -50,7 +46,7 @@ def bench_one(
 ) -> dict:
     row: dict = {"backends": backends, "records": records, "requests": requests}
     for engine in ENGINES:
-        kds = build_kds(backends, records, engine, workers, latency_scale=0.0)
+        kds = build_kds(backends, records, engine, workers)
         try:
             result = run_workload(kds, requests)
         finally:
@@ -63,9 +59,6 @@ def bench_one(
         row[engine] = result
     serial = row["serial"]
     row["speedup_process"] = row["process"]["records_per_s"] / max(
-        serial["records_per_s"], 1e-9
-    )
-    row["speedup_threads"] = row["threads"]["records_per_s"] / max(
         serial["records_per_s"], 1e-9
     )
     row["identical"] = all(
@@ -106,9 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         for n in args.backends
     ]
 
-    print("=== CPU  process vs threads vs serial (compiled scans, no stalls) ===")
+    print("=== CPU  process vs serial (compiled scans) ===")
     header = (
-        f"{'backends':>8}  {'serial rec/s':>12}  {'threads x':>9}  "
+        f"{'backends':>8}  {'serial rec/s':>12}  "
         f"{'process x':>9}  {'identical':>9}"
     )
     print(header)
@@ -116,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     for row in rows:
         print(
             f"{row['backends']:>8}  {row['serial']['records_per_s']:>12.0f}  "
-            f"{row['speedup_threads']:>9.2f}  {row['speedup_process']:>9.2f}  "
+            f"{row['speedup_process']:>9.2f}  "
             f"{str(row['identical']):>9}"
         )
 

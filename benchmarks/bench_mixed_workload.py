@@ -16,8 +16,8 @@ modes, so a fixed-op-count run would only measure the writer convoy;
 counting what *completes* while writers hold the hot file is what
 exposes the readers' blocked time.
 
-A fidelity phase then re-runs the plan (no think time) on the serial,
-thread-pool, and process engines: the final farm contents must be
+A fidelity phase then re-runs the plan (no think time) on the serial
+and process engines: the final farm contents must be
 bit-identical across engines and bit-identical to replaying each run's
 own writes in commit_seq order on a fresh serial kernel — the
 conflict-equivalence guarantee, measured rather than assumed.
@@ -55,7 +55,7 @@ HOT_FILE = "hot"
 def build_kds(
     rows: int,
     snapshot_reads: bool,
-    engine: str = "threads",
+    engine: str = "serial",
     workers: int | None = None,
     backends: int = 3,
 ) -> KernelDatabaseSystem:
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
 
     fidelity = {}
     if not args.skip_fidelity:
-        engines = [("serial", None), ("threads", 2), ("process", 2)]
+        engines = [("serial", None), ("process", 2)]
         outcomes = {}
         for engine, workers in engines:
             contents, replay_contents, reads = fidelity_run(
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
             fidelity[f"{engine}_replay_identical"] = contents == replay_contents
             fidelity[f"{engine}_snapshot_reads"] = reads
         fidelity["engines_identical"] = (
-            outcomes["serial"] == outcomes["threads"] == outcomes["process"]
+            outcomes["serial"] == outcomes["process"]
         )
         checks["fidelity_ok"] = fidelity["engines_identical"] and all(
             fidelity[f"{engine}_replay_identical"] for engine, _ in engines

@@ -12,7 +12,7 @@ claims at once:
   lists (pairs + text, in order) must match exactly.  Simulated times are
   *expected* to differ — fewer records examined is the whole point — so
   the report carries both figures instead of comparing them.  A second
-  pass re-runs the planned set on a thread-pool engine and demands **full**
+  pass re-runs the planned set on the process engine and demands **full**
   bit-identity (records and simulated times) against the serial engine.
 * **speed** — the same retrieval set is timed interleaved (min-of-N,
   round-robin across modes); the gate requires
@@ -46,29 +46,25 @@ from repro.abdl.ast import (
 )
 from repro.abdm.predicate import Conjunction, Predicate, Query
 from repro.abdm.record import Record
-from repro.mbds import KernelDatabaseSystem
+from repro.mbds import KernelDatabaseSystem, RoundRobinPlacement
 from repro.qc import runtime as qc_runtime
 from repro.university.generator import _MAJORS, generate_university
 
 
-class GpaBandPlacement:
+class GpaBandPlacement(RoundRobinPlacement):
     """Places student records on the backend owning their gpa band.
 
     gpa spans [2.0, 4.0]; backend ``i`` of ``n`` owns the i-th equal
-    slice.  Non-student records round-robin on a counter so every backend
-    still holds a share of the other files.
+    slice.  Records without a gpa keep the inherited per-file round-robin,
+    so every backend still holds a share of the other files.
     """
-
-    def __init__(self) -> None:
-        self._next = 0
 
     def place(self, record: Record, backend_count: int) -> int:
         gpa = record.get("gpa")
         if isinstance(gpa, (int, float)):
             band = int((float(gpa) - 2.0) / 2.0 * backend_count)
             return min(max(band, 0), backend_count - 1)
-        self._next += 1
-        return self._next % backend_count
+        return super().place(record, backend_count)
 
 
 def build_system(backends: int, records: int) -> KernelDatabaseSystem:
@@ -230,25 +226,23 @@ def check_fidelity(
 def check_engine_fidelity(
     backends: int, records: int, requests: list[RetrieveRequest]
 ) -> dict:
-    """Serial vs thread-pool with planning on: full bit-identity."""
+    """Serial vs process with planning on: full bit-identity."""
     serial = build_system(backends, records)
-    threaded_kds = KernelDatabaseSystem(
-        backend_count=backends, placement=GpaBandPlacement(), engine="threads"
+    process_kds = KernelDatabaseSystem(
+        backend_count=backends, placement=GpaBandPlacement(), engine="process"
     )
-    threaded_kds.controller.add_index("gpa", "age", "major", "credits", "semester")
-    # Replay the serial farm's exact contents into the threaded farm.
-    for backend, source in zip(threaded_kds.controller.backends, serial.controller.backends):
-        backend.store.bulk_insert(
-            record.copy() for record in source.store.all_records()
-        )
+    process_kds.controller.add_index("gpa", "age", "major", "credits", "semester")
+    # Copy the serial farm's exact contents into the process farm.
+    for backend, source in zip(process_kds.controller.backends, serial.controller.backends):
+        backend.store.bulk_insert(list(source.store.all_records()))
     left = run_once(serial, requests)
-    right = run_once(threaded_kds, requests)
+    right = run_once(process_kds, requests)
     identical = all(
         a["simulated_ms"] == b["simulated_ms"] and a["records"] == b["records"]
         for a, b in zip(left, right)
     )
     serial.shutdown()
-    threaded_kds.shutdown()
+    process_kds.shutdown()
     return {"bit_identical": identical}
 
 
@@ -334,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         f"indexed={fidelity['indexed_simulated_ms']:.1f})"
     )
     engines = check_engine_fidelity(args.backends, min(args.records, 5_000), requests)
-    print(f"serial vs threads (planned): bit_identical={engines['bit_identical']}")
+    print(f"serial vs process (planned): bit_identical={engines['bit_identical']}")
 
     best = time_modes(kds, requests, aggregates, args.rounds, args.repeat)
     speedup = best["scan"] / max(best["indexed"], 1e-9)
@@ -381,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = True
     if not engines["bit_identical"]:
-        print("FAIL: thread-pool results diverge from serial", file=sys.stderr)
+        print("FAIL: process-engine results diverge from serial", file=sys.stderr)
         failed = True
     if args.min_speedup > 0 and speedup < args.min_speedup:
         print(

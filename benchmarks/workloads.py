@@ -1,16 +1,12 @@
-"""Shared dataset/workload builders for the engine-scaling benchmarks.
+"""Shared dataset/workload helpers for the engine benchmarks.
 
-``bench_wallclock_scaling.py`` (disk-stall overlap) and
-``bench_cpu_scaling.py`` (GIL-free compiled scans) measure the same farm
-under the same data; only the latency knobs and the engines differ.  One
-builder keeps the two from drifting apart — and keeps their simulated
-times directly comparable.
+``bench_cpu_scaling.py`` (GIL-free compiled scans) loads its farm and
+runs its scans through the helpers below, so every engine it measures
+sees the same data and its simulated times stay directly comparable.
 
-The *mixed* read/write plan at the bottom is shared the same way:
-``bench_mixed_workload.py`` renders it to ABDL against the kernel and
-``bench_server.py --mix`` renders the identical plan to SQL over the
-network service, so the two benchmarks measure the same op mix by
-construction.
+The *mixed* read/write plan at the bottom is ``bench_mixed_workload.py``'s:
+one deterministic op list per session, rendered to ABDL against the
+kernel.
 """
 
 from __future__ import annotations
@@ -32,15 +28,9 @@ def build_kds(
     records: int,
     engine: str,
     workers: int | None,
-    latency_scale: float,
 ) -> KernelDatabaseSystem:
     """A loaded farm: one ``data`` file striped over *backends* backends."""
-    kds = KernelDatabaseSystem(
-        backend_count=backends,
-        engine=engine,
-        workers=workers,
-        latency_scale=latency_scale,
-    )
+    kds = KernelDatabaseSystem(backend_count=backends, engine=engine, workers=workers)
     for i in range(records):
         kds.execute(
             parse_request(f"INSERT (<FILE, data>, <data, d${i}>, <x, {i % 97}>)")
@@ -99,9 +89,8 @@ def mixed_op_plan(
 
     Each op is ``("read", key)`` or ``("write", key)`` with *key* drawn
     from :data:`MIXED_KEYSPACE`.  The plan depends only on the
-    arguments, so two benchmarks built from the same parameters execute
-    the same ops in the same per-session order — only the rendering
-    (ABDL vs SQL) and the transport differ.
+    arguments, so two runs built from the same parameters execute the
+    same ops in the same per-session order.
     """
     rng = random.Random(seed)
     return [
@@ -126,11 +115,3 @@ def mixed_abdl(op: tuple[str, int], session_index: int, op_index: int, file_name
         f"<data, s{session_index}w{op_index}>, <x, {key}>)"
     )
 
-
-def mixed_sql(op: tuple[str, int], row_id: int, table: str) -> str:
-    """Render one mixed-plan op as a SQL statement (*row_id* must be
-    unique across the run: the benchmark tables carry a primary key)."""
-    kind, key = op
-    if kind == "read":
-        return f"SELECT id FROM {table} WHERE x = {key}"
-    return f"INSERT INTO {table} VALUES ({row_id}, {key})"

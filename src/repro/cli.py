@@ -400,30 +400,20 @@ def build_parser() -> "argparse.ArgumentParser":
     )
     parser.add_argument(
         "--engine",
-        choices=("serial", "threads", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="broadcast execution engine: 'serial' runs backends in order, "
-        "'threads' fans each broadcast out on a thread pool, 'process' "
-        "gives every backend its own worker process so CPU-bound scans "
-        "parallelize past the GIL (default serial; simulated response "
-        "times are identical for all three)",
+        "'process' gives every backend its own worker process so CPU-bound "
+        "scans parallelize past the GIL (default serial; simulated "
+        "response times are identical for both)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="pool size for --engine threads/process (default: one per backend)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=("round-robin", "least-loaded", "hash-shard"),
-        default="round-robin",
-        help="record placement policy: 'round-robin' stripes each file "
-        "across all backends (default), 'least-loaded' balances raw "
-        "record counts, 'hash-shard' places each file wholly on a hashed "
-        "backend so single-file requests route there instead of "
-        "broadcasting",
+        help="workers in flight per broadcast for --engine process "
+        "(default: one per backend)",
     )
     parser.add_argument(
         "--no-snapshot-reads",
@@ -569,15 +559,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
             wal_dir, backend_count, group_window_ms=args.group_window_ms
         )
 
-    placement = None
-    if args.placement == "least-loaded":
-        from repro.mbds.placement import LeastLoadedPlacement
-
-        placement = LeastLoadedPlacement()
-    elif args.placement == "hash-shard":
-        from repro.mbds.placement import HashShardPlacement
-
-        placement = HashShardPlacement()
     obs = None
     if args.trace or args.slow_ms is not None or args.metrics_out:
         from repro.obs import Observability
@@ -595,7 +576,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
                 wal_dir,
                 engine=args.engine,
                 workers=args.workers,
-                placement=placement,
                 attach_wal=False,
                 obs=obs,
             )
@@ -606,7 +586,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
                 backend_count=args.backends,
                 engine=args.engine,
                 workers=args.workers,
-                placement=placement,
                 wal=None if wal_dir is None else open_wal(args.backends),
                 obs=obs,
                 snapshot_reads=not args.no_snapshot_reads,

@@ -66,7 +66,6 @@ class MLDS:
         store_factory=None,
         engine=None,
         workers: Optional[int] = None,
-        latency_scale: float = 0.0,
         wal: Union[None, str, Path, WalManager] = None,
         obs: ObsSpec = None,
         lock_timeout: float = 10.0,
@@ -75,15 +74,13 @@ class MLDS:
         """*store_factory* optionally replaces each backend's plain scan
         store, e.g. with a directory-clustered
         :class:`~repro.abdm.directory.ClusteredStore` (see the directory
-        ablation benchmark for the payoff).  *placement* picks the record
-        placement policy (round-robin by default; see
-        :mod:`repro.mbds.placement` — :class:`HashShardPlacement` adds
-        single-backend request routing).  *engine*/*workers* pick the
-        kernel's wall-clock dispatch strategy ('serial', 'threads', or
-        'process'; see :mod:`repro.mbds.engine`).
-        *latency_scale* makes each backend emulate its disk stalls in
-        real time (see :class:`~repro.mbds.backend.Backend`), and
-        *lock_timeout* bounds how long a kernel session waits for a
+        ablation benchmark for the payoff).  *placement* replaces the
+        round-robin placement with a subclass that overrides ``place``
+        (see :mod:`repro.mbds.placement`; every request but an INSERT
+        reaches every backend whatever the placement).
+        *engine*/*workers* pick the kernel's wall-clock dispatch
+        strategy ('serial' or 'process'; see :mod:`repro.mbds.engine`),
+        and *lock_timeout* bounds how long a kernel session waits for a
         lock before :class:`~repro.errors.LockTimeout` (see
         :mod:`repro.mbds.locks`).
         *wal* enables durability: pass a directory path (or a prepared
@@ -105,7 +102,6 @@ class MLDS:
             store_factory=store_factory,
             engine=engine,
             workers=workers,
-            latency_scale=latency_scale,
             wal=wal,
             obs=obs,
             lock_timeout=lock_timeout,

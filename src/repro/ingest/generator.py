@@ -58,9 +58,8 @@ def _file_for(index: int) -> str:
 def stream_university_records(count: int, seed: int = 1987) -> Iterator[Record]:
     """Yield *count* University-shaped records, deterministically.
 
-    Records carry a unique ``ID`` (their stream index), so hash-shard
-    placement keyed on ``ID`` spreads every file evenly across the farm
-    and every record is individually addressable in flat-latency probes.
+    Records carry a unique ``ID`` (their stream index), so every record
+    is individually addressable in flat-latency probes.
     """
     rng = random.Random(seed)
     for index in range(count):

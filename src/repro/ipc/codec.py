@@ -188,10 +188,9 @@ def encode_span(span: Span) -> dict[str, Any]:
 def decode_span(payload: Mapping[str, Any], parent: Optional[Span] = None) -> Span:
     """Rebuild a span subtree, grafting it under *parent* when given.
 
-    This is the cross-process analogue of the thread-pool engine's
-    explicit parent capture: the worker's spans (``qc.compile``, access-
-    path attributes) re-attach under the controller-side per-backend span
-    so a traced request reads identically whichever engine ran it.
+    The worker's spans (``qc.compile``, access-path attributes)
+    re-attach under the controller-side per-backend span so a traced
+    request reads identically whichever engine ran it.
     """
     span = Span(payload["name"], parent)
     span.attrs.update(payload["attrs"])

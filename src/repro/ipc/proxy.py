@@ -127,11 +127,9 @@ class ProcessBackend:
         backend_id: int,
         timing: "TimingModel",
         store_factory: Optional["StoreFactory"] = None,
-        latency_scale: float = 0.0,
     ) -> None:
         self.backend_id = backend_id
         self.timing = timing
-        self.latency_scale = latency_scale
         self._engine = engine
         self._stopped = False
         # Retained for respawn: a replacement worker must rebuild the
@@ -152,7 +150,6 @@ class ProcessBackend:
                 self.backend_id,
                 codec.encode_timing(self.timing),
                 self._store_factory,
-                self.latency_scale,
                 config_state(),
                 child_end,
             ),

@@ -6,9 +6,9 @@ a completely ordinary :class:`~repro.mbds.backend.Backend` — same store,
 same executor, same epoch-guarded result cache, same timing model — and
 then serves commands from its pipe until told to stop.  All the
 engine-equivalence guarantees follow from that construction: the worker
-runs the *identical* per-backend code path the serial and thread-pool
-engines run, so simulated times, scan statistics, and cache behavior are
-bit-for-bit the code the controller would have executed in-process.
+runs the *identical* per-backend code path the serial engine runs, so
+simulated times, scan statistics, and cache behavior are bit-for-bit
+the code the controller would have executed in-process.
 
 Every message in both directions is one frame on the worker's duplex
 pipe (see :mod:`repro.ipc.transport`): a command dict of plain values
@@ -57,17 +57,13 @@ class _Worker:
         backend_id: int,
         timing_state: Mapping[str, Any],
         store_factory: Optional[Callable[[], Any]],
-        latency_scale: float,
     ) -> None:
         # Import here: the worker bootstraps inside the child process and
         # the backend module must not be imported by codec at load time.
         from repro.mbds.backend import Backend
 
         self.backend = Backend(
-            backend_id,
-            codec.decode_timing(timing_state),
-            store_factory,
-            latency_scale,
+            backend_id, codec.decode_timing(timing_state), store_factory
         )
         self.obs = NULL_OBS
 
@@ -96,7 +92,7 @@ class _Worker:
             # Collect the spans the backend opens (qc.compile, access-path
             # attributes) under a scratch root; the controller-side proxy
             # grafts them beneath its own backend[i].<phase> span, exactly
-            # where the in-process engines would have nested them.
+            # where the serial engine would have nested them.
             with tracer.span("ipc.worker"):
                 result = self.backend.execute(request, snapshot)
             root = tracer.last_trace
@@ -199,14 +195,13 @@ def worker_main(
     backend_id: int,
     timing_state: Mapping[str, Any],
     store_factory: Optional[Callable[[], Any]],
-    latency_scale: float,
     config: Mapping[str, Any],
     connection: Any,
 ) -> None:
     """Serve one backend until a ``stop`` command (or pipe EOF) arrives."""
     apply_config_state(config)
     transport = PipeTransport(connection)
-    worker = _Worker(backend_id, timing_state, store_factory, latency_scale)
+    worker = _Worker(backend_id, timing_state, store_factory)
     while True:
         try:
             is_batch, message = transport.recv_any()

@@ -19,17 +19,10 @@ from repro.mbds.engine import (
     ExecutionEngine,
     ProcessPoolEngine,
     SerialEngine,
-    ThreadPoolEngine,
     make_engine,
 )
 from repro.mbds.kds import DatabaseTemplate, KernelDatabaseSystem
-from repro.mbds.placement import (
-    FileAffinityPlacement,
-    HashShardPlacement,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-)
+from repro.mbds.placement import RoundRobinPlacement
 from repro.mbds.timing import BroadcastPhase, ResponseTime, TimingModel
 
 __all__ = [
@@ -40,16 +33,11 @@ __all__ = [
     "DatabaseTemplate",
     "ExecutionEngine",
     "ExecutionTrace",
-    "FileAffinityPlacement",
-    "HashShardPlacement",
     "KernelDatabaseSystem",
-    "LeastLoadedPlacement",
-    "PlacementPolicy",
     "ProcessPoolEngine",
     "ResponseTime",
     "RoundRobinPlacement",
     "SerialEngine",
-    "ThreadPoolEngine",
     "TimingModel",
     "make_engine",
 ]

@@ -6,22 +6,13 @@ every file and executes each broadcast request against that slice,
 reporting the result, the simulated time spent, and the real wall-clock
 time spent.
 
-Concurrency: the controller's :class:`~repro.mbds.engine.ThreadPoolEngine`
-dispatches one broadcast to every backend at once, so :meth:`Backend.execute`
-must be safe under one-request-per-backend concurrency.  Stores are
-partitioned one-per-backend (no sharing), and a per-backend lock
-serializes requests *within* a backend, so store mutation, the
-``ScanStats`` delta read, and ``busy_ms`` accumulation are race-free even
-if a caller overlaps requests on the same backend.
-
-Disk latency emulation: real MBDS backends are disk-bound, and the
-paper's speedup comes from overlapping those disk waits across backends.
-With ``latency_scale > 0`` a backend sleeps ``simulated_ms *
-latency_scale`` milliseconds per request, converting the timing model's
-disk time into real, overlappable wall-clock stalls — this is what the
-wall-clock scaling benchmark measures.  The default of 0 keeps normal
-runs instantaneous.  Simulated time is computed before (and never from)
-the sleep, so engine choice and latency emulation cannot perturb it.
+Concurrency: a per-backend lock serializes requests *within* a backend,
+so store mutation, the ``ScanStats`` delta read, and ``busy_ms``
+accumulation are race-free.  Concurrent server sessions reach one
+backend from several executor threads at once: lock-free snapshot reads
+take no kernel lock, so a reader and a writer (or two readers) can be
+inside the same backend together.  Stores are partitioned one-per-backend
+(no sharing), so the lock never spans backends.
 """
 
 from __future__ import annotations
@@ -78,8 +69,7 @@ class _CachedRetrieve:
     time; an entry only serves while the signature still matches (any
     mutation of a contributing file bumps an epoch and strands the
     entry).  The cost fields are replayed on a hit so cumulative
-    ScanStats, simulated time, and emulated disk latency stay
-    bit-identical to an uncached run.
+    ScanStats and simulated time stay bit-identical to an uncached run.
     """
 
     signature: tuple
@@ -122,7 +112,6 @@ class Backend:
         backend_id: int,
         timing: TimingModel,
         store_factory: Optional[StoreFactory] = None,
-        latency_scale: float = 0.0,
     ) -> None:
         self.backend_id = backend_id
         self.timing = timing
@@ -130,10 +119,11 @@ class Backend:
         self.executor = Executor(self.store)
         #: Cumulative simulated busy time, for utilization reporting.
         self.busy_ms = 0.0
-        #: Cumulative real execution time (includes emulated disk stalls).
+        #: Cumulative real execution time.
         self.busy_wall_ms = 0.0
-        #: Real milliseconds slept per simulated millisecond (0 = no sleep).
-        self.latency_scale = latency_scale
+        #: Serializes this backend's requests: server sessions reach it
+        #: from several executor threads, and snapshot reads take no
+        #: kernel lock (see the module docstring).
         self._lock = threading.Lock()
         self._result_cache = LRUCache(RESULT_CACHE_SIZE, prefix="qc.result")
 
@@ -154,9 +144,8 @@ class Backend:
 
         Plain RETRIEVEs are served from the epoch-guarded result cache
         when possible.  A hit replays the original run's full accounting
-        — simulated elapsed, examined/index-hit/touched deltas, and the
-        emulated disk stall — so cumulative stats, the timing model, and
-        the wall-clock scaling benchmark see bit-identical figures
+        — simulated elapsed and examined/index-hit/touched deltas — so
+        cumulative stats and the timing model see bit-identical figures
         whether or not the cache fired.
 
         With *snapshot* set the read executes against the committed
@@ -232,8 +221,6 @@ class Backend:
         else:
             selected = result.count
             elapsed = self.timing.backend_scan_ms(examined, selected)
-        if self.latency_scale > 0.0:
-            time.sleep(elapsed * self.latency_scale / 1000.0)
         wall_ms = (time.perf_counter() - start) * 1000.0
         self.busy_ms += elapsed
         self.busy_wall_ms += wall_ms
@@ -256,8 +243,6 @@ class Backend:
         stats.range_hits += entry.range_hits
         stats.fallback_scans += entry.fallback_scans
         stats.records_touched += entry.touched
-        if self.latency_scale > 0.0:
-            time.sleep(entry.elapsed_ms * self.latency_scale / 1000.0)
         wall_ms = (time.perf_counter() - start) * 1000.0
         self.busy_ms += entry.elapsed_ms
         self.busy_wall_ms += wall_ms
@@ -312,13 +297,11 @@ class Backend:
         """Charge one simulated disk access (the aggregate fast path).
 
         Returns ``(simulated_ms, wall_ms)`` and keeps the busy counters
-        and emulated disk latency consistent with normal execution.
+        consistent with normal execution.
         """
         with self._lock:
             start = time.perf_counter()
             elapsed = self.timing.access_ms
-            if self.latency_scale > 0.0:
-                time.sleep(elapsed * self.latency_scale / 1000.0)
             wall_ms = (time.perf_counter() - start) * 1000.0
             self.busy_ms += elapsed
             self.busy_wall_ms += wall_ms

@@ -9,17 +9,13 @@ times, not the sum — this is the mechanism behind both MBDS performance
 claims.
 
 An :class:`~repro.mbds.engine.ExecutionEngine` decides how a broadcast
-is dispatched in wall-clock terms — serially (default, deterministic),
-on a thread pool, or across worker processes — without affecting
-results or simulated time.
+is dispatched in wall-clock terms — serially (default, deterministic)
+or across worker processes — without affecting results or simulated
+time.
 
-INSERT requests are not broadcast: the placement policy routes each new
-record to exactly one backend.  The same policy is the one thing that
-narrows a broadcast: a policy exposing ``route`` (hash sharding) names
-the backends that may hold matches, and the rest are skipped — charged
-zero simulated and wall time, their slots in the per-backend lists left
-at 0.0 so the lists stay indexed by backend id.  Within each backend
-reached, the store's own directory (a
+INSERT requests are not broadcast: the round-robin placement policy
+sends each new record to exactly one backend.  Every other request
+reaches every backend; within each, the store's own directory (a
 :class:`~repro.abdm.directory.ClusteredStore`) does the descriptor
 search, as in the paper.
 """
@@ -37,16 +33,14 @@ from repro.abdl.ast import (
     DeleteRequest,
     InsertRequest,
     Request,
-    RetrieveCommonRequest,
-    RetrieveRequest,
     UpdateRequest,
 )
 from repro.abdl.executor import RequestResult
 from repro.abdm.record import Record
 from repro.errors import ExecutionError, WalError
-from repro.mbds.backend import Backend, BackendResult, StoreFactory
+from repro.mbds.backend import BackendResult, StoreFactory
 from repro.mbds.engine import EngineSpec, ExecutionEngine, make_engine
-from repro.mbds.placement import PlacementPolicy, RoundRobinPlacement
+from repro.mbds.placement import RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
 from repro.mbds.timing import (
     PHASE_BROADCAST,
@@ -62,16 +56,6 @@ from repro.wal.log import WalManager
 
 _T = TypeVar("_T")
 
-_OPERATION_NAMES = {
-    RetrieveRequest: "RETRIEVE",
-    RetrieveCommonRequest: "RETRIEVE-COMMON",
-    DeleteRequest: "DELETE",
-    UpdateRequest: "UPDATE",
-    InsertRequest: "INSERT",
-    BulkInsertRequest: "BULK-INSERT",
-}
-
-
 #: Request types that mutate backend stores (and so must be journaled).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
 
@@ -81,8 +65,9 @@ class ExecutionTrace:
     """Merged outcome of one request across all backends.
 
     *per_backend_ms* / *per_backend_wall_ms* are indexed by backend id
-    for broadcasts (backends routed away hold 0.0); for routed INSERTs they
-    hold the single executing backend.  For multi-phase requests
+    for broadcasts and bulk inserts (a backend a batch sent nothing to
+    holds 0.0); for placed INSERTs they hold the single executing
+    backend.  For multi-phase requests
     (RETRIEVE-COMMON) they are the element-wise per-backend totals
     across phases, with the per-phase breakdown in *phases*.
 
@@ -115,11 +100,10 @@ class BackendController:
         self,
         backend_count: int,
         timing: Optional[TimingModel] = None,
-        placement: Optional[PlacementPolicy] = None,
+        placement: Optional[RoundRobinPlacement] = None,
         store_factory: Optional[StoreFactory] = None,
         engine: EngineSpec = None,
         workers: Optional[int] = None,
-        latency_scale: float = 0.0,
         wal: Optional[WalManager] = None,
         obs: ObsSpec = None,
     ) -> None:
@@ -127,8 +111,7 @@ class BackendController:
             raise ValueError("MBDS needs at least one backend")
         self.timing = timing or TimingModel()
         self.placement = placement or RoundRobinPlacement()
-        #: Placement policies keep mutable routing state (round-robin
-        #: counters, load tallies, shard taints); concurrent sessions
+        #: The round-robin counters are mutable; concurrent sessions
         #: serialize their updates here.
         self.placement_lock = threading.RLock()
         self.engine: ExecutionEngine = make_engine(engine, workers)
@@ -145,11 +128,11 @@ class BackendController:
         self.indexed_attributes: list[str] = []
         if wal is not None and self.obs.enabled:
             wal.bind_obs(self.obs)
-        # The engine owns backend construction: in-process engines build
+        # The engine owns backend construction: the serial engine builds
         # plain Backends; the process engine spawns worker processes and
         # returns proxies (see ExecutionEngine.create_backends).
         self.backends = self.engine.create_backends(
-            backend_count, self.timing, store_factory, latency_scale
+            backend_count, self.timing, store_factory
         )
         if self.obs.enabled:
             # The per-backend caches (compile + result) report their
@@ -182,7 +165,7 @@ class BackendController:
         session: Optional[KernelSession] = None,
         snapshot: Optional[int] = None,
     ) -> ExecutionTrace:
-        """Execute one request: route inserts, broadcast everything else.
+        """Execute one request: place inserts, broadcast everything else.
 
         *label* names the request's broadcast phase; it is the single
         source for both the :class:`BroadcastPhase` accounting label and
@@ -233,8 +216,6 @@ class BackendController:
                 "a journaled request needs a kernel session with a transaction open"
             )
         for ids, request in ops:
-            if not ids:
-                continue  # routed to no backend: nothing applies, nothing to redo
             if isinstance(request, BulkInsertRequest):
                 wal.log_bulk(ids, request, session.wal_txn)
             else:
@@ -260,12 +241,12 @@ class BackendController:
         with self.placement_lock:
             index = self.placement.place(request.record, self.backend_count)
         if session is not None:
-            session.note_placed(request.record.file_name, index)
+            session.note_placed(request.record.file_name)
         self._journal([([index], request)], session)
         backend_result = self._apply_journaled(
             lambda: self.engine.execute_one(self.backends[index], request, label)
         )
-        return self._trace(request, label, start, [backend_result], routed=True)
+        return self._trace(request, label, start, [backend_result], placed=True)
 
     def _execute_bulk_insert(
         self,
@@ -273,7 +254,7 @@ class BackendController:
         label: str,
         session: Optional[KernelSession] = None,
     ) -> ExecutionTrace:
-        """Route a record batch, journal one shard per backend, apply once.
+        """Place a record batch, journal one shard per backend, apply once.
 
         The batch is partitioned by the placement policy (each record goes
         where a one-at-a-time INSERT would have put it), journaled as one
@@ -285,7 +266,7 @@ class BackendController:
         """
         start = time.perf_counter()
         if not request.records:
-            return ExecutionTrace(request, _empty_result(request), ResponseTime())
+            return ExecutionTrace(request, RequestResult("BULK-INSERT"), ResponseTime())
         groups: dict[int, list[Record]] = {}
         with self.obs.tracer.span("bulk.route") as span:
             with self.placement_lock:
@@ -295,9 +276,8 @@ class BackendController:
             if span:
                 span.record(records=len(request.records), shards=len(groups))
         if session is not None:
-            for index, records in groups.items():
-                for file_name, count in Counter(r.file_name for r in records).items():
-                    session.note_placed(file_name, index, count)
+            for file_name, count in Counter(r.file_name for r in request.records).items():
+                session.note_placed(file_name, count)
         indices = sorted(groups)
         targets = [self.backends[i] for i in indices]
         shards = [BulkInsertRequest(groups[i]) for i in indices]
@@ -320,30 +300,16 @@ class BackendController:
         snapshot: Optional[int] = None,
     ) -> ExecutionTrace:
         start = time.perf_counter()
-        mutating = isinstance(request, _MUTATING_REQUESTS)
-        with self.placement_lock:
-            targets = self._broadcast_targets(request)
-            if mutating:
-                # Targets were routed under the pre-mutation placement
-                # state (where the matching records actually live); only
-                # then may the policy update its routing metadata
-                # (shard-key taints).
-                observe = getattr(self.placement, "observe_mutation", None)
-                if observe is not None:
-                    observe(request)
-        if mutating:
+        if isinstance(request, _MUTATING_REQUESTS):
             self._journal(
-                [([backend.backend_id for backend in targets], request)], session
+                [([backend.backend_id for backend in self.backends], request)],
+                session,
             )
             partials = self._apply_journaled(
-                lambda: self.engine.run(targets, request, label) if targets else []
+                lambda: self.engine.run(self.backends, request, label)
             )
         else:
-            partials = (
-                self.engine.run(targets, request, label, snapshot)
-                if targets
-                else []
-            )
+            partials = self.engine.run(self.backends, request, label, snapshot)
         return self._trace(request, label, start, partials)
 
     def _trace(
@@ -352,16 +318,16 @@ class BackendController:
         label: str,
         start: float,
         partials: Sequence[BackendResult],
-        routed: bool = False,
+        placed: bool = False,
     ) -> ExecutionTrace:
         """Merge one phase's *partials* into the request's trace.
 
         The per-backend lists are indexed by backend id (backends that
-        did not run hold 0.0), except for a *routed* INSERT, whose lists
+        did not run hold 0.0), except for a *placed* INSERT, whose lists
         hold just the executing backend.
         """
-        merged = _merge(request, partials) if partials else _empty_result(request)
-        if routed:
+        merged = _merge(request, partials)
+        if placed:
             per_backend_ms = [p.elapsed_ms for p in partials]
             per_backend_wall_ms = [p.wall_ms for p in partials]
         else:
@@ -403,29 +369,6 @@ class BackendController:
             if partial.fallback_scans:
                 metrics.inc("plan.fallback_scan", partial.fallback_scans)
 
-    def _broadcast_targets(self, request: Request) -> list[Backend]:
-        """The backends a broadcast must reach.
-
-        A placement policy exposing ``route`` (e.g.
-        :class:`~repro.mbds.placement.HashShardPlacement`) can prove from
-        placement alone that only certain backends may hold matches;
-        routing is metadata-only, no backend is consulted.  Without one,
-        every backend is reached.  Skipped backends are charged zero
-        simulated and zero wall time.
-        """
-        router = getattr(self.placement, "route", None)
-        routed = router(request, self.backend_count) if router is not None else None
-        if routed is None:
-            return list(self.backends)
-        targets = [b for b in self.backends if b.backend_id in routed]
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.inc("route.requests")
-            skipped = self.backend_count - len(targets)
-            if skipped:
-                metrics.inc("route.skipped_backends", skipped)
-        return targets
-
     # -- maintenance -------------------------------------------------------------
 
     def add_index(self, *attributes: str) -> None:
@@ -453,7 +396,7 @@ class BackendController:
         }
 
     def shutdown(self) -> None:
-        """Release engine resources (worker threads, if any)."""
+        """Release engine resources (worker processes, if any)."""
         self.engine.shutdown()
 
     # -- inspection -------------------------------------------------------------
@@ -472,14 +415,6 @@ class BackendController:
         for backend in self.backends:
             records.extend(backend.store.all_records())
         return records
-
-
-def _empty_result(request: Request) -> RequestResult:
-    """The result of a broadcast routed to no backend."""
-    for request_type, operation in _OPERATION_NAMES.items():
-        if isinstance(request, request_type):
-            return RequestResult(operation)
-    raise ExecutionError(f"unknown request type {type(request).__name__}")
 
 
 def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult:

@@ -9,12 +9,6 @@ timing model":
 
 * :class:`SerialEngine` — the historical behavior: backends run in order
   in the calling thread.  Default, fully deterministic, no threads.
-* :class:`ThreadPoolEngine` — fans the broadcast out to every backend
-  concurrently on a shared thread pool and collects the results in
-  backend order, so real wall-clock time tracks the *slowest* backend
-  instead of the sum.  Combined with the backends' emulated disk latency
-  (see :class:`~repro.mbds.backend.Backend`), this reproduces MBDS's
-  reciprocal response-time claim in real time, not just in the model.
 * :class:`ProcessPoolEngine` — each backend owns its store in a
   persistent worker *process* (see :mod:`repro.ipc`), so CPU-bound
   compiled matching and range scans parallelize past the GIL.  Requests
@@ -24,7 +18,7 @@ timing model":
 
 Because the process engine must build its backends *in* the workers, the
 engine — not the controller — now owns backend construction
-(:meth:`ExecutionEngine.create_backends`).  In-process engines return
+(:meth:`ExecutionEngine.create_backends`).  The serial engine returns
 ordinary :class:`~repro.mbds.backend.Backend` objects; the process
 engine returns :class:`~repro.ipc.proxy.ProcessBackend` proxies that
 duck-type them.
@@ -32,24 +26,20 @@ duck-type them.
 Engine choice never changes results or simulated time: per-backend
 simulated cost is a pure function of each backend's store state, stores
 are partitioned one-per-backend, and result merging is performed by the
-controller in backend order.  ``bench_wallclock_scaling.py`` checks both
-halves of that contract (real speedup, identical simulated totals).
+controller in backend order.  ``tests/properties/test_engine_equivalence.py``
+checks that contract (bit-identical results, stores and simulated totals).
 
-Observability: the engine is the layer where execution crosses threads,
-so it is also where per-backend trace spans are opened.  The controller
-binds its observability bundle onto the engine (:attr:`ExecutionEngine.obs`),
-and :meth:`run` receives the phase *label* naming the spans
-(``backend[i].broadcast``, ``backend[i].left``, ...).  Under the thread
-pool the parent span is captured in the calling (controller) thread and
-attached explicitly, because the tracer's thread-local context is
-invisible from pool threads.  With the default null bundle the traced
-path is skipped entirely.
+Observability: the engine is the layer where execution crosses process
+boundaries, so it is also where per-backend trace spans are opened.  The
+controller binds its observability bundle onto the engine
+(:attr:`ExecutionEngine.obs`), and :meth:`run` receives the phase *label*
+naming the spans (``backend[i].broadcast``, ``backend[i].left``, ...).
+With the default null bundle the traced path is skipped entirely.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import WorkerCrashed
@@ -95,19 +85,17 @@ class ExecutionEngine:
         count: int,
         timing: "TimingModel",
         store_factory: Optional["StoreFactory"] = None,
-        latency_scale: float = 0.0,
     ) -> list["Backend"]:
         """Build the backend farm this engine will execute against.
 
-        In-process engines return plain :class:`Backend` objects; the
+        The serial engine gets plain :class:`Backend` objects; the
         process engine overrides this to spawn worker processes and hand
         back proxies.
         """
         from repro.mbds.backend import Backend
 
         return [
-            Backend(backend_id, timing, store_factory, latency_scale)
-            for backend_id in range(count)
+            Backend(backend_id, timing, store_factory) for backend_id in range(count)
         ]
 
     def run(
@@ -136,7 +124,7 @@ class ExecutionEngine:
 
         The distinct-request sibling of :meth:`run`, used by bulk ingest:
         each target backend applies its *own* batch, concurrently under
-        the pooled engines.  The default runs them serially.
+        the process engine.  The default runs them serially.
         """
         return [
             self.execute_one(backend, request, label)
@@ -148,23 +136,21 @@ class ExecutionEngine:
         backend: "Backend",
         request: "Request",
         label: str,
-        parent: Optional["Span"] = None,
         snapshot: Optional[int] = None,
     ) -> "BackendResult":
         """Execute on one backend, inside a per-backend span when tracing.
 
-        Also the controller's path for routed (non-broadcast) INSERTs, so
-        every backend execution — broadcast or routed — is spanned the
+        Also the controller's path for placed (non-broadcast) INSERTs, so
+        every backend execution — broadcast or placed — is spanned the
         same way.
         """
         tracer = self.obs.tracer
         if not tracer.enabled:
             return backend.execute(request, snapshot)
-        span = tracer.open(f"backend[{backend.backend_id}].{label}", parent)
+        span = tracer.open(f"backend[{backend.backend_id}].{label}")
         try:
-            # Activate on the executing thread so spans opened inside the
-            # backend (qc.compile) nest under this one identically for
-            # serial and pooled execution.
+            # Activate so spans opened inside the backend (qc.compile)
+            # nest under this one.
             with tracer.activate(span):
                 result = backend.execute(request, snapshot)
         finally:
@@ -173,7 +159,7 @@ class ExecutionEngine:
         return result
 
     def shutdown(self) -> None:
-        """Release any resources (threads); the engine stays usable after."""
+        """Release any resources; the serial engine stays usable after."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -197,78 +183,6 @@ class SerialEngine(ExecutionEngine):
         ]
 
 
-class ThreadPoolEngine(ExecutionEngine):
-    """Run every backend of a broadcast concurrently on a thread pool.
-
-    The pool is created lazily on the first multi-backend broadcast and
-    reused for the life of the engine, so per-request overhead is one
-    ``submit`` per backend.  Results are collected in submission order,
-    which keeps merged results byte-identical to :class:`SerialEngine`.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError("ThreadPoolEngine needs at least one worker")
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def run(
-        self,
-        backends: Sequence["Backend"],
-        request: "Request",
-        label: str = PHASE_BROADCAST,
-        snapshot: Optional[int] = None,
-    ) -> list["BackendResult"]:
-        if len(backends) <= 1:
-            return [
-                self.execute_one(backend, request, label, snapshot=snapshot)
-                for backend in backends
-            ]
-        # Capture the parent span here, in the controller's thread: the
-        # tracer's thread-local context does not follow into the pool.
-        parent = self.obs.tracer.current
-        pool = self._ensure_pool(len(backends))
-        futures = [
-            pool.submit(self.execute_one, backend, request, label, parent, snapshot)
-            for backend in backends
-        ]
-        return [future.result() for future in futures]
-
-    def run_distinct(
-        self,
-        backends: Sequence["Backend"],
-        requests: Sequence["Request"],
-        label: str = PHASE_BROADCAST,
-    ) -> list["BackendResult"]:
-        if len(backends) <= 1:
-            return super().run_distinct(backends, requests, label)
-        parent = self.obs.tracer.current
-        pool = self._ensure_pool(len(backends))
-        futures = [
-            pool.submit(self.execute_one, backend, request, label, parent)
-            for backend, request in zip(backends, requests)
-        ]
-        return [future.result() for future in futures]
-
-    def _ensure_pool(self, backend_count: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers or backend_count,
-                thread_name_prefix="mbds-backend",
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return f"ThreadPoolEngine(workers={self.workers})"
-
-
 class ProcessPoolEngine(ExecutionEngine):
     """Run every backend in its own persistent worker process.
 
@@ -285,7 +199,7 @@ class ProcessPoolEngine(ExecutionEngine):
     chunks of that size); the worker *processes* are always one per
     backend, because each one holds backend-resident state.
 
-    Unlike the thread pool, :meth:`shutdown` is terminal: it stops the
+    Unlike the serial engine's, :meth:`shutdown` is terminal: it stops the
     worker processes, and with them the backend stores they own.  Use it
     only when the system is done (``KDS.shutdown`` / recovery teardown).
     """
@@ -319,12 +233,11 @@ class ProcessPoolEngine(ExecutionEngine):
         count: int,
         timing: "TimingModel",
         store_factory: Optional["StoreFactory"] = None,
-        latency_scale: float = 0.0,
     ) -> list["Backend"]:
         from repro.ipc.proxy import ProcessBackend
 
         self._backends = [
-            ProcessBackend(self, backend_id, timing, store_factory, latency_scale)
+            ProcessBackend(self, backend_id, timing, store_factory)
             for backend_id in range(count)
         ]
         return list(self._backends)  # type: ignore[return-value]
@@ -385,13 +298,12 @@ class ProcessPoolEngine(ExecutionEngine):
         backend: "Backend",
         request: "Request",
         label: str,
-        parent: Optional["Span"] = None,
         snapshot: Optional[int] = None,
     ) -> "BackendResult":
         with self._io_lock:
             self._check_crashed()
             try:
-                return super().execute_one(backend, request, label, parent, snapshot)
+                return super().execute_one(backend, request, label, snapshot)
             except WorkerCrashed as exc:
                 self._note_crash(exc)
                 raise
@@ -426,7 +338,6 @@ class ProcessPoolEngine(ExecutionEngine):
                 for backend, request in zip(backends, requests)
             ]
         tracer = self.obs.tracer
-        parent = tracer.current if tracer.enabled else None
         limit = self.workers or len(backends)
         results: list["BackendResult"] = []
         with self._io_lock:
@@ -438,7 +349,7 @@ class ProcessPoolEngine(ExecutionEngine):
                     spans: list[Optional["Span"]] = []
                     for backend, request in zip(chunk, chunk_requests):
                         spans.append(
-                            tracer.open(f"backend[{backend.backend_id}].{label}", parent)
+                            tracer.open(f"backend[{backend.backend_id}].{label}")
                             if tracer.enabled
                             else None
                         )
@@ -478,15 +389,8 @@ class ProcessPoolEngine(ExecutionEngine):
 
 
 #: What callers may pass wherever an engine is accepted: an instance, a
-#: name ('serial' / 'threads' / 'process'), or None for the default
-#: serial engine.
+#: name ('serial' / 'process'), or None for the default serial engine.
 EngineSpec = Union[ExecutionEngine, str, None]
-
-_ENGINE_NAMES = {
-    "serial": SerialEngine,
-    "threads": ThreadPoolEngine,
-    "process": ProcessPoolEngine,
-}
 
 
 def make_engine(
@@ -494,22 +398,16 @@ def make_engine(
 ) -> ExecutionEngine:
     """Resolve an engine spec (instance, name, or None) to an engine.
 
-    *workers* only applies when a pooled engine is built here; an
+    *workers* only applies when a process engine is built here; an
     explicit engine instance is returned unchanged.
     """
     if isinstance(spec, ExecutionEngine):
         return spec
-    if spec is None or spec == "serial":
+    name = spec.lower() if isinstance(spec, str) else spec
+    if name is None or name == "serial":
         return SerialEngine()
-    if isinstance(spec, str):
-        cls = _ENGINE_NAMES.get(spec.lower())
-        if cls is ThreadPoolEngine:
-            return ThreadPoolEngine(workers)
-        if cls is ProcessPoolEngine:
-            return ProcessPoolEngine(workers)
-        if cls is not None:
-            return cls()
+    if name == "process":
+        return ProcessPoolEngine(workers)
     raise ValueError(
-        f"unknown execution engine {spec!r} "
-        "(expected 'serial', 'threads', or 'process')"
+        f"unknown execution engine {spec!r} (expected 'serial' or 'process')"
     )

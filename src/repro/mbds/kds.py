@@ -49,7 +49,7 @@ from repro.mbds.locks import (
     affected_files,
     lock_items,
 )
-from repro.mbds.placement import PlacementPolicy
+from repro.mbds.placement import RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
 from repro.mbds.timing import (
     PHASE_AGGREGATE_INDEX,
@@ -92,22 +92,20 @@ class KernelDatabaseSystem:
         self,
         backend_count: int = 4,
         timing: Optional[TimingModel] = None,
-        placement: Optional[PlacementPolicy] = None,
+        placement: Optional[RoundRobinPlacement] = None,
         store_factory=None,
         engine: EngineSpec = None,
         workers: Optional[int] = None,
-        latency_scale: float = 0.0,
         wal: Optional[WalManager] = None,
         obs: ObsSpec = None,
         lock_timeout: float = 10.0,
         snapshot_reads: bool = True,
     ) -> None:
-        """*engine* picks the wall-clock dispatch strategy ('serial',
-        'threads' or 'process', or an
-        :class:`~repro.mbds.engine.ExecutionEngine`);
-        simulated response time is identical for every engine.
-        *latency_scale* emulates real disk stalls (see
-        :class:`~repro.mbds.backend.Backend`).
+        """*engine* picks the wall-clock dispatch strategy ('serial' or
+        'process', or an :class:`~repro.mbds.engine.ExecutionEngine`);
+        simulated response time is identical for both.  *placement*
+        defaults to :class:`~repro.mbds.placement.RoundRobinPlacement`;
+        a harness may pass a subclass that overrides ``place``.
         *wal* attaches a write-ahead log: mutating requests are journaled
         before applying and grouped into transactions (see
         :meth:`session_transaction`).  *obs* attaches an
@@ -122,7 +120,6 @@ class KernelDatabaseSystem:
             store_factory,
             engine=engine,
             workers=workers,
-            latency_scale=latency_scale,
             wal=wal,
             obs=obs,
         )
@@ -270,8 +267,8 @@ class KernelDatabaseSystem:
         restores those files from the pending pre-images its store parked
         at the first write — still under the transaction's exclusive
         locks, so no other session can have observed the rolled-back
-        state.  Placement routing for the transaction's INSERTs is rolled
-        back too, and finally the locks are released.
+        state.  The placement counters the transaction's INSERTs advanced
+        are rewound too, and finally the locks are released.
 
         A farm that lost a worker is not asked to undo anything: the
         dead worker cannot answer and a survivor may still hold the
@@ -293,10 +290,8 @@ class KernelDatabaseSystem:
                 )
                 self.obs.metrics.inc("kds.abort.files_rolled_back", rolled)
                 with self.controller.placement_lock:
-                    observe = getattr(self.controller.placement, "observe_abort", None)
-                    if observe is not None:
-                        for (file_name, backend_id), count in session.placed.items():
-                            observe(file_name, backend_id, count)
+                    for file_name, count in session.placed.items():
+                        self.controller.placement.observe_abort(file_name, count)
         finally:
             # Whatever the undo met, the transaction is over: a session
             # left open with its locks held would wedge every writer,
@@ -629,11 +624,6 @@ class KernelDatabaseSystem:
             for backend in self.controller.backends:
                 for file_name in template.files:
                     backend.store.drop_file(file_name)
-            # Dropping files bypasses placement, so load-tracking policies
-            # get the farm's actual distribution to resynchronize against.
-            rebalance = getattr(self.controller.placement, "rebalance", None)
-            if rebalance is not None:
-                rebalance(self.controller.distribution())
             del self._catalog[name]
         finally:
             if not session.in_transaction:
@@ -939,7 +929,7 @@ class KernelDatabaseSystem:
         return replayed
 
     def shutdown(self) -> None:
-        """Release engine resources (worker threads) and WAL file handles."""
+        """Release engine resources (worker processes) and WAL file handles."""
         self.controller.shutdown()
         if self.wal is not None:
             self.wal.close()

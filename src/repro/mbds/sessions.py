@@ -22,11 +22,11 @@ Transaction-scoped fields:
 * ``wrote_unpinned`` — a mutation left the file open, so it could touch
   any file (and held the global exclusive lock): commit and abort then
   settle every pending entry on the farm.
-* ``placed`` — how many records this transaction's INSERTs routed to
-  each ``(file_name, backend_id)``, so an abort can also roll back
-  placement-policy counters (keeping future placement identical to a
-  history in which the transaction never ran).  A count, not a list: a
-  bulk batch is ten thousand placements.
+* ``placed`` — how many records this transaction's INSERTs placed in
+  each file, so an abort can also rewind the round-robin counters
+  (keeping future placement identical to a history in which the
+  transaction never ran).  A count, not a list: a bulk batch is ten
+  thousand placements.
 * ``doomed`` — a mutation of this transaction was journaled and is not
   known to have applied.  Set before each mutation is dispatched and
   cleared when it returns, so a failed one leaves it set; the kernel
@@ -41,7 +41,7 @@ session's last commit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 
 @dataclass
@@ -59,7 +59,7 @@ class KernelSession:
     in_transaction: bool = False
     written: Set[str] = field(default_factory=set)
     wrote_unpinned: bool = False
-    placed: Dict[Tuple[Optional[str], int], int] = field(default_factory=dict)
+    placed: Dict[Optional[str], int] = field(default_factory=dict)
     doomed: bool = field(default=False, init=False)
     commit_seq: Optional[int] = field(default=None, init=False)
     #: Lifetime accounting (the server's quota bookkeeping reads these).
@@ -76,10 +76,9 @@ class KernelSession:
         self.placed = {}
         self.doomed = False
 
-    def note_placed(self, file_name: Optional[str], backend_id: int, count: int = 1) -> None:
-        """Count *count* records routed to *backend_id* for *file_name*."""
-        key = (file_name, backend_id)
-        self.placed[key] = self.placed.get(key, 0) + count
+    def note_placed(self, file_name: Optional[str], count: int = 1) -> None:
+        """Count *count* records placed in *file_name*."""
+        self.placed[file_name] = self.placed.get(file_name, 0) + count
 
     def __repr__(self) -> str:
         state = "in txn" if self.in_transaction else "idle"

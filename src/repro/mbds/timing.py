@@ -20,7 +20,7 @@ the structure of the model.
 
 Simulated time is **engine-independent**: it is a pure function of each
 backend's store state (records examined / selected), so dispatching a
-broadcast serially or on a thread pool (see :mod:`repro.mbds.engine`)
+broadcast serially or across worker processes (see :mod:`repro.mbds.engine`)
 yields bit-identical :class:`ResponseTime` totals.  Real wall-clock time
 is reported separately (``ExecutionTrace.wall_ms``) and is the quantity
 the execution engines change.

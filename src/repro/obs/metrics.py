@@ -3,7 +3,7 @@
 Zero-dependency and deliberately small.  Three instrument kinds:
 
 * :class:`Counter` — monotonically increasing float (requests executed,
-  backends routed away, WAL ops journaled).
+  records examined, WAL ops journaled).
 * :class:`Gauge` — last-write-wins float (resident records).
 * :class:`Histogram` — fixed-boundary latency distribution.  The bucket
   boundaries are a class-level constant (milliseconds), never derived

@@ -19,11 +19,10 @@ never derived from the wall clock), and free-form ``attrs`` such as
 
 Propagation is by thread-local context: :meth:`Tracer.span` opens a child
 of the calling thread's current span, so layers never pass span handles
-around explicitly.  The one place execution crosses threads — a
-:class:`~repro.mbds.engine.ThreadPoolEngine` broadcast — captures the
-parent span in the controller thread and passes it to
-:meth:`Tracer.open` explicitly, so backend spans attach to the right
-request no matter which pool thread ran them.
+around explicitly.  Execution engines open per-backend spans with
+:meth:`Tracer.open`, which pushes nothing on the context stack; the
+backend's own spans nest under it (activated in-process, grafted from a
+worker).
 
 The disabled path is a separate :class:`NullTracer` whose ``span``/
 ``open`` return shared singletons; per call it costs one attribute load
@@ -213,9 +212,8 @@ class Tracer:
         """Open a leaf span under an *explicit* parent (cross-thread safe).
 
         The span is not pushed on any thread's context stack; the caller
-        must :meth:`Span.finish` it.  Used by execution engines, whose
-        backend work may run on pool threads where the thread-local
-        context of the controller is invisible.
+        must :meth:`Span.finish` it.  Used by execution engines for their
+        per-backend spans.
         """
         return Span(name, parent if parent is not None else self.current)
 
@@ -223,11 +221,10 @@ class Tracer:
         """Make *span* the calling thread's current span for a scope.
 
         Engines pair this with :meth:`open`: the per-backend span is
-        opened (possibly with an explicit cross-thread parent) and then
-        activated on whichever thread executes the backend, so spans
-        opened *inside* the backend (``qc.compile``) attach to it
-        identically under serial and pooled execution.  Exiting the
-        scope pops without finishing — the opener still finishes.
+        opened and then activated around the in-process backend call, so
+        spans opened *inside* the backend (``qc.compile``) attach to it.
+        Exiting the scope pops without finishing — the opener still
+        finishes.
         """
         stack = getattr(self._local, "stack", None)
         if stack is None:

@@ -21,7 +21,7 @@ Format **2** (the only one :func:`load_mlds` restores) carries, beside
 schemas, timing, key counters and per-backend records, ``wal`` (the
 durability watermark: the last committed WAL transaction the snapshot
 contains, written when the system has a write-ahead log attached — see
-:mod:`repro.wal`) and ``placement`` (the placement policy's state, so
+:mod:`repro.wal`) and ``placement`` (the round-robin counters, so
 inserts after a restore land on the same backends they would have
 without the restart).
 """
@@ -32,15 +32,10 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.abdm.record import Record
 from repro.core.mlds import MLDS
 from repro.errors import MLDSError
-from repro.mbds.placement import (
-    HashShardPlacement,
-    LeastLoadedPlacement,
-    RoundRobinPlacement,
-)
 from repro.mbds.timing import TimingModel
+from repro.wal.recovery import restore_farm
 
 #: Snapshot format version, bumped on incompatible layout changes.
 FORMAT_VERSION = 2
@@ -57,21 +52,6 @@ def _dump_records(mlds: MLDS) -> list[list[dict]]:
     return dumps
 
 
-def _placement_state(mlds: MLDS) -> Optional[dict]:
-    placement = mlds.kds.controller.placement
-    if isinstance(placement, RoundRobinPlacement):
-        return {"kind": "round_robin", "counters": dict(placement._counters)}
-    if isinstance(placement, LeastLoadedPlacement):
-        return {"kind": "least_loaded"}
-    if isinstance(placement, HashShardPlacement):
-        return {
-            "kind": "hash_shard",
-            "key_attributes": dict(placement.key_attributes),
-            "tainted": sorted(placement.tainted_files),
-        }
-    return None
-
-
 def save_mlds(mlds: MLDS, path: Union[str, Path]) -> None:
     """Write a complete JSON snapshot of *mlds* to *path*."""
     timing = mlds.kds.controller.timing
@@ -80,7 +60,7 @@ def save_mlds(mlds: MLDS, path: Union[str, Path]) -> None:
         "format": FORMAT_VERSION,
         "backend_count": mlds.kds.controller.backend_count,
         "wal": wal.checkpoint_state() if wal is not None else None,
-        "placement": _placement_state(mlds),
+        "placement": mlds.kds.controller.placement.snapshot_state(),
         "timing": {
             "broadcast_ms": timing.broadcast_ms,
             "access_ms": timing.access_ms,
@@ -141,12 +121,15 @@ def load_mlds(
     The kernel knobs (*engine*, *workers*, *placement*, *store_factory*,
     *obs*) are not part of the snapshot — they describe the machine, not
     the data — so callers pick them at load time, defaulting to the
-    serial, untraced, round-robin configuration.  The snapshot's placement *state* (round-robin
-    counters, hash-shard taints, load counts) is re-applied when the
-    chosen policy matches the kind that wrote it.
+    serial, untraced, round-robin configuration.
 
-    Records are restored through each backend's store, which rebuilds
-    hash indexes and clustering as it inserts.
+    The farm section — per-backend records and the round-robin counters
+    — is read by :func:`~repro.wal.recovery.restore_farm`, the same
+    reader farm healing uses.  Records go back through each backend's
+    store, which rebuilds hash indexes and clustering as it inserts.  A
+    snapshot whose ``placement`` names a retired kind (``hash_shard``,
+    ``least_loaded``) still restores every record; only the counters
+    start empty.
     """
     snapshot = json.loads(Path(path).read_text())
     version = snapshot.get("format")
@@ -180,31 +163,5 @@ def load_mlds(
         mapping = mlds._hierarchical_mappings[name]
         mapping._key_counters.update(entry["key_counters"])
         mapping._sequence = entry["sequence"]
-    backends = mlds.kds.controller.backends
-    if len(snapshot["backends"]) != len(backends):
-        raise MLDSError("snapshot backend count does not match")
-    for backend, rows in zip(backends, snapshot["backends"]):
-        if not rows:
-            continue
-        # One bulk call per backend: indexes and clustering build
-        # collect-then-sort-once instead of per-record, with the exact
-        # store state the per-record path produced (see ABStore.bulk_insert).
-        backend.store.bulk_insert(
-            Record.from_pairs(
-                [(attribute, value) for attribute, value in row["pairs"]],
-                text=row["text"],
-            )
-            for row in rows
-        )
-    placement_state = snapshot["placement"]
-    restored = mlds.kds.controller.placement
-    kind = placement_state["kind"] if placement_state else None
-    if kind == "round_robin" and isinstance(restored, RoundRobinPlacement):
-        restored._counters.update(placement_state["counters"])
-    elif kind == "hash_shard" and isinstance(restored, HashShardPlacement):
-        restored.key_attributes.update(placement_state["key_attributes"])
-        restored._tainted.update(placement_state["tainted"])
-    if isinstance(restored, LeastLoadedPlacement):
-        # Whatever the snapshot said, the true load is what was restored.
-        restored.rebalance(mlds.kds.controller.distribution())
+    restore_farm(mlds.kds.controller, snapshot)
     return mlds

@@ -16,11 +16,11 @@ snapshot plus the WAL tail.  The protocol is the classic redo-only one:
 
 Because each backend's store is a deterministic function of the ops
 applied to it, replay is bit-identical to the original execution
-regardless of the execution engine the dying system used — Serial,
-ThreadPool, and ProcessPool engines journal the same ops in the same
-order, as the journal is written by the controller *before* the engine
-fans out.  Process-engine recovery needs no cross-process reconciliation
-for the same reason: fresh workers are spawned with empty stores, the
+regardless of the execution engine the dying system used — the serial
+and process engines journal the same ops in the same order, as the
+journal is written by the controller *before* the engine fans out.
+Process-engine recovery needs no cross-process reconciliation for the
+same reason: fresh workers are spawned with empty stores, the
 snapshot and replay repopulate them through the same proxied calls, and
 worker-resident epochs and result caches restart coherent with the
 recovered contents.
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
-from repro.errors import WalError
+from repro.errors import MLDSError, WalError
 from repro.wal.codec import decode_request
 from repro.wal.faults import CrashPoint, FaultInjector
 from repro.wal.log import CHECKPOINT_NAME, WalManager, replace_durably
@@ -60,12 +60,10 @@ def replay_committed(
     :class:`~repro.errors.WalError` when a replayed transaction's
     record-count checksum does not match the recovered farm.
     """
-    # Keep placement state consistent with the restored contents, so
-    # post-recovery inserts land (and routed requests go) exactly where
-    # the uncrashed system would have sent them.  Policies opt in by
-    # exposing observe_replay (see repro.mbds.placement).
-    observe_replay = getattr(controller.placement, "observe_replay", None)
-
+    # Keep the placement counters consistent with the restored contents,
+    # so post-recovery inserts land exactly where the uncrashed system
+    # would have put them.
+    placement = controller.placement
     replayed = 0
     for transaction in view.committed:
         if transaction.txn <= after_txn:
@@ -80,8 +78,7 @@ def replay_committed(
             for op in sorted(transaction.ops[backend_id], key=lambda o: o.seq):
                 request = decode_request(op.payload)
                 backend.replay(request)
-                if observe_replay is not None:
-                    observe_replay(request, backend_id, controller.backend_count)
+                placement.observe_replay(request)
         if transaction.counts:
             observed = controller.distribution()
             if observed != transaction.counts:
@@ -102,41 +99,30 @@ def snapshot_watermark(snapshot_path: Union[str, Path]) -> int:
     return int(wal_meta["last_txn"]) if wal_meta else 0
 
 
-def restore_backend_state(
-    controller: "BackendController", snapshot_path: Union[str, Path, None]
-) -> int:
-    """Reload backend stores + placement state from a checkpoint snapshot.
+def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -> int:
+    """Load a parsed snapshot's farm section into *controller*.
 
-    The farm-healing half of :func:`repro.persistence.load_mlds`: the
-    caller has just respawned every worker (empty stores), and this
-    restores exactly the durable baseline — per-backend record dumps and
-    the placement policy's snapshot state — so :func:`replay_committed`
-    can redo the WAL tail on top.  Schema-level state (catalog, language
-    mappings, store factory) lives outside the farm and needs no repair.
+    The one reader of that layout, shared by
+    :func:`repro.persistence.load_mlds` and :func:`restore_backend_state`:
+    each backend's record dump goes back onto the same backend in one
+    ``bulk_insert`` (indexes and clustering build collect-then-sort-once,
+    to the exact store state the per-record path produced), and the
+    round-robin counters are reset to the snapshot's (see
+    :meth:`~repro.mbds.placement.RoundRobinPlacement.restore_state`).
 
-    Returns the snapshot's transaction watermark; 0 when *snapshot_path*
-    is None or missing (heal-from-empty: the whole log replays).
+    Returns the snapshot's transaction watermark; 0 when it was saved
+    without a WAL (or *snapshot* is empty: heal-from-empty).
     """
     from repro.abdm.record import Record
-    from repro.mbds.placement import (
-        HashShardPlacement,
-        LeastLoadedPlacement,
-        RoundRobinPlacement,
-    )
 
-    snapshot: dict = {}
-    if snapshot_path is not None and Path(snapshot_path).exists():
-        snapshot = json.loads(Path(snapshot_path).read_text())
     rows_per_backend = snapshot.get("backends") or []
-    if rows_per_backend:
-        if len(rows_per_backend) != controller.backend_count:
-            raise WalError(
-                f"checkpoint snapshot has {len(rows_per_backend)} backends "
-                f"but the farm has {controller.backend_count}"
-            )
-        for backend, rows in zip(controller.backends, rows_per_backend):
-            if not rows:
-                continue
+    if rows_per_backend and len(rows_per_backend) != controller.backend_count:
+        raise MLDSError(
+            f"snapshot has {len(rows_per_backend)} backends "
+            f"but the farm has {controller.backend_count}"
+        )
+    for backend, rows in zip(controller.backends, rows_per_backend):
+        if rows:
             backend.store.bulk_insert(
                 Record.from_pairs(
                     [(attribute, value) for attribute, value in row["pairs"]],
@@ -144,27 +130,35 @@ def restore_backend_state(
                 )
                 for row in rows
             )
-    # Reset live placement state to the durable baseline: the crashed
-    # run's in-memory counters/taints may include routing from work that
-    # never committed.  replay_committed's observe_replay hook then
-    # re-applies the committed tail's routing effects.
+    # Reset live counters to the durable baseline: a crashed run's may
+    # include placements from work that never committed.
+    # replay_committed's observe_replay then re-applies the committed
+    # tail's placements.
     with controller.placement_lock:
-        placement = controller.placement
-        state = snapshot.get("placement") or {}
-        kind = state.get("kind")
-        if isinstance(placement, RoundRobinPlacement):
-            placement._counters.clear()
-            if kind == "round_robin":
-                placement._counters.update(state["counters"])
-        elif isinstance(placement, HashShardPlacement):
-            placement._tainted.clear()
-            if kind == "hash_shard":
-                placement.key_attributes.update(state["key_attributes"])
-                placement._tainted.update(state["tainted"])
-        if isinstance(placement, LeastLoadedPlacement):
-            placement.rebalance(controller.distribution())
+        controller.placement.restore_state(snapshot.get("placement"))
     wal_meta = snapshot.get("wal") or {}
     return int(wal_meta.get("last_txn", 0))
+
+
+def restore_backend_state(
+    controller: "BackendController", snapshot_path: Union[str, Path, None]
+) -> int:
+    """Reload backend stores + placement counters from a checkpoint snapshot.
+
+    The farm-healing half of :func:`repro.persistence.load_mlds`: the
+    caller has just respawned every worker (empty stores), and this
+    restores exactly the durable baseline (see :func:`restore_farm`) so
+    :func:`replay_committed` can redo the WAL tail on top.  Schema-level
+    state (catalog, language mappings, store factory) lives outside the
+    farm and needs no repair.
+
+    Returns the snapshot's transaction watermark; 0 when *snapshot_path*
+    is None or missing (heal-from-empty: the whole log replays).
+    """
+    snapshot: dict = {}
+    if snapshot_path is not None and Path(snapshot_path).exists():
+        snapshot = json.loads(Path(snapshot_path).read_text())
+    return restore_farm(controller, snapshot)
 
 
 def recover_mlds(

@@ -1,7 +1,13 @@
 """The interactive MLDS shell (line-in / text-out, no terminal needed)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import MLDS
 from repro.cli import MLDSShell
 from repro.university import generate_university, load_university
@@ -280,3 +286,29 @@ class TestRecoverFlags:
         assert seen["metrics"]["wal.group_commits"]["value"] >= 1.0
         assert seen["snapshot_reads"] is False
         assert "kds.snapshot_reads" not in seen["metrics"]
+
+
+class TestRetiredFlags:
+    """The thread-pool engine and the placement flag are gone: argparse
+    refuses them with a usage error, before any system is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--engine", "threads"], ["--placement", "hash-shard"]],
+        ids=["engine-threads", "placement-hash-shard"],
+    )
+    def test_usage_error_exit_2(self, argv):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            stdin=subprocess.DEVNULL,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: mlds")
+        assert argv[0] in done.stderr

@@ -93,10 +93,10 @@ class TestRoundTrip:
 
     def test_load_accepts_engine_knobs(self, populated):
         original, path = populated
-        restored = load_mlds(path, engine="threads", workers=2)
+        restored = load_mlds(path, engine="process", workers=2)
         try:
             assert restored.kds.record_count() == original.kds.record_count()
-            assert restored.kds.controller.engine.name == "threads"
+            assert restored.kds.controller.engine.name == "process"
         finally:
             restored.kds.shutdown()
 

@@ -3,8 +3,8 @@
 Every test here is an equivalence claim: bulk loading must produce the
 *bit-identical* post-load state — store contents, placement counters,
 index arrays, persistence snapshots — that inserting the same records
-one request at a time produces, under every execution engine.  The bulk path is allowed to change wall clock and fsync counts,
-never state.
+one request at a time produces, under every execution engine.  The bulk
+path is allowed to change wall clock and fsync counts, never state.
 """
 
 from __future__ import annotations
@@ -24,14 +24,17 @@ from repro.abdm.record import Record
 from repro.abdm.store import ABStore
 from repro.core.mlds import MLDS
 from repro.errors import ExecutionError
-from repro.mbds.placement import (
-    HashShardPlacement,
-    LeastLoadedPlacement,
-    RoundRobinPlacement,
-)
+from repro.mbds.placement import RoundRobinPlacement
 from repro.persistence import load_mlds, save_mlds
 
-ENGINES = [("serial", None), ("threads", 2), ("process", 2)]
+ENGINES = [("serial", None), ("process", 2)]
+
+
+class ValuePlacement(RoundRobinPlacement):
+    """A harness-style policy: ``place`` overridden, counters unused."""
+
+    def place(self, record, backend_count):
+        return record.get("a") % backend_count
 
 
 def records(n, start=0, file_name="f"):
@@ -54,7 +57,7 @@ def mixed_records(n):
 
 
 def farm_state(mlds):
-    """Everything the load may not change: stores, routing, indexes."""
+    """Everything the load may not change: stores, placement, indexes."""
     controller = mlds.kds.controller
     return {
         "snapshots": [b.store.snapshot() for b in controller.backends],
@@ -145,12 +148,8 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize(
         "placement_factory",
-        [
-            RoundRobinPlacement,
-            LeastLoadedPlacement,
-            lambda: HashShardPlacement({"file0": "a", "file1": "a", "file2": "a"}),
-        ],
-        ids=["round-robin", "least-loaded", "hash-shard"],
+        [RoundRobinPlacement, ValuePlacement],
+        ids=["round-robin", "subclass"],
     )
     def test_placement_equivalence(self, placement_factory):
         bulk = self._load("serial", None, bulk=True, placement=placement_factory())
@@ -159,7 +158,7 @@ class TestKernelEquivalence:
         )
         try:
             assert farm_state(bulk) == farm_state(incremental)
-            # Post-load inserts land identically too: routing state is equal.
+            # Post-load inserts land identically too: placement state is equal.
             probe = Record.from_pairs([("FILE", "file1"), ("a", 9999)])
             bulk.kds.execute(InsertRequest(probe.copy()))
             incremental.kds.execute(InsertRequest(probe.copy()))

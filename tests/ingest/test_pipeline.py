@@ -9,7 +9,6 @@ import pytest
 from repro.cli import MLDSShell, build_parser
 from repro.core.mlds import MLDS
 from repro.ingest import IngestPipeline, bulk_load, stream_university_records
-from repro.mbds.placement import HashShardPlacement
 from repro.obs import Observability
 from repro.wal.log import WalManager
 
@@ -102,25 +101,6 @@ class TestPipeline:
             assert report.records == 600
             assert session.requests_executed == 3
             assert mlds.kds.record_count() == 600
-        finally:
-            mlds.kds.shutdown()
-
-    def test_hash_shard_ingest_spreads_by_id(self):
-        placement = HashShardPlacement(
-            {
-                "student": "ID",
-                "faculty": "ID",
-                "support_staff": "ID",
-                "course": "ID",
-                "department": "ID",
-            }
-        )
-        mlds = MLDS(backend_count=4, placement=placement)
-        try:
-            bulk_load(mlds.kds, stream_university_records(2_000), batch_size=500)
-            distribution = mlds.kds.controller.distribution()
-            assert sum(distribution) == 2_000
-            assert all(count > 0 for count in distribution)
         finally:
             mlds.kds.shutdown()
 

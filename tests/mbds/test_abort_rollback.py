@@ -27,7 +27,7 @@ from repro.obs import Observability
 from tests.abdm.test_index_maintenance import index_state
 from tests.wal.conftest import delete, insert, update
 
-ENGINES = ["serial", "threads", "process"]
+ENGINES = ["serial", "process"]
 
 #: (engine, session name) — None drives the abort through the
 #: session-less ``kds.transaction()``.

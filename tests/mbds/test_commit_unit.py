@@ -31,7 +31,7 @@ from repro.wal.recovery import checkpoint_mlds, recover_mlds
 from tests.ipc.test_worker_crash import die_after_request_frame, within
 from tests.wal.conftest import farm_image, insert
 
-ENGINES = ["serial", "threads", "process"]
+ENGINES = ["serial", "process"]
 BIG = 10**400  # an int no float can hold: `a * 1.5` raises on this record
 OVERFLOWING = parse_request("UPDATE ((FILE = t)) (a = a * 1.5)")
 EVERYTHING = parse_request("RETRIEVE (FILE = t) (*)")

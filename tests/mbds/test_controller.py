@@ -3,7 +3,7 @@
 import pytest
 
 from repro.abdl import parse_request
-from repro.mbds import BackendController, LeastLoadedPlacement, RoundRobinPlacement
+from repro.mbds import BackendController
 
 
 def insert_text(file_name, key, **extra):
@@ -43,12 +43,6 @@ class TestInsertRouting:
         controller.execute(parse_request(insert_text("b", "b$0")))
         # Each file starts its own rotation at backend 0.
         assert controller.distribution() == [2, 0]
-
-    def test_least_loaded_placement(self):
-        controller = BackendController(2, placement=LeastLoadedPlacement())
-        controller.execute(parse_request(insert_text("a", "a$0")))
-        controller.execute(parse_request(insert_text("b", "b$0")))
-        assert controller.distribution() == [1, 1]
 
 
 class TestBroadcast:

@@ -1,21 +1,22 @@
-"""Execution engines: thread-pool parity with serial execution.
+"""Execution engines: wall-clock accounting, sealed results, the factory.
 
-The contract under test: engine choice changes only wall-clock behavior.
-Merged results, record distribution, simulated response times, and
-per-backend accounting must be byte-identical between SerialEngine and
-ThreadPoolEngine across every request type.  So must the read contract:
-every record a result carries is sealed, whichever engine produced it.
+The contract: engine choice changes only wall-clock behavior (the serial
+and process engines' parity is pinned in ``test_process_engine.py`` and
+``tests/properties/test_engine_equivalence.py``).  So must the read
+contract: every record a result carries is sealed, whichever engine
+produced it.  The factory knows two engine names and refuses any other.
 """
 
 import pytest
 
 from repro.abdl import parse_request
 from repro.abdm import Record
+from repro.core.mlds import MLDS
 from repro.errors import RecordSealed
 from repro.mbds import (
     KernelDatabaseSystem,
+    ProcessPoolEngine,
     SerialEngine,
-    ThreadPoolEngine,
     make_engine,
 )
 
@@ -55,31 +56,6 @@ def trace_fingerprint(trace):
         trace.response.controller_ms,
         trace.per_backend_ms,
     )
-
-
-class TestEngineParity:
-    def test_threads_match_serial_across_all_operations(self):
-        serial_kds, serial_traces = run_workload("serial")
-        threads_kds, threads_traces = run_workload("threads")
-        assert serial_kds.controller.distribution() == threads_kds.controller.distribution()
-        for serial_trace, threads_trace in zip(serial_traces, threads_traces):
-            assert trace_fingerprint(serial_trace) == trace_fingerprint(threads_trace)
-        assert serial_kds.clock.total_ms == threads_kds.clock.total_ms
-        assert [b.store.snapshot() for b in serial_kds.controller.backends] == [
-            b.store.snapshot() for b in threads_kds.controller.backends
-        ]
-
-    def test_threads_deterministic_across_runs(self):
-        _, first = run_workload("threads")
-        _, second = run_workload("threads")
-        for a, b in zip(first, second):
-            assert trace_fingerprint(a) == trace_fingerprint(b)
-
-    def test_fewer_workers_than_backends(self):
-        _, serial_traces = run_workload("serial", backends=6)
-        _, threads_traces = run_workload("threads", workers=2, backends=6)
-        for a, b in zip(serial_traces, threads_traces):
-            assert trace_fingerprint(a) == trace_fingerprint(b)
 
 
 class TestWallClockInstrumentation:
@@ -137,7 +113,7 @@ READS = {
     "join": "RETRIEVE-COMMON (FILE = a) COMMON (k) (FILE = b) (*)",
 }
 LOAD = WORKLOAD[:40]
-ENGINES = ["serial", "threads", "process"]
+ENGINES = ["serial", "process"]
 
 
 def loaded(engine):
@@ -174,7 +150,9 @@ class TestSealedResults:
         finally:
             kds.shutdown()
 
-    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    # In-process only: a process-engine result crosses a pipe, so it
+    # cannot be the stored object.
+    @pytest.mark.parametrize("engine", ["serial"])
     def test_star_retrieve_returns_the_stored_objects_uncopied(self, engine, monkeypatch):
         kds = loaded(engine)
         copies = []
@@ -213,13 +191,8 @@ class TestEngineFactory:
         assert isinstance(make_engine(None), SerialEngine)
         assert isinstance(make_engine("serial"), SerialEngine)
 
-    def test_threads_by_name(self):
-        engine = make_engine("threads", workers=3)
-        assert isinstance(engine, ThreadPoolEngine)
-        assert engine.workers == 3
-
     def test_instance_passthrough(self):
-        engine = ThreadPoolEngine(2)
+        engine = SerialEngine()
         assert make_engine(engine) is engine
 
     def test_unknown_engine_rejected(self):
@@ -228,10 +201,10 @@ class TestEngineFactory:
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ThreadPoolEngine(0)
+            ProcessPoolEngine(0)
 
     def test_shutdown_allows_reuse(self):
-        engine = ThreadPoolEngine()
+        engine = SerialEngine()
         kds = KernelDatabaseSystem(backend_count=4, engine=engine)
         kds.execute(parse_request("INSERT (<FILE, f>, <f, f$0>)"))
         kds.execute(parse_request("RETRIEVE (FILE = f) (*)"))
@@ -240,15 +213,19 @@ class TestEngineFactory:
         assert trace.result.count == 1
 
 
-class TestLatencyEmulation:
-    def test_latency_scale_sleeps_in_wall_time_only(self):
-        fast = KernelDatabaseSystem(backend_count=2)
-        slow = KernelDatabaseSystem(backend_count=2, latency_scale=0.05)
-        for kds in (fast, slow):
-            for i in range(8):
-                kds.execute(parse_request(f"INSERT (<FILE, f>, <f, f${i}>)"))
-            kds.reset_clock()
-        fast_trace = fast.execute(parse_request("RETRIEVE (FILE = f) (*)"))
-        slow_trace = slow.execute(parse_request("RETRIEVE (FILE = f) (*)"))
-        assert slow_trace.response.total_ms == fast_trace.response.total_ms
-        assert slow_trace.wall_ms > fast_trace.wall_ms
+class TestRetiredEngineNames:
+    """The thread-pool engine is gone; its name is refused, not remapped."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_engine("threads"),
+            lambda: MLDS(backend_count=2, engine="threads"),
+        ],
+        ids=["make_engine", "MLDS"],
+    )
+    def test_threads_is_refused_naming_both_engines(self, build):
+        with pytest.raises(ValueError, match="'threads'") as refused:
+            build()
+        assert "'serial'" in str(refused.value)
+        assert "'process'" in str(refused.value)

@@ -1,7 +1,7 @@
 """Access planning across the farm: engines, aggregates, durability.
 
 The MBDS-level half of PR 5's fidelity story: the planner's choices are
-invisible to every consumer — thread-pool execution, the MIN/MAX/COUNT
+invisible to every consumer — process-engine execution, the MIN/MAX/COUNT
 digest fast path, and index rebuilds after checkpoint/restore or WAL
 crash recovery all return exactly what the scanning baseline returns.
 """
@@ -50,6 +50,12 @@ def mixed_rows():
     return rows
 
 
+def image(trace):
+    """A result's records as text: a NaN that crossed a worker's pipe is
+    a new float object, and NaN only equals itself by identity."""
+    return [repr(r.pairs()) for r in trace.result.records]
+
+
 def build_kds(engine, indexed=True, backends=3):
     kds = KernelDatabaseSystem(backend_count=backends, engine=engine)
     if indexed:
@@ -61,21 +67,19 @@ def build_kds(engine, indexed=True, backends=3):
 
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("text", OPERATOR_QUERIES)
-    def test_serial_and_threads_identical_over_every_operator(self, text):
+    def test_serial_and_process_identical_over_every_operator(self, text):
         serial = build_kds("serial")
-        threads = build_kds("threads")
+        process = build_kds("process")
         try:
             left = serial.execute(parse_request(text))
-            right = threads.execute(parse_request(text))
-            assert [r.pairs() for r in left.result.records] == [
-                r.pairs() for r in right.result.records
-            ]
+            right = process.execute(parse_request(text))
+            assert image(left) == image(right)
             assert left.response.total_ms == right.response.total_ms
         finally:
             serial.shutdown()
-            threads.shutdown()
+            process.shutdown()
 
-    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    @pytest.mark.parametrize("engine", ["serial", "process"])
     def test_planned_matches_scan_baseline(self, engine):
         indexed = build_kds(engine)
         plain = build_kds(engine, indexed=False)
@@ -83,9 +87,7 @@ class TestEngineBitIdentity:
             for text in OPERATOR_QUERIES:
                 left = indexed.execute(parse_request(text))
                 right = plain.execute(parse_request(text))
-                assert [r.pairs() for r in left.result.records] == [
-                    r.pairs() for r in right.result.records
-                ], text
+                assert image(left) == image(right), text
         finally:
             indexed.shutdown()
             plain.shutdown()

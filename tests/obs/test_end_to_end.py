@@ -28,7 +28,7 @@ RECORD NAME IS part;
 """
 
 
-@pytest.fixture(params=["serial", "threads"])
+@pytest.fixture(params=["serial", "process"])
 def traced(request, tmp_path):
     obs = Observability(tracing=True)
     mlds = MLDS(
@@ -65,7 +65,7 @@ class TestSingleTransactionTrace:
         session.execute("SELECT sname FROM student WHERE major = 'cs'")
         root = obs.last_trace
         names = {span.name for span in root.walk()}
-        # Round-robin placement routes nothing: every backend is reached.
+        # Every request but an INSERT reaches every backend.
         assert {f"backend[{i}].broadcast" for i in range(3)} <= names
 
     def test_simulated_totals_bit_identical_to_clock(self, traced):

@@ -1,7 +1,7 @@
 """Property tests: traced span trees are well-formed under either engine.
 
 For any random mutating/retrieving workload, under SerialEngine and
-ThreadPoolEngine alike:
+ProcessPoolEngine alike:
 
 * every span in every captured trace is closed;
 * every child's lifetime nests within its parent's (within a small
@@ -67,7 +67,7 @@ def run_workload(engine: str, statements: list[str]):
 
 
 @settings(max_examples=25, deadline=None)
-@given(statements=workloads(), engine=st.sampled_from(["serial", "threads"]))
+@given(statements=workloads(), engine=st.sampled_from(["serial", "process"]))
 def test_every_span_is_closed(statements, engine):
     traces, _ = run_workload(engine, statements)
     assert traces
@@ -77,7 +77,7 @@ def test_every_span_is_closed(statements, engine):
 
 
 @settings(max_examples=25, deadline=None)
-@given(statements=workloads(), engine=st.sampled_from(["serial", "threads"]))
+@given(statements=workloads(), engine=st.sampled_from(["serial", "process"]))
 def test_children_nest_within_parents(statements, engine):
     traces, _ = run_workload(engine, statements)
     for root in traces:
@@ -91,7 +91,7 @@ def test_children_nest_within_parents(statements, engine):
 
 
 @settings(max_examples=25, deadline=None)
-@given(statements=workloads(), engine=st.sampled_from(["serial", "threads"]))
+@given(statements=workloads(), engine=st.sampled_from(["serial", "process"]))
 def test_simulated_totals_match_engine_report(statements, engine):
     traces, clock_total = run_workload(engine, statements)
     total = 0.0
@@ -105,12 +105,12 @@ def test_simulated_totals_match_engine_report(statements, engine):
 @settings(max_examples=10, deadline=None)
 @given(statements=workloads())
 def test_engines_trace_the_same_shape(statements):
-    """Serial and threaded runs produce the same span-name multisets."""
+    """Serial and process runs produce the same span-name multisets."""
     serial_traces, serial_total = run_workload("serial", statements)
-    threads_traces, threads_total = run_workload("threads", statements)
-    assert serial_total == threads_total
+    process_traces, process_total = run_workload("process", statements)
+    assert serial_total == process_total
 
     def shape(traces):
         return [sorted(span.name for span in root.walk()) for root in traces]
 
-    assert shape(serial_traces) == shape(threads_traces)
+    assert shape(serial_traces) == shape(process_traces)

@@ -4,7 +4,7 @@ Randomized mixed workloads — interleaved INSERT / RETRIEVE / UPDATE /
 DELETE over two files, so mutations land mid-run between reads — must
 produce bit-identical ``BackendResult``s (records, ScanStats counters,
 simulated ``ResponseTime``) and the same final farm state under
-SerialEngine, ThreadPoolEngine, and ProcessPoolEngine.
+SerialEngine and ProcessPoolEngine.
 
 Process workers are real forked processes, so the example budget is kept
 modest; the determinism burden is carried by comparing *complete*
@@ -104,7 +104,5 @@ def run(script, engine, workers=None):
 
 @settings(max_examples=10, deadline=None)
 @given(workloads())
-def test_three_engines_bit_identical(script):
-    serial = run(script, "serial")
-    assert run(script, "threads", workers=2) == serial
-    assert run(script, "process", workers=2) == serial
+def test_serial_and_process_bit_identical(script):
+    assert run(script, "process", workers=2) == run(script, "serial")

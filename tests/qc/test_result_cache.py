@@ -170,7 +170,7 @@ class TestInvalidation:
 
 
 class TestEnginesAndDurability:
-    @pytest.mark.parametrize("engine", ["serial", "threads"])
+    @pytest.mark.parametrize("engine", ["serial", "process"])
     def test_engines_agree_with_cache_enabled(self, engine):
         mlds = MLDS(backend_count=3, engine=engine)
         seed(mlds)
@@ -180,15 +180,15 @@ class TestEnginesAndDurability:
         assert first.response.total_ms == second.response.total_ms
         mlds.kds.shutdown()
 
-    def test_serial_and_threads_results_identical(self):
+    def test_serial_and_process_results_identical(self):
         images = {}
-        for engine in ("serial", "threads"):
+        for engine in ("serial", "process"):
             mlds = MLDS(backend_count=3, engine=engine)
             seed(mlds)
             mlds.kds.execute(retrieve(*REQ))
             images[engine] = result_image(mlds.kds.execute(retrieve(*REQ)))
             mlds.kds.shutdown()
-        assert images["serial"] == images["threads"]
+        assert images["serial"] == images["process"]
 
     def test_recovery_replay_bypasses_cache(self, tmp_path):
         wal_dir = tmp_path / "wal"

@@ -55,7 +55,7 @@ CHECKPOINT_POINTS = {
     CrashPoint.AFTER_CHECKPOINT,
 }
 
-ENGINES = [("serial", None), ("threads", 2), ("process", 2)]
+ENGINES = [("serial", None), ("process", 2)]
 
 
 def seed(kds):

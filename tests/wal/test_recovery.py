@@ -249,11 +249,11 @@ def test_recover_into_any_engine_is_identical(tmp_path):
     mlds.kds.shutdown()
 
     serial = recover_mlds(wal_dir, engine="serial", attach_wal=False)
-    threads = recover_mlds(wal_dir, engine="threads", workers=2, attach_wal=False)
+    process = recover_mlds(wal_dir, engine="process", workers=2, attach_wal=False)
     assert farm_image(serial) == live
-    assert farm_image(threads) == live
+    assert farm_image(process) == live
     serial.kds.shutdown()
-    threads.kds.shutdown()
+    process.kds.shutdown()
 
 
 def test_recovered_placement_continues_round_robin(tmp_path):
