@@ -5,23 +5,44 @@ target list; the optional BY clause groups records before aggregation
 (thesis II.C.2: "the by-clause may be used to group records when an
 aggregate operation is specified").
 
-Besides the record-scan evaluator, this module hosts the **index fast
-path** for MIN / MAX / COUNT: when a whole-file aggregate request is
-eligible (:func:`digest_plan`) the kernel answers it from per-backend
+Evaluation is split where MBDS splits the work: each backend
+:func:`fold`\\ s its slice into one partial state per group, and the
+controller :func:`merge_folds` the N partials, in backend order, into the
+result rows.  The partial states are chosen so the merge is bit-identical
+to evaluating the concatenated records in one pass:
+
+* ``COUNT(*)`` / ``COUNT(a)`` — an int; the merge adds them.
+* ``SUM(a)`` / ``AVG(a)`` — the group's numeric values in record order;
+  the merge sums the concatenation.  Summing per-backend subtotals would
+  not do: float addition is not associative.
+* ``MIN(a)`` / ``MAX(a)`` — ``[numerics, strings]``, each in record
+  order; the merge applies ``min``/``max`` to the concatenated numerics,
+  or to the strings when there are none.  Applying the one-pass builtin
+  to the one-pass sequence keeps its NaN and tie behaviour as it is.
+* a plain attribute — its value in the group's first record.
+
+Groups keep first-seen order and the first-seen key object, as a dict
+keyed by the BY value does (so ``1`` / ``1.0`` / ``True`` share one group).
+A single store's aggregate is the merge of its one fold.
+
+Besides the fold, this module hosts the **index fast path** for MIN / MAX
+/ COUNT: when a whole-file aggregate request is eligible
+(:func:`digest_plan`) the kernel answers it from per-backend
 :class:`~repro.abdm.plan.AttributeIndexDigest` statistics instead of
-broadcasting a raw retrieval (:func:`merge_digests`), charging one disk
+broadcasting the request (:func:`merge_digests`), charging one disk
 access per resident backend and examining zero records.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, TypeGuard
 
+from repro.abdl.ast import Request, RetrieveRequest
 from repro.abdm.record import FILE_ATTRIBUTE, Record
 from repro.abdm.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.abdl.ast import RetrieveRequest
+    from repro.abdl.ast import TargetItem
     from repro.abdm.plan import AttributeIndexDigest
 
 #: Aggregates an attribute-index digest can answer without a scan.
@@ -29,6 +50,11 @@ INDEXABLE_AGGREGATES = ("COUNT", "MIN", "MAX")
 
 #: One backend's probe: per-attribute digests plus its file record count.
 DigestProbe = tuple[dict[str, "AttributeIndexDigest"], int]
+
+#: One store's fold: ``[key, states]`` per group in first-seen order, with
+#: one state per target item (None for ``*`` and for the BY attribute).
+#: Plain lists and scalars only, so it crosses a worker pipe as it is.
+Fold = list[list[Any]]
 
 
 def _numeric_values(records: Iterable[Record], attribute: str) -> list[float]:
@@ -40,47 +66,109 @@ def _numeric_values(records: Iterable[Record], attribute: str) -> list[float]:
     return values
 
 
-def _present_values(records: Iterable[Record], attribute: str) -> list[Value]:
-    return [r.get(attribute) for r in records if r.get(attribute) is not None]
+def _no_state(group: Sequence[Record]) -> None:
+    return None
 
 
-def evaluate_aggregate(
-    operation: str,
-    attribute: str,
-    records: Sequence[Record],
-) -> Value:
-    """Evaluate one aggregate over *records*.
-
-    COUNT counts non-null keywords (``COUNT(*)`` counts records); AVG and
-    SUM consider numeric keywords only; MIN and MAX order numerics
-    numerically and strings lexicographically (mixed sets compare within
-    the numeric subset first, falling back to strings when no numerics
-    exist).  Empty inputs yield ``None`` except COUNT, which yields 0.
-    """
+def _folder(item: "TargetItem", by: Optional[str]) -> Callable[[Sequence[Record]], Any]:
+    """How *item* folds one non-empty group into its partial state."""
+    operation, attribute = item.aggregate, item.attribute
+    if operation is None:
+        if item.is_wildcard or attribute == by:
+            return _no_state
+        return lambda group: group[0].get(attribute)
     if operation == "COUNT":
         if attribute == "*":
-            return len(records)
-        return len(_present_values(records, attribute))
-    if operation == "SUM":
-        values = _numeric_values(records, attribute)
-        return sum(values) if values else None
-    if operation == "AVG":
-        values = _numeric_values(records, attribute)
-        return sum(values) / len(values) if values else None
-    if operation in ("MIN", "MAX"):
-        numerics = _numeric_values(records, attribute)
-        pool: Sequence[Value]
+            return len
+        return lambda group: sum(1 for r in group if r.get(attribute) is not None)
+    if operation in ("SUM", "AVG"):
+        return lambda group: _numeric_values(group, attribute)
+    return lambda group: [
+        _numeric_values(group, attribute),
+        [v for v in (r.get(attribute) for r in group) if isinstance(v, str)],
+    ]
+
+
+def _merger(item: "TargetItem") -> Callable[[Sequence[Any]], Value]:
+    """How *item*'s per-store states, in store order, become its value."""
+    operation = item.aggregate
+    if operation is None:
+        return lambda states: states[0] if states else None
+    if operation == "COUNT":
+        return sum
+    if operation in ("SUM", "AVG"):
+
+        def total(states: Sequence[list[Value]]) -> Value:
+            values = [value for state in states for value in state]
+            if not values:
+                return None
+            result = sum(values)
+            return result if operation == "SUM" else result / len(values)
+
+        return total
+    pick = min if operation == "MIN" else max
+
+    def extreme(states: Sequence[list[list[Value]]]) -> Value:
+        numerics = [value for state in states for value in state[0]]
         if numerics:
-            pool = numerics
-        else:
-            pool = [v for v in _present_values(records, attribute) if isinstance(v, str)]
-        if not pool:
-            return None
-        return min(pool) if operation == "MIN" else max(pool)
-    raise ValueError(f"unknown aggregate operation {operation!r}")
+            return pick(numerics)
+        strings = [value for state in states for value in state[1]]
+        return pick(strings) if strings else None
+
+    return extreme
 
 
-def digest_plan(request: "RetrieveRequest") -> Optional[tuple[str, list[str]]]:
+def is_aggregate(request: Request) -> TypeGuard[RetrieveRequest]:
+    """True for an aggregate RETRIEVE, which backends answer with folds."""
+    return isinstance(request, RetrieveRequest) and request.has_aggregates
+
+
+def fold(records: Sequence[Record], request: RetrieveRequest) -> Fold:
+    """One store's partial states for an aggregate RETRIEVE over *records*.
+
+    An empty *records* folds to no groups, with or without BY; the merge
+    supplies the one row an ungrouped aggregate owes an empty input.
+    """
+    if request.by is None:
+        groups = [(None, records)] if records else []
+    else:
+        groups = group_records(records, request.by)
+    folders = [_folder(item, request.by) for item in request.target]
+    return [[key, [state(group) for state in folders]] for key, group in groups]
+
+
+def merge_folds(request: RetrieveRequest, folds: Sequence[Fold]) -> list[Record]:
+    """The result rows of an aggregate RETRIEVE from its stores' folds.
+
+    *folds* are in store (backend) order, which is the order of the
+    concatenated records a single pass would have seen.  Each row carries
+    the group key (under BY) plus the target list; every row is sealed.
+    """
+    by = request.by
+    columns = [
+        (position, item.output_name, _merger(item))
+        for position, item in enumerate(request.target)
+        if item.aggregate or not (item.is_wildcard or item.attribute == by)
+    ]
+    groups: dict[Value, list[list[Any]]] = {}
+    for partial in folds:
+        for key, states in partial:
+            if key in groups:
+                groups[key].append(states)
+            else:
+                groups[key] = [states]
+    if by is None and not groups:
+        groups[None] = []
+    rows: list[Record] = []
+    for key, parts in groups.items():
+        pairs = [] if by is None else [(by, key)]
+        for position, name, merge in columns:
+            pairs.append((name, merge([part[position] for part in parts])))
+        rows.append(Record.from_pairs(pairs).seal())
+    return rows
+
+
+def digest_plan(request: RetrieveRequest) -> Optional[tuple[str, list[str]]]:
     """The (file, attributes) an index-digest evaluation would need.
 
     Eligibility is deliberately narrow so the digest answer is provably
@@ -88,7 +176,7 @@ def digest_plan(request: "RetrieveRequest") -> Optional[tuple[str, list[str]]]:
     aggregate in :data:`INDEXABLE_AGGREGATES` (``*`` only under COUNT),
     and a query that is exactly ``FILE = name`` — any further predicate
     would filter records the digests cannot see.  Returns None when the
-    request must take the raw-scan path.
+    request must take the scan path.
     """
     if request.by is not None or not request.target:
         return None
@@ -123,13 +211,13 @@ def merge_digests(
 ) -> Value:
     """Evaluate one indexable aggregate from per-backend digest probes.
 
-    Mirrors :func:`evaluate_aggregate` over the same records: COUNT(*)
-    sums record counts, COUNT(attr) sums non-null entries (NaNs count —
-    they are present and non-null), and MIN/MAX prefer the numeric domain
-    over strings exactly like the scan evaluator.  Callers must have
-    rejected NaN-bearing digests for MIN/MAX first (see
-    :meth:`~repro.abdm.plan.AttributeIndexDigest`): folding NaN through
-    ``min``/``max`` is input-order-dependent, so only a scan reproduces it.
+    Mirrors :func:`merge_folds` over the same records: COUNT(*) sums
+    record counts, COUNT(attr) sums non-null entries (NaNs count — they
+    are present and non-null), and MIN/MAX prefer the numeric domain over
+    strings exactly like the fold.  Callers must have rejected
+    NaN-bearing digests for MIN/MAX first (see
+    :meth:`~repro.abdm.plan.AttributeIndexDigest`): whether ``min``/``max``
+    answer NaN depends on record order, so only a scan reproduces it.
     """
     if operation == "COUNT":
         if attribute == "*":
@@ -167,15 +255,15 @@ def group_records(
     by: Optional[str],
 ) -> list[tuple[Value, list[Record]]]:
     """Group *records* by the value of attribute *by*, preserving first-seen
-    group order.  With ``by=None`` everything forms one anonymous group."""
+    group order and key object.  With ``by=None`` everything forms one
+    anonymous group."""
     if by is None:
         return [(None, list(records))]
     groups: dict[Value, list[Record]] = {}
-    order: list[Value] = []
     for record in records:
         key = record.get(by)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
-    return [(key, groups[key]) for key in order]
+        if key in groups:
+            groups[key].append(record)
+        else:
+            groups[key] = [record]
+    return list(groups.items())

@@ -7,6 +7,11 @@ each.  Results are :class:`RequestResult` objects carrying either records
 UPDATE).  No read copies a record: a ``*`` retrieval returns the store's
 own sealed records, and projected, joined and aggregate rows are sealed
 before they leave, so every record a result carries is read-only.
+
+An aggregate RETRIEVE has two halves (:mod:`repro.abdl.aggregates`):
+:meth:`Executor.fold` returns one store's partial states, which is what
+an MBDS backend answers with, and :meth:`Executor.execute` returns the
+rows, the merge of that one fold.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.abdl.aggregates import evaluate_aggregate, group_records
+from repro.abdl.aggregates import Fold, fold, group_records, merge_folds
 from repro.abdl.ast import (
     BulkInsertRequest,
     DeleteRequest,
@@ -22,9 +27,9 @@ from repro.abdl.ast import (
     Request,
     RetrieveCommonRequest,
     RetrieveRequest,
-    Transaction,
     UpdateRequest,
 )
+from repro.abdm.predicate import Query
 from repro.abdm.record import Record
 from repro.abdm.store import ABStore
 from repro.errors import ExecutionError
@@ -41,11 +46,17 @@ class RequestResult:
     record builds one from ``Record.copy()``.  The list itself is the
     caller's.  *count* is the number of records retrieved / inserted /
     deleted / updated.
+
+    *groups* is set only on one store's share of an aggregate RETRIEVE
+    (:meth:`Executor.fold`): its partial state per group, with *records*
+    empty and *count* the records it matched.  Like the records, the
+    states are shared, never changed.
     """
 
     operation: str
     records: list[Record] = field(default_factory=list)
     count: int = 0
+    groups: Optional[Fold] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -87,9 +98,20 @@ class Executor:
             return self._retrieve_common(request, snapshot)
         raise ExecutionError(f"unknown request type {type(request).__name__}")
 
-    def execute_transaction(self, transaction: Transaction) -> list[RequestResult]:
-        """Execute the requests of *transaction* sequentially."""
-        return [self.execute(request) for request in transaction]
+    def fold(
+        self, request: RetrieveRequest, snapshot: Optional[int] = None
+    ) -> RequestResult:
+        """This store's share of an aggregate RETRIEVE: its partial states.
+
+        The result carries *groups* (see
+        :func:`~repro.abdl.aggregates.fold`) and the matched-record
+        *count*, and no records; :func:`~repro.abdl.aggregates.merge_folds`
+        turns the folds of every store, in order, into the rows.
+        """
+        matching = self._find(request.query, snapshot)
+        return RequestResult(
+            "RETRIEVE", count=len(matching), groups=fold(matching, request)
+        )
 
     # -- operations ---------------------------------------------------------
 
@@ -109,13 +131,15 @@ class Executor:
         updated = self.store.update(request.query, request.modifier.apply)
         return RequestResult("UPDATE", count=updated)
 
+    def _find(self, query: Query, snapshot: Optional[int]) -> list[Record]:
+        if snapshot is None:
+            return self.store.find(query)
+        return self.store.find_at(query, snapshot)
+
     def _retrieve(
         self, request: RetrieveRequest, snapshot: Optional[int] = None
     ) -> RequestResult:
-        if snapshot is None:
-            matching = self.store.find(request.query)
-        else:
-            matching = self.store.find_at(request.query, snapshot)
+        matching = self._find(request.query, snapshot)
         return RequestResult(
             "RETRIEVE", records=project(matching, request), count=len(matching)
         )
@@ -123,12 +147,8 @@ class Executor:
     def _retrieve_common(
         self, request: RetrieveCommonRequest, snapshot: Optional[int] = None
     ) -> RequestResult:
-        if snapshot is None:
-            left = self.store.find(request.left_query)
-            right = self.store.find(request.right_query)
-        else:
-            left = self.store.find_at(request.left_query, snapshot)
-            right = self.store.find_at(request.right_query, snapshot)
+        left = self._find(request.left_query, snapshot)
+        right = self._find(request.right_query, snapshot)
         merged = merge_common(left, right, request)
         plain = RetrieveRequest(request.left_query, request.target)
         return RequestResult(
@@ -180,6 +200,8 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
     group without it) and each group yields one output record carrying the
     group key plus the aggregate values; plain attributes mixed into an
     aggregate target list take their value from the group's first record.
+    That is the merge of the records' one fold
+    (:mod:`repro.abdl.aggregates`).
 
     The ``*`` target returns the input records themselves (they are
     sealed); every row built here is sealed before it is returned.
@@ -202,17 +224,4 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
             output = [record for _, group in groups for record in group]
         return output
 
-    results: list[Record] = []
-    for key, group in group_records(records, request.by):
-        row = Record()
-        if request.by is not None:
-            row.set(request.by, key)
-        for item in request.target:
-            if item.is_wildcard:
-                continue
-            if item.aggregate:
-                row.set(item.output_name, evaluate_aggregate(item.aggregate, item.attribute, group))
-            elif item.attribute != request.by:
-                row.set(item.attribute, group[0].get(item.attribute) if group else None)
-        results.append(row.seal())
-    return results
+    return merge_folds(request, [fold(records, request)])

@@ -96,8 +96,10 @@ class AttributeIndexDigest:
     count the null-valued and NaN-valued keywords among them.  The
     min/max pairs are per order domain (None when the domain is empty).
     MIN/MAX aggregate fast paths must bail when *nans* is non-zero:
-    ``evaluate_aggregate`` folds NaN through ``min``/``max``, whose
-    result is input-order-dependent, so only a real scan reproduces it.
+    ``min``/``max`` answer NaN exactly when the first numeric they meet
+    is NaN, which depends on record order, so only a real scan (and the
+    fold of :mod:`repro.abdl.aggregates`, which keeps that order)
+    reproduces it.
     """
 
     entries: int = 0

@@ -7,7 +7,8 @@ verbatim and adds what a *live* backend conversation needs on top:
 * the two retrieval request kinds (target lists, BY attribute, the
   RETRIEVE-COMMON query pair), which are never journaled but must cross
   to the worker;
-* the reply side — :class:`~repro.abdl.executor.RequestResult` and
+* the reply side — :class:`~repro.abdl.executor.RequestResult` (records,
+  or an aggregate's per-group fold) and
   :class:`~repro.mbds.backend.BackendResult` with their scan-statistics
   deltas;
 * aggregate index digests and observability span trees.
@@ -119,11 +120,16 @@ def decode_record(payload: list[Any]) -> Record:
 
 
 def encode_result(result: RequestResult) -> dict[str, Any]:
-    return {
+    """A result; an aggregate fold is plain lists already and crosses as
+    it is, under ``groups`` (absent for every other result)."""
+    payload = {
         "operation": result.operation,
         "records": [encode_record(r) for r in result.records],
         "count": result.count,
     }
+    if result.groups is not None:
+        payload["groups"] = result.groups
+    return payload
 
 
 def decode_result(payload: Mapping[str, Any]) -> RequestResult:
@@ -131,6 +137,7 @@ def decode_result(payload: Mapping[str, Any]) -> RequestResult:
         payload["operation"],
         records=[decode_record(r) for r in payload["records"]],
         count=payload["count"],
+        groups=payload.get("groups"),
     )
 
 

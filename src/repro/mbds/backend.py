@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from typing import Callable, Optional, Sequence
 
+from repro.abdl.aggregates import is_aggregate
 from repro.abdl.ast import (
     BulkInsertRequest,
     DeleteRequest,
@@ -63,10 +64,11 @@ _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateReq
 class _CachedRetrieve:
     """One result-cache entry: the result plus its full cost accounting.
 
-    *result* is the computed result itself — its lists, and the sealed
-    records they share with the store; a hit hands out new lists of the
-    same records.  *signature* is the store's epoch signature at compute
-    time; an entry only serves while the signature still matches (any
+    *result* is the computed result itself — its lists, the sealed
+    records they share with the store, and an aggregate's fold; a hit
+    hands out a new list of the same records and the same fold.
+    *signature* is the store's epoch signature at compute time; an
+    entry only serves while the signature still matches (any
     mutation of a contributing file bumps an epoch and strands the
     entry).  The cost fields are replayed on a hit so cumulative
     ScanStats and simulated time stay bit-identical to an uncached run.
@@ -84,7 +86,7 @@ class _CachedRetrieve:
 
 @dataclass
 class BackendResult:
-    """One backend's contribution to a request: records plus elapsed time.
+    """One backend's contribution to a request: its result plus elapsed time.
 
     *elapsed_ms* is simulated (timing-model) time; *wall_ms* is the real
     time the backend spent executing, measured with ``perf_counter``.
@@ -142,11 +144,16 @@ class Backend:
     def execute(self, request: Request, snapshot: Optional[int] = None) -> BackendResult:
         """Execute *request* on this backend's slice, charging scan time.
 
-        Plain RETRIEVEs are served from the epoch-guarded result cache
-        when possible.  A hit replays the original run's full accounting
-        — simulated elapsed and examined/index-hit/touched deltas — so
-        cumulative stats and the timing model see bit-identical figures
-        whether or not the cache fired.
+        An aggregate RETRIEVE answers with this slice's fold — one
+        partial state per group in ``result.groups`` — and the controller
+        merges the farm's folds; ``result.count`` is still the records
+        matched, which is what the scan is charged for.
+
+        RETRIEVEs, aggregate or not, are served from the epoch-guarded
+        result cache when possible.  A hit replays the original run's
+        full accounting — simulated elapsed and examined/index-hit/touched
+        deltas — so cumulative stats and the timing model see
+        bit-identical figures whether or not the cache fired.
 
         With *snapshot* set the read executes against the committed
         state at that commit seq (MVCC).  The result cache still serves
@@ -202,7 +209,10 @@ class Backend:
             # transaction is durable (or restored from on abort).
             self.store._capture = True
         try:
-            result = self.executor.execute(request, snapshot=snapshot)
+            if is_aggregate(request):
+                result = self.executor.fold(request, snapshot)
+            else:
+                result = self.executor.execute(request, snapshot=snapshot)
         finally:
             if mutating:
                 self.store._capture = False
@@ -249,7 +259,9 @@ class Backend:
         cached = entry.result
         return BackendResult(
             self.backend_id,
-            RequestResult(cached.operation, list(cached.records), cached.count),
+            RequestResult(
+                cached.operation, list(cached.records), cached.count, cached.groups
+            ),
             entry.elapsed_ms,
             wall_ms,
             entry.examined,
@@ -317,12 +329,12 @@ class Backend:
 
         None means some attribute's index cannot vouch for this file on
         this backend (unindexed, planning disabled, or populated before
-        indexing) and the whole request must take the raw-scan path.
+        indexing) and the whole request must take the scan path.
         The probe itself reads only index metadata — no records — which
         is why the fast path charges a single disk access per backend.
         A snapshot read can only use the digests when the file's live
         state is valid at the snapshot; otherwise it falls back to the
-        raw scan, which reconstructs.
+        scan, which reconstructs.
         """
         with self._lock:
             if snapshot is not None and not self.store.snapshot_live(

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
+from repro.abdl.aggregates import is_aggregate, merge_folds
 from repro.abdl.ast import (
     BulkInsertRequest,
     DeleteRequest,
@@ -327,6 +328,9 @@ class BackendController:
         hold just the executing backend.
         """
         merged = _merge(request, partials)
+        # An aggregate's folds stand for every record they matched: the
+        # controller is charged for merging those, as for shipped rows.
+        merged_rows = merged.count if is_aggregate(request) else len(merged.records)
         if placed:
             per_backend_ms = [p.elapsed_ms for p in partials]
             per_backend_wall_ms = [p.wall_ms for p in partials]
@@ -339,7 +343,7 @@ class BackendController:
         response = ResponseTime()
         response.add(
             max(per_backend_ms, default=0.0),
-            self.timing.controller_ms(len(merged.records)),
+            self.timing.controller_ms(merged_rows),
         )
         self._account(label, partials)
         return ExecutionTrace(
@@ -420,12 +424,11 @@ class BackendController:
 def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult:
     """Merge per-backend partial results into one logical result.
 
-    Record lists concatenate in backend order (deterministic given the
-    deterministic placement); counts add.  Aggregate RETRIEVEs cannot be
-    merged by concatenation in general (AVG of AVGs is wrong), so the
-    controller is expected to receive aggregate queries only through
-    :class:`~repro.mbds.kds.KernelDatabaseSystem`, which evaluates
-    aggregates at the controller from a ``*`` retrieval's records.
+    Counts add.  Record lists concatenate in backend order (deterministic
+    given the deterministic placement).  An aggregate RETRIEVE's partials
+    are folds — one state per group, not records — and merge into the
+    result rows in backend order (:func:`~repro.abdl.aggregates.merge_folds`),
+    bit-identical to evaluating the concatenated matching records.
     """
     if not partials:
         raise ExecutionError("no backend results to merge")
@@ -434,4 +437,8 @@ def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult
     for partial in partials:
         merged.records.extend(partial.result.records)
         merged.count += partial.result.count
+    if is_aggregate(request):
+        merged.records = merge_folds(
+            request, [partial.result.groups for partial in partials]
+        )
     return merged

@@ -2,10 +2,13 @@
 
 Every MLDS language interface submits ABDL to one shared KDS (thesis
 Figure 1.2).  :class:`KernelDatabaseSystem` wraps the backend controller
-and papers over the one merge subtlety: aggregate RETRIEVEs cannot be
-combined by concatenating per-backend partials (an average of averages is
-wrong), so the KDS broadcasts the *query* portion, gathers the raw
-matching records, and evaluates the target list at the controller.
+and handles the two requests whose per-backend results do not simply
+concatenate.  An aggregate RETRIEVE is broadcast as it is: each backend
+folds its slice into one partial state per group, and the controller
+merges the N folds (an average of averages would be wrong, so the states
+are chosen to merge exactly — see :mod:`repro.abdl.aggregates`).  A
+RETRIEVE-COMMON joins at the controller, from two broadcast retrievals,
+because join partners may live on different backends.
 
 The KDS also keeps the database catalog: which database (template) each
 file belongs to, so several user databases — AB(network) and
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import ContextManager, Iterator, Optional, Sequence
 
 from repro.abdl.ast import (
-    ALL_ATTRIBUTES,
     BulkInsertRequest,
     DeleteRequest,
     InsertRequest,
@@ -30,7 +32,7 @@ from repro.abdl.ast import (
     RetrieveRequest,
     UpdateRequest,
 )
-from repro.abdl.aggregates import digest_plan, merge_digests
+from repro.abdl.aggregates import digest_plan, is_aggregate, merge_digests
 from repro.abdl.executor import RequestResult, merge_common, project
 from repro.abdm.record import Record
 from repro.errors import (
@@ -421,13 +423,13 @@ class KernelDatabaseSystem:
     ) -> ExecutionTrace:
         """Run *request* on the farm, live or at *snapshot*, under one span.
 
-        Aggregate RETRIEVEs and RETRIEVE-COMMON cannot be answered by
-        concatenating per-backend partials (an average of averages is
-        wrong; join partners may live on different backends), so both are
-        evaluated here from broadcast raw retrievals.
+        An aggregate RETRIEVE first tries the index digests, then is
+        broadcast as it is: the backends return folds and the controller
+        merges them.  A RETRIEVE-COMMON is joined here from two broadcast
+        retrievals, since join partners may live on different backends.
         """
         with self.obs.tracer.span("kds.execute") as span:
-            if isinstance(request, RetrieveRequest) and request.has_aggregates:
+            if is_aggregate(request):
                 trace = self._execute_aggregate(request, snapshot)
             elif isinstance(request, RetrieveCommonRequest):
                 trace = self._execute_common(request, snapshot)
@@ -807,28 +809,16 @@ class KernelDatabaseSystem:
         fast = self._aggregate_from_digests(request, snapshot)
         if fast is not None:
             return fast
-        raw = RetrieveRequest(request.query, (ALL_ATTRIBUTES,))
-        trace = self.controller.execute(raw, snapshot=snapshot)
-        rows = trace.result.records
-        merged = RequestResult(
-            "RETRIEVE", records=project(rows, request), count=trace.result.count
-        )
-        # Charge extra controller time for the aggregate evaluation pass.
-        extra = len(rows) * self.controller.timing.merge_record_ms
-        response = ResponseTime(
+        trace = self.controller.execute(request, snapshot=snapshot)
+        # Charge extra controller time for the aggregate evaluation pass,
+        # one merge step per matched record.
+        extra = trace.result.count * self.controller.timing.merge_record_ms
+        trace.response = ResponseTime(
             trace.response.total_ms + extra,
             trace.response.backend_ms,
             trace.response.controller_ms + extra,
         )
-        return ExecutionTrace(
-            request,
-            merged,
-            response,
-            per_backend_ms=trace.per_backend_ms,
-            wall_ms=trace.wall_ms,
-            per_backend_wall_ms=trace.per_backend_wall_ms,
-            phases=trace.phases,
-        )
+        return trace
 
     # -- convenience -------------------------------------------------------------
 

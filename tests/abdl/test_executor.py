@@ -157,11 +157,10 @@ class TestTransactions:
     def test_sequential_execution(self, executor):
         from repro.abdl import parse_transaction
 
-        results = executor.execute_transaction(
-            parse_transaction(
-                "INSERT (<FILE, course>, <course, c$9>, <credits, 1>)\n"
-                "RETRIEVE (FILE = course) (COUNT(*))"
-            )
+        transaction = parse_transaction(
+            "INSERT (<FILE, course>, <course, c$9>, <credits, 1>)\n"
+            "RETRIEVE (FILE = course) (COUNT(*))"
         )
+        results = [executor.execute(request) for request in transaction]
         assert results[0].count == 1
         assert results[1].records[0].get("COUNT(*)") == 4

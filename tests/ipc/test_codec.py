@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 from repro.abdl import parse_request
+from repro.abdl.aggregates import fold
 from repro.abdl.executor import RequestResult
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.ipc import codec
+from repro.ipc.transport import PipeTransport
 from repro.mbds.backend import BackendResult
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
+from tests.abdl.aggregate_oracle import value_bits
 
 
 def through_json(payload):
@@ -97,6 +101,65 @@ class TestRecordsAndResults:
             through_json(codec.encode_backend_result(result))
         )
         assert decoded == result
+
+
+class TestAggregateFolds:
+    """A backend answers an aggregate RETRIEVE with its fold, not records."""
+
+    REQUEST = parse_request(
+        "RETRIEVE (FILE = f) (g, COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(y)) BY g"
+    )
+
+    def folded(self, values):
+        records = [
+            Record.from_pairs([("FILE", "f"), ("g", g), ("x", x), ("y", y)]).seal()
+            for g, x, y in values
+        ]
+        return BackendResult(
+            1,
+            RequestResult(
+                "RETRIEVE", count=len(records), groups=fold(records, self.REQUEST)
+            ),
+            elapsed_ms=41.2,
+            wall_ms=0.07,
+            records_examined=len(records),
+        )
+
+    def test_fold_roundtrips(self):
+        result = self.folded(
+            [(1, -0.0, "b"), (True, 0.1, "a"), (None, "s", 2), (1.0, 2**70, None)]
+        )
+        decoded = codec.decode_backend_result(
+            through_json(codec.encode_backend_result(result))
+        )
+        assert decoded == result
+        assert decoded.result.records == []
+        assert value_bits(decoded.result.groups) == value_bits(result.result.groups)
+
+    def test_fold_crosses_the_pipe_to_the_bit(self):
+        """JSON drops NaN payloads; the worker pipe (marshal) does not."""
+
+        class Loopback:
+            def __init__(self):
+                self.frames = []
+
+            def send_bytes(self, frame):
+                self.frames.append(frame)
+
+            def recv_bytes(self):
+                return self.frames.pop(0)
+
+        payload = struct.unpack("!d", bytes.fromhex("7ff8000000001234"))[0]
+        result = self.folded([("k", payload, -0.0), ("k", 1, float("nan"))])
+        wire = Loopback()
+        PipeTransport(wire).send(codec.encode_backend_result(result))
+        decoded = codec.decode_backend_result(PipeTransport(wire).recv())
+        assert value_bits(decoded.result.groups) == value_bits(result.result.groups)
+
+    def test_other_results_carry_no_fold(self):
+        encoded = codec.encode_result(RequestResult("RETRIEVE", count=0))
+        assert "groups" not in encoded
+        assert codec.decode_result(through_json(encoded)).groups is None
 
 
 class TestImagesSummariesDigests:

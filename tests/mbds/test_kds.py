@@ -5,6 +5,7 @@ import pytest
 from repro.abdl import parse_request
 from repro.errors import ExecutionError, LockTimeout
 from repro.mbds import KernelDatabaseSystem
+from repro.mbds.timing import ResponseTime
 
 
 @pytest.fixture()
@@ -69,8 +70,8 @@ class TestCatalog:
 class TestAggregateMerging:
     def test_avg_is_global_not_avg_of_avgs(self, kds):
         # credits are 0,1,2,3 repeating: the true mean is 1.5.  Averaging
-        # per-backend averages would only coincide by luck; the KDS must
-        # pull raw records to the controller.
+        # per-backend averages would only coincide by luck; each backend
+        # folds its credits and the controller averages their union.
         trace = kds.execute(parse_request("RETRIEVE (FILE = course) (AVG(credits))"))
         assert trace.result.records[0].get("AVG(credits)") == pytest.approx(1.5)
 
@@ -86,11 +87,31 @@ class TestAggregateMerging:
         assert rows == {0: 3, 1: 3, 2: 3, 3: 3}
 
     def test_aggregate_charges_extra_controller_time(self, kds):
-        # AVG cannot be answered from index digests, so it still gathers the
-        # raw records and pays merge time for every one of them.
+        # AVG cannot be answered from index digests, so it is broadcast;
+        # the controller is charged merge time for every record the
+        # backends' folds matched.
         plain = kds.execute(parse_request("RETRIEVE (FILE = course) (*)"))
         agg = kds.execute(parse_request("RETRIEVE (FILE = course) (AVG(credits))"))
         assert agg.response.controller_ms > plain.response.controller_ms
+
+    def test_aggregate_costs_the_retrieval_plus_one_merge_pass(self, kds):
+        # Backends return folds, but simulated time is what it was when
+        # they shipped every matching record: the same backend times, the
+        # controller's merge of every matched record, and the evaluation
+        # pass — one more merge step per record.
+        query = "((FILE = course) AND (credits >= 1))"
+        plain = kds.execute(parse_request(f"RETRIEVE {query} (*)"))
+        agg = kds.execute(
+            parse_request(f"RETRIEVE {query} (credits, AVG(credits)) BY credits")
+        )
+        extra = plain.result.count * kds.controller.timing.merge_record_ms
+        assert agg.result.count == plain.result.count == 9
+        assert agg.per_backend_ms == plain.per_backend_ms
+        assert agg.response == ResponseTime(
+            plain.response.total_ms + extra,
+            plain.response.backend_ms,
+            plain.response.controller_ms + extra,
+        )
 
     def test_count_star_digest_path_is_cheaper_than_raw_retrieve(self, kds):
         plain = kds.execute(parse_request("RETRIEVE (FILE = course) (*)"))
