@@ -21,6 +21,7 @@ without a terminal.
 
 from __future__ import annotations
 
+import signal
 import sys
 from typing import Optional
 
@@ -614,8 +615,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         )
         print(_ingest_summary("bulk-loaded", report, mlds.kds))
     if args.serve:
-        import asyncio
-
         from repro.server import Authenticator, Credential, MLDSServer
         from repro.server.auth import generate_token
 
@@ -642,17 +641,17 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
             max_inflight=args.serve_inflight,
             max_queue=args.serve_queue,
         )
-
-        async def _serve() -> None:
-            await server.start()
-            print(f"serving MLDS on {server.host}:{server.port}", flush=True)
-            await server.serve_forever()
-
+        # A shell starts a background job with SIGINT ignored; the server
+        # is stopped by SIGINT however it was started.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        server.listen()
+        print(f"serving MLDS on {server.host}:{server.port}", flush=True)
         try:
-            asyncio.run(_serve())
+            server.serve_forever()
         except KeyboardInterrupt:
-            print("\nshutting down")
+            print("\nshutting down", flush=True)
         finally:
+            server.close()
             mlds.kds.shutdown()
         return 0
     shell = MLDSShell(mlds)

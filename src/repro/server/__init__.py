@@ -2,12 +2,13 @@
 
 The thesis describes MLDS as a shared facility: many users, each
 speaking the data language they already know, against one kernel
-database system.  This package provides that deployment shape — an
-asyncio line-protocol server (:mod:`repro.server.service`) hosting
-concurrent LIL sessions in all four languages over the lock-protected
-kernel, with per-connection authentication (:mod:`repro.server.auth`),
-token-bucket rate limiting (:mod:`repro.server.ratelimit`), and
-admission control (:mod:`repro.server.admission`).
+database system.  This package provides that deployment shape — a
+thread-per-connection line-protocol server
+(:mod:`repro.server.service`) hosting concurrent LIL sessions in all
+four languages over the lock-protected kernel, with per-connection
+authentication (:mod:`repro.server.auth`), token-bucket rate limiting
+(:mod:`repro.server.ratelimit`), and admission control
+(:mod:`repro.server.admission`).
 
 Naming note: :mod:`repro.network` is the CODASYL *network data model*
 (schemas, sets, DML) — nothing to do with sockets.  Everything TCP

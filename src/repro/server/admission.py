@@ -1,6 +1,6 @@
 """Admission control: bounded in-flight statements with queue shedding.
 
-The server executes statements on worker threads; this controller caps
+The server executes statements on connection threads; this controller caps
 how many run at once (*max_inflight*) and how many may wait for a slot
 (*max_queue*).  A request arriving past both bounds is shed immediately
 with :class:`~repro.errors.ServerOverloaded` — a clear, fast overload

@@ -1,33 +1,35 @@
 """The MLDS network service: concurrent multi-language sessions over TCP.
 
 :class:`MLDSServer` hosts one :class:`~repro.core.mlds.MLDS` instance
-behind an asyncio line-protocol endpoint (see
-:mod:`repro.server.protocol`).  Each connection authenticates with a
-token, opens LIL sessions in any of the four languages, and executes
-statements; every connection is bound to its own *kernel session*
+behind a line-protocol endpoint (see :mod:`repro.server.protocol`).
+Each connection authenticates with a token, opens LIL sessions in any of
+the four languages, and executes statements; every connection is bound
+to its own *kernel session*
 (:meth:`~repro.core.mlds.MLDS.create_kernel_session`), so statements
 from different connections interleave safely under the kernel's
 two-phase locks while each connection's transactions stay atomic.
 
-Connections are handled concurrently by the event loop; statement
-execution (which blocks on the kernel) runs on a thread pool, bounded
-by :class:`~repro.server.admission.AdmissionController` and paced by
-each credential's :class:`~repro.server.ratelimit.TokenBucket`.
+One thread per connection: an accept thread hands each socket to a
+thread of its own, which reads a line, runs the operation, and writes
+the reply, all with blocking calls.  Statement execution is bounded by
+:class:`~repro.server.admission.AdmissionController` and paced by each
+credential's :class:`~repro.server.ratelimit.TokenBucket`; a connection
+blocked on a kernel lock or on a client that never reads its replies
+blocks only itself.
 
-A connection's operations execute strictly in order (the handler awaits
-each response before reading the next line), so the non-thread-safe LIL
+A connection's operations execute strictly in order (its thread sends
+each reply before reading the next line), so the non-thread-safe LIL
 session objects are never entered concurrently; cross-connection
 concurrency is the kernel lock manager's problem, by design.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import errors
 from repro.core.mlds import MLDS
@@ -77,15 +79,13 @@ class MLDSServer:
         self.host = host
         self.port = port
         self.admission = AdmissionController(max_inflight, max_queue)
-        # Headroom past the admission bounds lets late arrivals reach the
-        # shed branch (and keeps begin/commit/abort, which bypass
-        # admission, from starving behind queued statements).
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_inflight + max_queue + 8,
-            thread_name_prefix="mlds-server",
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
-        # Installed in start() only when the MLDS is instrumented: without
+        self._listener: Optional[socket.socket] = None
+        self._accepter: Optional[threading.Thread] = None
+        # Every live connection's socket and the thread serving it;
+        # close() shuts the sockets down and waits for the threads.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._closed = threading.Event()
+        # Installed in listen() only when the MLDS is instrumented: without
         # a registry to report to, the interpreter gets no hook at all.
         self._gc_probe = GcProbe(mlds.obs.metrics)
         self._started = time.monotonic()
@@ -93,7 +93,7 @@ class MLDSServer:
         self.connections_total = 0
         self.statements_total = 0
         self.errors_total = 0
-        self._ops: Dict[str, Callable[[_Connection, dict], Awaitable[dict]]] = {
+        self._ops: Dict[str, Callable[[_Connection, dict], dict]] = {
             "auth": self._op_auth,
             "open": self._op_open,
             "execute": self._op_execute,
@@ -107,96 +107,113 @@ class MLDSServer:
 
     # -- lifecycle --------------------------------------------------------------
 
-    async def start(self) -> None:
+    def listen(self) -> None:
         """Bind and start accepting connections (port 0 picks a free one)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=protocol.MAX_LINE + 2
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener = socket.create_server((self.host, self.port), backlog=100)
+        self.port = self._listener.getsockname()[1]
         self._started = time.monotonic()
+        self._closed.clear()
         if self.mlds.obs.enabled:
             self._gc_probe.install()
+        self._accepter = threading.Thread(
+            target=self._accept_loop, args=(self._listener,), daemon=True,
+            name="mlds-accept",
+        )
+        self._accepter.start()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Listen if not yet listening, then block until :meth:`close`."""
+        if self._listener is None:
+            self.listen()
+        self._closed.wait()
+
+    def close(self) -> None:
+        """Stop accepting, drop every connection, and wait for each
+        connection's teardown (abort, then quota release) to finish."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+            connections = dict(self._connections)
+        if listener is not None:
+            _shutdown(listener)  # wakes the blocked accept()
+            listener.close()
+            assert self._accepter is not None
+            self._accepter.join()
+        for sock in connections:
+            _shutdown(sock)  # the thread's readline() sees EOF
+        for thread in connections.values():
+            thread.join()
+        self._gc_probe.remove()
+        self._closed.set()
+
+    async def start(self) -> None:
+        """:meth:`listen`, for launchers that drive the server from a loop."""
+        self.listen()
 
     async def shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._gc_probe.remove()
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """:meth:`close`, for launchers that drive the server from a loop."""
+        self.close()
 
     def serve_in_thread(self) -> "ServerHandle":
-        """Start the server on a daemon thread; embed it in tests/benchmarks."""
-        started: concurrent.futures.Future = concurrent.futures.Future()
-
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # pragma: no cover - bind failure
-                started.set_exception(exc)
-                loop.close()
-                return
-            started.set_result(loop)
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        thread = threading.Thread(target=runner, daemon=True, name="mlds-server")
-        thread.start()
-        loop = started.result(timeout=10)
-        return ServerHandle(self, thread, loop)
+        """Start serving on background threads; embed it in tests/benchmarks."""
+        self.listen()
+        return ServerHandle(self)
 
     # -- connection handling ----------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._listener is not listener:
+                    return  # close() shut the listener down
+                time.sleep(0.1)  # out of descriptors, say: retry, don't spin
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve, args=(sock,), daemon=True, name="mlds-conn"
+            )
+            with self._lock:
+                if self._listener is not listener:  # closing: refuse
+                    sock.close()
+                    return
+                self._connections[sock] = thread
+                self.connections_total += 1
+            thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
         conn = _Connection()
-        with self._lock:
-            self.connections_total += 1
+        reader = sock.makefile("rb")
         try:
             while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        protocol.encode(
-                            protocol.error_response(
-                                None, errors.ProtocolError("line too long")
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
+                line = reader.readline(protocol.MAX_LINE + 2)
                 if not line:
                     break
-                response, closing = await self._dispatch(conn, line)
-                writer.write(protocol.encode(response))
-                await writer.drain()
+                # Cut at the limit with no newline in it: refuse, then hang up.
+                # A shorter line without one is the last before EOF, and runs.
+                if len(line) > protocol.MAX_LINE + 1 and not line.endswith(b"\n"):
+                    sock.sendall(
+                        protocol.encode(
+                            self._error(None, errors.ProtocolError("line too long"))
+                        )
+                    )
+                    break
+                response, closing = self._dispatch(conn, line)
+                sock.sendall(protocol.encode(response))
                 if closing:
                     break
-        except ConnectionError:
-            pass
+        except OSError:
+            pass  # the client went away, or close() shut the socket down
         finally:
-            await self._teardown(conn)
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
+                self._teardown(conn)
+            finally:
+                reader.close()
+                sock.close()
+                with self._lock:
+                    self._connections.pop(sock, None)
 
-    async def _dispatch(self, conn: _Connection, line: bytes) -> tuple[dict, bool]:
+    def _dispatch(self, conn: _Connection, line: bytes) -> tuple[dict, bool]:
         request_id: Any = None
         try:
             message = protocol.decode(line)
@@ -205,26 +222,24 @@ class MLDSServer:
             handler = self._ops.get(str(op))
             if handler is None:
                 raise errors.ProtocolError(f"unknown op {op!r}")
-            fields = await handler(conn, message)
+            fields = handler(conn, message)
             return protocol.ok_response(request_id, **fields), op == "close"
         except Exception as exc:  # every failure becomes a wire error
-            with self._lock:
-                self.errors_total += 1
-            return protocol.error_response(request_id, exc), False
+            return self._error(request_id, exc), False
 
-    async def _teardown(self, conn: _Connection) -> None:
+    def _error(self, request_id: Any, exc: BaseException) -> dict:
+        with self._lock:
+            self.errors_total += 1
+        return protocol.error_response(request_id, exc)
+
+    def _teardown(self, conn: _Connection) -> None:
         """Abort any open transaction and release quota on disconnect."""
         session = conn.kernel_session
         if session is not None and session.in_transaction:
-            await self._in_pool(self.mlds.kds.session_abort, session)
+            self.mlds.kds.session_abort(session)
         if conn.credential is not None:
             self.authenticator.release_connection(conn.credential)
             conn.credential = None
-
-    async def _in_pool(self, fn: Callable, *args: Any) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn, *args
-        )
 
     def _require_auth(self, conn: _Connection) -> Credential:
         if conn.credential is None:
@@ -240,7 +255,7 @@ class MLDSServer:
 
     # -- operations -------------------------------------------------------------
 
-    async def _op_auth(self, conn: _Connection, message: dict) -> dict:
+    def _op_auth(self, conn: _Connection, message: dict) -> dict:
         if conn.credential is not None:
             raise errors.ProtocolError("connection is already authenticated")
         credential = self.authenticator.authenticate(message.get("token"))
@@ -251,7 +266,7 @@ class MLDSServer:
         conn.bucket = self.authenticator.bucket_for(credential)
         return {"user": credential.user}
 
-    async def _op_open(self, conn: _Connection, message: dict) -> dict:
+    def _op_open(self, conn: _Connection, message: dict) -> dict:
         credential = self._require_auth(conn)
         language = str(message.get("language", "")).lower()
         database = message.get("database")
@@ -270,7 +285,7 @@ class MLDSServer:
         conn.sessions[sid] = _OpenSession(sid, language, database, session)
         return {"session": sid, "language": language, "database": database}
 
-    async def _op_execute(self, conn: _Connection, message: dict) -> dict:
+    def _op_execute(self, conn: _Connection, message: dict) -> dict:
         credential = self._require_auth(conn)
         sid = message.get("session")
         open_session = conn.sessions.get(str(sid))
@@ -286,34 +301,29 @@ class MLDSServer:
                 f"{conn.bucket.retry_after():.3f}s"
             )
         self.authenticator.charge_request(credential)
-        results = await self._in_pool(self._run_statement, open_session, text)
+        with self.admission.admit():
+            results = open_session.session.run(text)
         with self._lock:
             self.statements_total += 1
         return {"results": [protocol.result_to_wire(r) for r in results]}
 
-    def _run_statement(self, open_session: _OpenSession, text: str) -> list:
-        with self.admission.admit():
-            return open_session.session.run(text)
-
-    async def _op_begin(self, conn: _Connection, message: dict) -> dict:
+    def _op_begin(self, conn: _Connection, message: dict) -> dict:
         self._require_auth(conn)
         session = self._kernel_session(conn)
-        await self._in_pool(self.mlds.kds.session_begin, session)
+        self.mlds.kds.session_begin(session)
         return {"transaction": session.owner}
 
-    async def _op_commit(self, conn: _Connection, message: dict) -> dict:
+    def _op_commit(self, conn: _Connection, message: dict) -> dict:
         self._require_auth(conn)
-        session = self._kernel_session(conn)
-        commit_seq = await self._in_pool(self.mlds.kds.session_commit, session)
+        commit_seq = self.mlds.kds.session_commit(self._kernel_session(conn))
         return {"commit_seq": commit_seq}
 
-    async def _op_abort(self, conn: _Connection, message: dict) -> dict:
+    def _op_abort(self, conn: _Connection, message: dict) -> dict:
         self._require_auth(conn)
-        session = self._kernel_session(conn)
-        await self._in_pool(self.mlds.kds.session_abort, session)
+        self.mlds.kds.session_abort(self._kernel_session(conn))
         return {"aborted": True}
 
-    async def _op_metrics(self, conn: _Connection, message: dict) -> dict:
+    def _op_metrics(self, conn: _Connection, message: dict) -> dict:
         # The observability plane: open to unauthenticated scrapes, like
         # a conventional /metrics endpoint.
         locks = self.mlds.kds.locks
@@ -327,10 +337,10 @@ class MLDSServer:
             "locks": {**locks.stats(), "wait_ms": locks.wait_histograms()},
         }
 
-    async def _op_ping(self, conn: _Connection, message: dict) -> dict:
+    def _op_ping(self, conn: _Connection, message: dict) -> dict:
         return {"pong": True}
 
-    async def _op_close(self, conn: _Connection, message: dict) -> dict:
+    def _op_close(self, conn: _Connection, message: dict) -> dict:
         return {"closed": True}
 
     # -- introspection ----------------------------------------------------------
@@ -350,18 +360,19 @@ class MLDSServer:
         return counters
 
 
-class ServerHandle:
-    """A server running on its own thread (see ``serve_in_thread``)."""
+def _shutdown(sock: socket.socket) -> None:
+    """Shut both directions of *sock*; it may already be gone."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
-    def __init__(
-        self,
-        server: MLDSServer,
-        thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
+
+class ServerHandle:
+    """A listening server, closed by :meth:`stop` (see ``serve_in_thread``)."""
+
+    def __init__(self, server: MLDSServer) -> None:
         self.server = server
-        self._thread = thread
-        self._loop = loop
 
     @property
     def host(self) -> str:
@@ -371,15 +382,8 @@ class ServerHandle:
     def port(self) -> int:
         return self.server.port
 
-    def stop(self, timeout: float = 10.0) -> None:
-        if not self._thread.is_alive():
-            return
-        concurrent.futures.wait(
-            [asyncio.run_coroutine_threadsafe(self.server.shutdown(), self._loop)],
-            timeout=timeout,
-        )
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
+    def stop(self) -> None:
+        self.server.close()
 
     def __enter__(self) -> "ServerHandle":
         return self

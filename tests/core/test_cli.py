@@ -1,6 +1,7 @@
 """The interactive MLDS shell (line-in / text-out, no terminal needed)."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -312,3 +313,47 @@ class TestRetiredFlags:
         assert done.returncode == 2
         assert done.stderr.startswith("usage: mlds")
         assert argv[0] in done.stderr
+
+
+class TestServe:
+    def test_sigint_shuts_down_and_exits_0(self):
+        # Started the way a shell starts a background job (SIGINT
+        # ignored), with a client mid-transaction when the signal lands.
+        from repro.errors import ServerError
+        from repro.server import ServerClient
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)  # inherited
+        try:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "--demo", "--serve", "--port", "0",
+                 "--serve-token", "t0ken:ci"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                stdin=subprocess.DEVNULL,
+                text=True,
+                env=env,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            assert server.stdout is not None
+            lines = [server.stdout.readline() for _ in range(2)]
+            assert lines[1].startswith("serving MLDS on"), lines
+            port = int(lines[1].rsplit(":", 1)[1])
+            with ServerClient("127.0.0.1", port) as client:
+                client.auth("t0ken")
+                daplex = client.open("daplex", "university")
+                client.begin()
+                client.execute(daplex, "FOR EACH s IN student PRINT name(s);")
+                server.send_signal(signal.SIGINT)
+                assert server.wait(timeout=30) == 0
+                with pytest.raises(ServerError, match="server closed the connection"):
+                    client.ping()
+            assert "shutting down" in server.stdout.read()
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()

@@ -77,3 +77,9 @@ def test_tcp_surface_lives_only_under_server():
             if {m.split(".")[0] for m in modules} & {"socket", "asyncio"}:
                 offenders.append(path.name)
     assert not offenders
+
+
+def test_server_runs_on_plain_threads():
+    # One thread per connection (DESIGN.md): no event loop, no executor.
+    imports = imported_modules(repro.server)
+    assert not {name.split(".")[0] for name in imports} & {"asyncio", "concurrent"}
