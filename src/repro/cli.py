@@ -161,10 +161,7 @@ class MLDSShell:
                 return "usage: .load <path>"
             from repro.persistence import load_mlds
 
-            # Keep the shell's observability bundle across the swap so
-            # --trace / --metrics-out keep working on the loaded system.
-            self.mlds = load_mlds(args[0], obs=self.mlds.obs)
-            self.session = None
+            self._replace(load_mlds(args[0], **self._kernel_knobs()))
             return f"loaded {args[0]} ({len(self.mlds.database_names())} databases)"
         if command == ".ingest":
             if not args or len(args) > 2:
@@ -196,10 +193,21 @@ class MLDSShell:
         if command == ".recover":
             if len(args) != 1:
                 return "usage: .recover <wal-dir>"
+            from repro.wal.log import WalManager
             from repro.wal.recovery import recover_mlds
 
-            self.mlds = recover_mlds(args[0], obs=self.mlds.obs)
-            self.session = None
+            wal = self.mlds.kds.wal
+            settings = {} if wal is None else dict(
+                sync=wal.sync, group_window_ms=wal.group_window_ms
+            )
+            recovered = recover_mlds(args[0], attach_wal=False, **self._kernel_knobs())
+            try:
+                backend_count = recovered.kds.controller.backend_count
+                recovered.attach_wal(WalManager(args[0], backend_count, **settings))
+            except BaseException:
+                recovered.kds.shutdown()
+                raise
+            self._replace(recovered)
             return (
                 f"recovered from {args[0]} "
                 f"({self.mlds.kds.record_count()} records)"
@@ -247,6 +255,27 @@ class MLDSShell:
             log = self.session.request_log[-count:]
             return "\n".join(log) if log else "(no requests yet)"
         return f"unknown command {command!r} (try .help)"
+
+    def _kernel_knobs(self) -> dict:
+        """What a replacement system keeps of this one's configuration:
+        the engine and its worker count, and the observability bundle
+        (so --trace / --metrics-out keep working after the swap)."""
+        engine = self.mlds.kds.controller.engine
+        return dict(
+            engine=engine.name, workers=getattr(engine, "workers", None), obs=self.mlds.obs
+        )
+
+    def _replace(self, mlds: MLDS) -> None:
+        """Swap in *mlds* (already built, so a failed build leaves the shell
+        on the old system): it inherits the indexes and the read path,
+        and the replaced system's workers and WAL handle are released."""
+        old = self.mlds
+        mlds.kds.snapshot_reads = old.kds.snapshot_reads
+        if old.kds.controller.indexed_attributes:
+            mlds.kds.controller.add_index(*old.kds.controller.indexed_attributes)
+        self.mlds = mlds
+        self.session = None
+        old.kds.shutdown()
 
     def _cache_report(self) -> dict:
         """Counters for every qc cache reachable from this shell."""

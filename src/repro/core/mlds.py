@@ -115,6 +115,11 @@ class MLDS:
         self._hierarchical_mappings: dict[str, ABHierarchicalMapping] = {}
         self._relational_mappings: dict[str, ABRelationalMapping] = {}
         self._transformations: dict[str, NetworkTransformation] = {}
+        #: The WAL watermark of the snapshot this system was restored
+        #: from — the last committed transaction it contains.  Set by
+        #: :func:`repro.persistence.load_mlds`; 0 for a system built
+        #: empty or from a snapshot saved without a WAL.
+        self.restored_txn = 0
 
     @property
     def obs(self):

@@ -24,13 +24,24 @@ contains, written when the system has a write-ahead log attached — see
 :mod:`repro.wal`) and ``placement`` (the round-robin counters, so
 inserts after a restore land on the same backends they would have
 without the restart).
+
+The file is one line of compact JSON, written by the C encoder in one
+pass (an ``indent`` would send CPython back to its pure-Python
+encoder), and every reader parses it once.  Building the snapshot and
+writing it, and parsing it and restoring the farm, each run inside
+:func:`collector_paused`: the hundreds of thousands of lists and dicts
+either side builds are all alive until the end, so a cyclic-collector
+pass over them would find nothing to free.  Indented snapshots written
+before the switch load unchanged — only whitespace differs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.core.mlds import MLDS
 from repro.errors import MLDSError
@@ -39,6 +50,24 @@ from repro.wal.recovery import restore_farm
 
 #: Snapshot format version, bumped on incompatible layout changes.
 FORMAT_VERSION = 2
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for the block.
+
+    The collector is turned back on afterwards — on success and on error
+    alike — only if it was on when the block began, so nested pauses and
+    callers that run with it disabled keep their state.  Nothing is
+    frozen and no threshold changes.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _dump_records(mlds: MLDS) -> list[list[dict]]:
@@ -54,9 +83,16 @@ def _dump_records(mlds: MLDS) -> list[list[dict]]:
 
 def save_mlds(mlds: MLDS, path: Union[str, Path]) -> None:
     """Write a complete JSON snapshot of *mlds* to *path*."""
+    with collector_paused():
+        text = json.dumps(_snapshot(mlds), separators=(",", ":"))
+    Path(path).write_text(text)
+
+
+def _snapshot(mlds: MLDS) -> dict:
+    """The format-2 snapshot of *mlds* as plain JSON-ready data."""
     timing = mlds.kds.controller.timing
     wal = mlds.kds.wal
-    snapshot = {
+    return {
         "format": FORMAT_VERSION,
         "backend_count": mlds.kds.controller.backend_count,
         "wal": wal.checkpoint_state() if wal is not None else None,
@@ -104,7 +140,6 @@ def save_mlds(mlds: MLDS, path: Union[str, Path]) -> None:
         },
         "backends": _dump_records(mlds),
     }
-    Path(path).write_text(json.dumps(snapshot, indent=1))
 
 
 def load_mlds(
@@ -129,39 +164,44 @@ def load_mlds(
     store, which rebuilds hash indexes and clustering as it inserts.  A
     snapshot whose ``placement`` names a retired kind (``hash_shard``,
     ``least_loaded``) still restores every record; only the counters
-    start empty.
+    start empty.  The snapshot's WAL watermark is left on the returned
+    system as :attr:`~repro.core.mlds.MLDS.restored_txn`, so recovery
+    need not read the file again.
     """
-    snapshot = json.loads(Path(path).read_text())
+    with collector_paused():
+        snapshot = json.loads(Path(path).read_text())
     version = snapshot.get("format")
     if version != FORMAT_VERSION:
         raise MLDSError(
             f"snapshot format {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    timing = TimingModel(**snapshot["timing"])
+    # Built between the two pauses: a process engine forks its workers
+    # here, and a forked worker keeps the collector state it was born with.
     mlds = MLDS(
         backend_count=snapshot["backend_count"],
-        timing=timing,
+        timing=TimingModel(**snapshot["timing"]),
         placement=placement,
         engine=engine,
         workers=workers,
         store_factory=store_factory,
         obs=obs,
     )
-    for name, entry in snapshot["functional"].items():
-        schema = mlds.define_functional_database(entry["ddl"])
-        for entity_name, last_key in entry["key_counters"].items():
-            schema.entity_types[entity_name].last_key = last_key
-    for name, entry in snapshot["network"].items():
-        mlds.define_network_database(entry["ddl"])
-        mlds._network_mappings[name]._key_counters.update(entry["key_counters"])
-    for name, entry in snapshot["relational"].items():
-        mlds.define_relational_database(entry["ddl"])
-        mlds._relational_mappings[name]._key_counters.update(entry["key_counters"])
-    for name, entry in snapshot["hierarchical"].items():
-        mlds.define_hierarchical_database(entry["ddl"])
-        mapping = mlds._hierarchical_mappings[name]
-        mapping._key_counters.update(entry["key_counters"])
-        mapping._sequence = entry["sequence"]
-    restore_farm(mlds.kds.controller, snapshot)
+    with collector_paused():
+        for name, entry in snapshot["functional"].items():
+            schema = mlds.define_functional_database(entry["ddl"])
+            for entity_name, last_key in entry["key_counters"].items():
+                schema.entity_types[entity_name].last_key = last_key
+        for name, entry in snapshot["network"].items():
+            mlds.define_network_database(entry["ddl"])
+            mlds._network_mappings[name]._key_counters.update(entry["key_counters"])
+        for name, entry in snapshot["relational"].items():
+            mlds.define_relational_database(entry["ddl"])
+            mlds._relational_mappings[name]._key_counters.update(entry["key_counters"])
+        for name, entry in snapshot["hierarchical"].items():
+            mlds.define_hierarchical_database(entry["ddl"])
+            mapping = mlds._hierarchical_mappings[name]
+            mapping._key_counters.update(entry["key_counters"])
+            mapping._sequence = entry["sequence"]
+        mlds.restored_txn = restore_farm(mlds.kds.controller, snapshot)
     return mlds

@@ -232,6 +232,8 @@ class WalManager:
         self.backend_count = backend_count
         self.injector = injector or FaultInjector()
         self.sync = sync
+        #: The window this manager was opened with (None: no grouping).
+        self.group_window_ms = group_window_ms
         #: Group-commit coordinator, or None for the classic one-commit-
         #: one-fsync path.  ``group_window_ms=0`` enables grouping with no
         #: window wait (batching only what arrives while a flush runs).

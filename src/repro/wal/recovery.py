@@ -5,7 +5,7 @@ snapshot plus the WAL tail.  The protocol is the classic redo-only one:
 
 1. load the snapshot (or start empty when none was ever taken), noting
    its transaction watermark — the last committed transaction the
-   snapshot already contains;
+   snapshot already contains — from the one parse of the file;
 2. replay every *committed* transaction above the watermark, backend by
    backend in journal order, directly against the backend stores (no
    timing is charged — recovery is not a workload);
@@ -91,14 +91,6 @@ def replay_committed(
     return replayed
 
 
-def snapshot_watermark(snapshot_path: Union[str, Path]) -> int:
-    """The last committed transaction embedded in a snapshot (0 when it
-    was saved without a WAL attached)."""
-    snapshot = json.loads(Path(snapshot_path).read_text())
-    wal_meta = snapshot["wal"]
-    return int(wal_meta["last_txn"]) if wal_meta else 0
-
-
 def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -> int:
     """Load a parsed snapshot's farm section into *controller*.
 
@@ -155,10 +147,13 @@ def restore_backend_state(
     Returns the snapshot's transaction watermark; 0 when *snapshot_path*
     is None or missing (heal-from-empty: the whole log replays).
     """
-    snapshot: dict = {}
-    if snapshot_path is not None and Path(snapshot_path).exists():
-        snapshot = json.loads(Path(snapshot_path).read_text())
-    return restore_farm(controller, snapshot)
+    from repro.persistence import collector_paused
+
+    with collector_paused():
+        snapshot: dict = {}
+        if snapshot_path is not None and Path(snapshot_path).exists():
+            snapshot = json.loads(Path(snapshot_path).read_text())
+        return restore_farm(controller, snapshot)
 
 
 def recover_mlds(
@@ -200,17 +195,16 @@ def recover_mlds(
     if snapshot_path.exists():
         mlds = load_mlds(snapshot_path, **kwargs)
         if mlds.kds.controller.backend_count != backend_count:
+            mlds.kds.shutdown()
             raise WalError(
                 f"snapshot has {mlds.kds.controller.backend_count} backends "
                 f"but the WAL was written for {backend_count}"
             )
-        watermark = snapshot_watermark(snapshot_path)
     else:
         mlds = MLDS(backend_count=backend_count, **kwargs)
-        watermark = 0
 
     view = read_wal(wal_dir, backend_count)
-    replay_committed(mlds.kds.controller, view, watermark)
+    replay_committed(mlds.kds.controller, view, mlds.restored_txn)
 
     if attach_wal:
         mlds.attach_wal(WalManager(wal_dir, backend_count, injector=injector))

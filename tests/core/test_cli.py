@@ -289,6 +289,82 @@ class TestRecoverFlags:
         assert "kds.snapshot_reads" not in seen["metrics"]
 
 
+class TestReplacingTheSystem:
+    """``.load`` and ``.recover`` swap in a new system that keeps the
+    replaced one's configuration, and release the replaced one."""
+
+    @staticmethod
+    def configured(wal_dir):
+        from repro.abdl import parse_request
+        from repro.wal.log import WalManager
+
+        mlds = MLDS(
+            backend_count=2,
+            engine="process",
+            workers=1,
+            wal=WalManager(wal_dir, 2, group_window_ms=3.0),
+            snapshot_reads=False,
+        )
+        mlds.kds.controller.add_index("id", "bal")
+        for i in range(4):
+            mlds.kds.execute(parse_request(f"INSERT (<FILE, f>, <f, f${i}>, <id, {i}>)"))
+        return mlds
+
+    @staticmethod
+    def assert_inherited(shell, old_workers):
+        import json
+
+        kds = shell.mlds.kds
+        engine = kds.controller.engine
+        assert (engine.name, engine.workers) == ("process", 1)
+        assert kds.snapshot_reads is False
+        assert kds.record_count() == 4
+        report = json.loads(shell.handle_line(".indexes"))
+        for backend in report["backends"].values():
+            assert backend["attributes"] == ["id", "bal"]
+        # The replaced system's workers were stopped, not leaked.
+        assert not any(worker._process.is_alive() for worker in old_workers)
+
+    def test_recover_keeps_indexes_engine_read_path_and_wal_settings(self, tmp_path):
+        old = self.configured(tmp_path / "wal")
+        workers = list(old.kds.controller.backends)
+        shell = MLDSShell(old)
+        try:
+            assert "checkpointed" in shell.handle_line(".checkpoint")
+            assert "(4 records)" in shell.handle_line(f".recover {tmp_path / 'wal'}")
+            self.assert_inherited(shell, workers)
+            wal = shell.mlds.kds.wal
+            assert wal is not None and wal is not old.kds.wal
+            assert (wal.directory, wal.group_window_ms) == (tmp_path / "wal", 3.0)
+        finally:
+            shell.mlds.kds.shutdown()
+
+    def test_load_keeps_indexes_engine_and_read_path(self, tmp_path):
+        old = self.configured(tmp_path / "wal")
+        workers = list(old.kds.controller.backends)
+        shell = MLDSShell(old)
+        try:
+            assert "saved" in shell.handle_line(f".save {tmp_path / 'snap.json'}")
+            assert "loaded" in shell.handle_line(f".load {tmp_path / 'snap.json'}")
+            self.assert_inherited(shell, workers)
+            assert shell.mlds.kds.wal is None
+        finally:
+            shell.mlds.kds.shutdown()
+
+    def test_failed_recover_keeps_the_shell_on_the_old_system(self, shell, tmp_path):
+        old = shell.mlds
+        shut = []
+        original = old.kds.shutdown
+        old.kds.shutdown = lambda: (shut.append(True), original())
+        bad = tmp_path / "future.json"
+        bad.write_text('{"format": 3}')
+        assert shell.handle_line(f".recover {tmp_path / 'nowhere'}").startswith("error:")
+        assert shell.handle_line(f".load {bad}").startswith("error:")
+        assert shell.mlds is old and shut == []
+        shell.handle_line(".open daplex university")
+        assert "(no output)" not in shell.handle_line("FOR EACH s IN student PRINT name(s);")
+
+
 class TestRetiredFlags:
     """The thread-pool engine and the placement flag are gone: argparse
     refuses them with a usage error, before any system is built."""

@@ -15,7 +15,7 @@ from repro.errors import ExecutionError, MLDSError, WalError
 from repro.persistence import load_mlds, save_mlds
 from repro.university import load_university
 from repro.wal.log import CHECKPOINT_NAME, META_NAME, WalManager, segment_name
-from repro.wal.recovery import checkpoint_mlds, recover_mlds, snapshot_watermark
+from repro.wal.recovery import checkpoint_mlds, recover_mlds
 
 from tests.wal.conftest import delete, farm_image, insert, update
 
@@ -286,10 +286,10 @@ def test_version_1_snapshot_is_refused_typed(tmp_path):
     mlds.kds.execute(insert("f", a=1))
     path = tmp_path / "snap.json"
     save_mlds(mlds, path)
-    assert snapshot_watermark(path) == 0  # saved without a WAL attached
+    snapshot = json.loads(path.read_text())
+    assert snapshot["wal"] is None  # saved without a WAL attached: watermark 0
     # rewrite as the pre-WAL format 1 (no wal/placement keys): no writer
     # produces it any more, so the loader refuses rather than guessing
-    snapshot = json.loads(path.read_text())
     snapshot["format"] = 1
     del snapshot["wal"]
     del snapshot["placement"]
