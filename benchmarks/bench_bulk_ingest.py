@@ -29,9 +29,9 @@ holds that path to three promises:
   index report) must be bit-identical to the incremental path under the
   serial and process engines.
 
-It also measures the durability ledger with ``sync=True``: fsyncs per
-commit for the one-at-a-time path (every record a transaction) against
-the pipeline's group-commit batches.
+It also reports the durability ledger with ``sync=True`` (ungated):
+fsyncs per commit for the one-at-a-time path (every record a
+transaction) against the pipeline's batches (one commit per batch).
 
 Run standalone (writes a JSON report, default ``BENCH_ingest.json``)::
 
@@ -90,7 +90,7 @@ def wal_deltas(obs: Observability) -> dict[str, float]:
     registry = obs.metrics.as_dict()
     return {
         name: registry.get(f"wal.{name}", {}).get("value", 0.0)
-        for name in ("fsyncs", "commits", "group_commits")
+        for name in ("fsyncs", "commits")
     }
 
 
@@ -126,11 +126,10 @@ def run_bulk(
     batch: int,
     *,
     sync: bool = False,
-    group_window_ms: float | None = None,
 ) -> dict:
     """The streaming pipeline: shard, journal, apply, index per batch."""
     obs = Observability()
-    wal = WalManager(wal_dir, backends, sync=sync, group_window_ms=group_window_ms)
+    wal = WalManager(wal_dir, backends, sync=sync)
     mlds = MLDS(backend_count=backends, wal=wal, obs=obs)
     start = time.perf_counter()
     report = bulk_load(
@@ -150,7 +149,6 @@ def run_bulk(
         "commits": report.commits,
         "fsyncs": report.fsyncs,
         "fsyncs_per_commit": report.fsyncs_per_commit,
-        "group_commits": report.group_commits,
         "generate_ms": report.generate_ms,
     }
 
@@ -344,7 +342,6 @@ def main(argv: list[str] | None = None) -> int:
                 scratch / "bulk-sync",
                 args.batch,
                 sync=True,
-                group_window_ms=0.0,
             ),
         ]
     finally:

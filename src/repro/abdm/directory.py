@@ -373,10 +373,6 @@ class ClusteredStore(ABStore):
                 rebuilt.setdefault(self.directory.cluster_key(record), []).append(record)
             self._clusters[file_name] = rebuilt
 
-    def drop_file(self, name: str) -> None:
-        super().drop_file(name)
-        self._clusters.pop(name, None)
-
     def clear(self) -> None:
         super().clear()
         self._clusters.clear()

@@ -481,14 +481,6 @@ class ABStore:
     def file_names(self) -> list[str]:
         return sorted(self._files)
 
-    def drop_file(self, name: str) -> None:
-        if self._files.pop(name, None) is not None:
-            self._bump_epoch(name)
-        self._indexes.pop(name, None)
-        self._index_seq.pop(name, None)
-        self._versions.pop(name, None)
-        self._trimmed_below.pop(name, None)
-
     def clear(self) -> None:
         self._files.clear()
         self._indexes.clear()

@@ -196,14 +196,14 @@ class MLDSShell:
             from repro.wal.log import WalManager
             from repro.wal.recovery import recover_mlds
 
+            # Keep the replaced WAL's sync mode; a shell that had none
+            # gets the CLI's own, which fsyncs every commit.
             wal = self.mlds.kds.wal
-            settings = {} if wal is None else dict(
-                sync=wal.sync, group_window_ms=wal.group_window_ms
-            )
+            sync = wal.sync if wal is not None else True
             recovered = recover_mlds(args[0], attach_wal=False, **self._kernel_knobs())
             try:
                 backend_count = recovered.kds.controller.backend_count
-                recovered.attach_wal(WalManager(args[0], backend_count, **settings))
+                recovered.attach_wal(WalManager(args[0], backend_count, sync=sync))
             except BaseException:
                 recovered.kds.shutdown()
                 raise
@@ -457,21 +457,13 @@ def build_parser() -> "argparse.ArgumentParser":
         metavar="DIR",
         default=None,
         help="enable durability: journal every mutating kernel request to a "
-        "write-ahead log in DIR before applying it (see .checkpoint/.recover)",
+        "write-ahead log in DIR before applying it, and fsync every commit "
+        "(see .checkpoint/.recover)",
     )
     parser.add_argument(
         "--no-wal",
         action="store_true",
         help="ignore --wal-dir and run without journaling (volatile session)",
-    )
-    parser.add_argument(
-        "--group-window-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="enable WAL group commit: concurrent committers arriving within "
-        "MS milliseconds share one commit flush+fsync (0 groups only what "
-        "arrives while a flush is running; requires --wal-dir)",
     )
     parser.add_argument(
         "--bulk-load",
@@ -585,9 +577,8 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
     def open_wal(backend_count: int):
         from repro.wal.log import WalManager
 
-        return WalManager(
-            wal_dir, backend_count, group_window_ms=args.group_window_ms
-        )
+        # Durability means a commit survives a power cut: fsync each one.
+        return WalManager(wal_dir, backend_count, sync=True)
 
     obs = None
     if args.trace or args.slow_ms is not None or args.metrics_out:

@@ -62,7 +62,6 @@ class MLDS:
         self,
         backend_count: int = 4,
         timing: Optional[TimingModel] = None,
-        placement=None,
         store_factory=None,
         engine=None,
         workers: Optional[int] = None,
@@ -74,10 +73,7 @@ class MLDS:
         """*store_factory* optionally replaces each backend's plain scan
         store, e.g. with a directory-clustered
         :class:`~repro.abdm.directory.ClusteredStore` (see the directory
-        ablation benchmark for the payoff).  *placement* replaces the
-        round-robin placement with a subclass that overrides ``place``
-        (see :mod:`repro.mbds.placement`; every request but an INSERT
-        reaches every backend whatever the placement).
+        ablation benchmark for the payoff).
         *engine*/*workers* pick the kernel's wall-clock dispatch
         strategy ('serial' or 'process'; see :mod:`repro.mbds.engine`),
         and *lock_timeout* bounds how long a kernel session waits for a
@@ -98,7 +94,6 @@ class MLDS:
         self.kds = KernelDatabaseSystem(
             backend_count,
             timing,
-            placement=placement,
             store_factory=store_factory,
             engine=engine,
             workers=workers,

@@ -2,7 +2,7 @@
 
 Streaming record generation (:mod:`repro.ingest.generator`) plus a
 staged pipeline (:mod:`repro.ingest.pipeline`) that drives the kernel's
-BULK-INSERT path — batched journaling, group commit, deferred index
+BULK-INSERT path — batched journaling, one fsync per commit, deferred index
 builds — at a measured records/second rate.
 """
 

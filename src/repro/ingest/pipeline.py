@@ -11,8 +11,8 @@ stage                 where it runs
 ``route``             controller: placement partitions the batch by backend
                       (``bulk.route`` span)
 ``journal``           WAL: one BULK-INSERT log record per target backend
-                      (``wal.bulk_append`` spans), commit records shared
-                      across concurrent committers by group commit
+                      (``wal.bulk_append`` spans), then the batch's
+                      commit record (fsynced on a ``sync=True`` WAL)
 ``apply``             engine: one store call per backend (``bulk.apply``
                       span), concurrently under thread/process engines
 ``index``             store: deferred hash/range index + clustering build,
@@ -22,8 +22,8 @@ stage                 where it runs
 The pipeline never materializes the stream: memory is bounded by one
 batch regardless of the total record count.  Per-stage wall time is
 measured here for ``generate`` and the kernel round-trip (``submit`` =
-route + journal + apply + index); WAL counters (fsyncs, commits, group
-commits) are read as deltas off the kernel's metrics registry, so the
+route + journal + apply + index); WAL counters (fsyncs, commits, bulk
+records) are read as deltas off the kernel's metrics registry, so the
 report works out fsyncs-per-commit without any extra bookkeeping.
 """
 
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mbds.sessions import KernelSession
 
 #: WAL counters the report tracks as before/after deltas.
-_WAL_COUNTERS = ("wal.fsyncs", "wal.commits", "wal.group_commits", "wal.bulk_ops")
+_WAL_COUNTERS = ("wal.fsyncs", "wal.commits", "wal.bulk_ops")
 
 
 @dataclass
@@ -56,7 +56,6 @@ class IngestReport:
     simulated_ms: float
     fsyncs: int
     commits: int
-    group_commits: int
     journal_records: int
 
     @property
@@ -83,7 +82,6 @@ class IngestReport:
             "records_per_second": round(self.records_per_second, 1),
             "fsyncs": self.fsyncs,
             "commits": self.commits,
-            "group_commits": self.group_commits,
             "fsyncs_per_commit": round(self.fsyncs_per_commit, 3),
             "journal_records": self.journal_records,
         }
@@ -160,7 +158,6 @@ class IngestPipeline:
             simulated_ms=simulated_ms,
             fsyncs=delta["wal.fsyncs"],
             commits=delta["wal.commits"],
-            group_commits=delta["wal.group_commits"],
             journal_records=delta["wal.bulk_ops"],
         )
 

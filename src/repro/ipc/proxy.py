@@ -6,7 +6,7 @@ never notice the store lives in another process: every Backend method
 they call has a counterpart here that encodes the call, ships it over
 the worker's pipe, and decodes the reply.  :class:`ProcessStore`
 does the same for the handful of direct store accesses the upper layers
-make (``add_index``, ``all_records``, ``drop_file``, snapshot-style
+make (``add_index``, ``all_records``, snapshot-style
 inspection), so ``backend.store.…`` keeps working too.
 
 Three details carry the engine contract:
@@ -85,9 +85,6 @@ class ProcessStore:
     def all_records(self) -> Iterator["Record"]:
         reply = self._backend._call({"cmd": "store_all_records"})
         return iter([codec.decode_record(r) for r in reply["records"]])
-
-    def drop_file(self, name: str) -> None:
-        self._backend._call({"cmd": "store_drop_file", "file": name})
 
     def insert(self, record: "Record") -> None:
         self._backend._call(

@@ -169,9 +169,6 @@ class _Worker:
                     codec.encode_record(r) for r in backend.store.all_records()
                 ]
             }
-        if cmd == "store_drop_file":
-            backend.store.drop_file(message["file"])
-            return {"ok": True}
         if cmd == "store_insert":
             backend.store.insert(codec.decode_record(message["record"]))
             return {"ok": True}

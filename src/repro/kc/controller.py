@@ -119,7 +119,3 @@ class KernelController:
     def last_requests(self, count: int) -> list[str]:
         """The most recent *count* logged request texts."""
         return self.request_log[-count:]
-
-    def clear_log(self) -> None:
-        self._trimmed += len(self.request_log)
-        self.request_log.clear()

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from repro.abdm.predicate import Predicate, Query
 from repro.abdm.record import Record
 from repro.abdm.values import Value
-from repro.errors import SchemaError
 from repro.kc.controller import KernelController
 from repro.network.currency import CurrencyIndicatorTable
 from repro.network.model import NetRecordType, NetSetType, NetworkSchema
@@ -157,9 +156,3 @@ def dedupe_by_dbkey(records: Sequence[Record], dbkey_attribute: str) -> list[Rec
             seen.add(key)
             unique.append(record)
     return unique
-
-
-def require_found(record: Optional[Record], record_type: str, dbkey: str) -> Record:
-    if record is None:
-        raise SchemaError(f"no {record_type!r} record with database key {dbkey!r}")
-    return record

@@ -44,13 +44,7 @@ from repro.errors import (
 )
 from repro.mbds.controller import BackendController, ExecutionTrace
 from repro.mbds.engine import EngineSpec, ProcessPoolEngine
-from repro.mbds.locks import (
-    GLOBAL_RESOURCE,
-    LockManager,
-    LockMode,
-    affected_files,
-    lock_items,
-)
+from repro.mbds.locks import LockManager, affected_files, lock_items
 from repro.mbds.placement import RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
 from repro.mbds.timing import (
@@ -602,34 +596,6 @@ class KernelDatabaseSystem:
 
     def databases(self) -> list[DatabaseTemplate]:
         return list(self._catalog.values())
-
-    def drop_database(self, name: str) -> None:
-        """Remove a database and delete its files from every backend.
-
-        The drop runs on the kernel's own session under the global
-        exclusive lock, so no other session is reading or writing the
-        files while they go.  It is not journaled: a kernel with a WAL
-        attached refuses it with :class:`~repro.errors.WalError`, since
-        recovery would bring the files and the catalog entry back.
-        """
-        if self.wal is not None:
-            raise WalError(
-                f"cannot drop database {name!r} with a WAL attached: "
-                "a drop is not journaled, so recovery would restore it"
-            )
-        template = self.database(name)
-        session = self._own
-        try:
-            self.locks.acquire(
-                session.owner, [(GLOBAL_RESOURCE, LockMode.X)], session.lock_timeout
-            )
-            for backend in self.controller.backends:
-                for file_name in template.files:
-                    backend.store.drop_file(file_name)
-            del self._catalog[name]
-        finally:
-            if not session.in_transaction:
-                self.locks.release_all(session.owner)
 
     # -- execution ---------------------------------------------------------------
 

@@ -57,10 +57,6 @@ Discipline
   (``lock.wait_ms{S}``, ``lock.wait_ms{X}``, ...) record how long
   grants stalled, so benchmarks can attribute mixed-workload latency
   to reader/writer interference instead of guessing from counters.
-* **Validation epochs** — releasing an ``X`` file lock bumps a per-file
-  epoch counter, mirroring the PR 4 store mutation epochs at the lock
-  granule, so readers can validate that a file was untouched while they
-  did not hold its lock.
 """
 
 from __future__ import annotations
@@ -244,7 +240,6 @@ class LockManager:
         #: wanted-mode value -> wait-time histogram (milliseconds)
         self._wait_hist: Dict[str, Histogram] = {}
         self._metrics = NULL_METRICS
-        self._epochs: Dict[str, int] = {}
         self.acquired_total = 0
         self.wait_total = 0
         self.timeout_total = 0
@@ -498,12 +493,9 @@ class LockManager:
             released = False
             for resource in list(self._held):
                 holders = self._held[resource]
-                mode = holders.pop(owner, None)
-                if mode is None:
+                if holders.pop(owner, None) is None:
                     continue
                 released = True
-                if mode is LockMode.X and resource != GLOBAL_RESOURCE:
-                    self._epochs[resource] = self._epochs.get(resource, 0) + 1
                 if not holders:
                     del self._held[resource]
             self._birth.pop(owner, None)
@@ -527,15 +519,6 @@ class LockManager:
                 for resource, holders in self._held.items()
                 if owner in holders
             }
-
-    def epoch(self, file_name: str) -> int:
-        """Times an exclusive lock on *file_name* has been released."""
-        with self._cv:
-            return self._epochs.get(file_name, 0)
-
-    def epochs(self) -> Dict[str, int]:
-        with self._cv:
-            return dict(self._epochs)
 
     def stats(self) -> Dict[str, int]:
         with self._cv:

@@ -147,14 +147,13 @@ def load_mlds(
     *,
     engine=None,
     workers: Optional[int] = None,
-    placement=None,
     store_factory=None,
     obs=None,
 ) -> MLDS:
     """Restore an :class:`MLDS` from a snapshot written by :func:`save_mlds`.
 
-    The kernel knobs (*engine*, *workers*, *placement*, *store_factory*,
-    *obs*) are not part of the snapshot — they describe the machine, not
+    The kernel knobs (*engine*, *workers*, *store_factory*, *obs*) are
+    not part of the snapshot — they describe the machine, not
     the data — so callers pick them at load time, defaulting to the
     serial, untraced, round-robin configuration.
 
@@ -181,7 +180,6 @@ def load_mlds(
     mlds = MLDS(
         backend_count=snapshot["backend_count"],
         timing=TimingModel(**snapshot["timing"]),
-        placement=placement,
         engine=engine,
         workers=workers,
         store_factory=store_factory,

@@ -51,11 +51,6 @@ class CrashPoint(enum.Enum):
     BEFORE_BULK_APPEND = "before-bulk-append"
     #: Immediately after a bulk record is appended (journaled, not applied).
     AFTER_BULK_APPEND = "after-bulk-append"
-    #: Inside group commit, after commit records are staged, before the
-    #: leader appends them (none of the group's commits reached the file).
-    BEFORE_GROUP_FSYNC = "before-group-fsync"
-    #: After the group's shared append+fsync (every staged commit durable).
-    AFTER_GROUP_FSYNC = "after-group-fsync"
     #: After the commit record is durable, before the kernel seals the
     #: stores' version chains at the new commit seq (MVCC bookkeeping
     #: pending, transaction already committed).

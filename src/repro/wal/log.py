@@ -29,7 +29,7 @@ commit, and one that journaled nothing leaves nothing in the stream.
 **Flushed vs synced.**  Every record is flushed to the operating system
 as it is appended, so a killed process loses nothing.  ``fsync``
 (``sync=True`` WALs only) happens in one place: in ``commit``, after the
-commit record is appended (group commit: the leader's shared flush).
+commit record is appended, under the log mutex, one fsync per commit.
 That suffices because the system is redo-only and no-steal — an op
 matters only if its commit record exists, so it need only be durable
 *before* that record, and one sync of the one file makes the ops and
@@ -151,55 +151,6 @@ _BULK_APPEND = (
 )
 
 
-class _GroupBatch:
-    """One group-commit batch: commit records staged by concurrent
-    committers, written and fsynced together by the batch's leader."""
-
-    __slots__ = ("entries", "done", "error")
-
-    def __init__(self) -> None:
-        #: (commit record sans seq, txn id) per staged committer.
-        self.entries: list[tuple[dict, int]] = []
-        self.done = threading.Event()
-        self.error: Optional[BaseException] = None
-
-
-class _GroupCommitCoordinator:
-    """Batches concurrent committers into one shared flush+fsync.
-
-    The first committer to stage into an open batch becomes its *leader*:
-    it sleeps the tunable window (letting concurrent committers pile in),
-    seals the batch, and writes every staged commit record — assigning
-    sequence numbers at write time, so they stay monotonic against the
-    op and abort records appended in between — with a single fsync at
-    the end.  Followers block on the batch's event; a leader failure
-    poisons the batch so every waiting committer re-raises instead of
-    hanging on a commit that never became durable.
-    """
-
-    def __init__(self, window_ms: float) -> None:
-        self.window = max(float(window_ms), 0.0) / 1000.0
-        self._lock = threading.Lock()
-        self._batch: Optional[_GroupBatch] = None
-
-    def join(self, entry: tuple[dict, int]) -> tuple[_GroupBatch, bool]:
-        """Stage *entry* into the open batch; returns (batch, is_leader)."""
-        with self._lock:
-            batch = self._batch
-            leader = batch is None
-            if batch is None:
-                batch = _GroupBatch()
-                self._batch = batch
-            batch.entries.append(entry)
-            return batch, leader
-
-    def seal(self, batch: _GroupBatch) -> None:
-        """Close *batch* to new joiners (the leader is about to write)."""
-        with self._lock:
-            if self._batch is batch:
-                self._batch = None
-
-
 class WalManager:
     """Owns one WAL directory: journaling, transactions, segments.
 
@@ -223,7 +174,6 @@ class WalManager:
         backend_count: int,
         injector: Optional[FaultInjector] = None,
         sync: bool = False,
-        group_window_ms: Optional[float] = None,
     ) -> None:
         if backend_count < 1:
             raise WalError("a WAL needs at least one backend")
@@ -232,16 +182,6 @@ class WalManager:
         self.backend_count = backend_count
         self.injector = injector or FaultInjector()
         self.sync = sync
-        #: The window this manager was opened with (None: no grouping).
-        self.group_window_ms = group_window_ms
-        #: Group-commit coordinator, or None for the classic one-commit-
-        #: one-fsync path.  ``group_window_ms=0`` enables grouping with no
-        #: window wait (batching only what arrives while a flush runs).
-        self._group: Optional[_GroupCommitCoordinator] = (
-            _GroupCommitCoordinator(group_window_ms)
-            if group_window_ms is not None
-            else None
-        )
         #: Observability bundle; rebound by the controller that owns this
         #: WAL so journaling spans/metrics join the system-wide trace.
         self.obs = NULL_OBS
@@ -433,7 +373,6 @@ class WalManager:
         those transactions.
         """
         obs = self.obs
-        staged: Optional[tuple[dict, int]] = None
         with obs.tracer.span("wal.commit") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
@@ -447,69 +386,22 @@ class WalManager:
                 record: dict = {"type": "commit", "txn": txn, "owner": self._open[txn]}
                 if counts is not None:
                     record["counts"] = list(counts)
-                if self._group is None:
-                    self._append(record)
-                    self._log.sync_now(self.obs)
-                    if span:
-                        span.record(txn=txn)
-                    self._settle_committed(txn)
-                else:
-                    staged = (record, txn)
-            if staged is not None:
-                # Group commit: stage outside the mutex (waiting with it
-                # held would deadlock every other session) and block until
-                # the batch leader makes this commit durable.
-                batch, leader = self._group.join(staged)
-                if leader:
-                    if self._group.window:
-                        time.sleep(self._group.window)
-                    self._group.seal(batch)
-                    self._flush_group(batch)
-                batch.done.wait()
-                if batch.error is not None:
-                    raise batch.error
-                if span:
-                    span.record(txn=txn, group_size=len(batch.entries))
+                self._append(record)
+                self._log.sync_now(self.obs)
+                # Watermark semantics: the highest committed id.  Owned
+                # transactions can commit out of id order, and checkpoints
+                # (which require no open transactions) rely on every id <=
+                # watermark being committed-or-aborted.
+                self.last_committed_txn = max(self.last_committed_txn, txn)
+                self._forget(txn)
+                self.injector.fire(CrashPoint.AFTER_COMMIT)
+            if span:
+                span.record(txn=txn)
         if obs.enabled:
             obs.metrics.inc("wal.commits")
             obs.metrics.observe(
                 "wal.commit_ms", (time.perf_counter() - start) * 1000.0
             )
-
-    def _settle_committed(self, txn: int) -> None:
-        # Watermark semantics: the highest committed id.  Owned
-        # transactions can commit out of id order, and checkpoints (which
-        # require no open transactions) rely on every id <= watermark
-        # being committed-or-aborted.
-        self.last_committed_txn = max(self.last_committed_txn, txn)
-        self._forget(txn)
-        self.injector.fire(CrashPoint.AFTER_COMMIT)
-
-    def _flush_group(self, batch: _GroupBatch) -> None:
-        """Leader-side group flush: write every staged commit, sync once.
-
-        Sequence numbers are assigned here, at write time, so they stay
-        monotonic against op and abort records appended between stage
-        and flush.  Any failure — including an injected crash — poisons
-        the batch so every waiting follower re-raises it: after a crash
-        the machine is dead for leader and followers alike.
-        """
-        try:
-            with self._mutex:
-                self.injector.fire(CrashPoint.BEFORE_GROUP_FSYNC)
-                for record, _txn in batch.entries:
-                    self._append(record)
-                self._log.sync_now(self.obs)
-                self.injector.fire(CrashPoint.AFTER_GROUP_FSYNC)
-                for _record, txn in batch.entries:
-                    self._settle_committed(txn)
-            self.obs.metrics.inc("wal.group_commits")
-            self.obs.metrics.observe("wal.group_size", float(len(batch.entries)))
-        except BaseException as exc:
-            batch.error = exc
-            raise
-        finally:
-            batch.done.set()
 
     def abort(self, txn: int) -> None:
         """Mark an open transaction discarded (recovery will skip its ops).

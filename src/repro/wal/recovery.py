@@ -162,7 +162,6 @@ def recover_mlds(
     *,
     engine=None,
     workers: Optional[int] = None,
-    placement=None,
     store_factory=None,
     attach_wal: bool = True,
     injector: Optional[FaultInjector] = None,
@@ -188,7 +187,6 @@ def recover_mlds(
     kwargs = dict(
         engine=engine,
         workers=workers,
-        placement=placement,
         store_factory=store_factory,
         obs=obs,
     )

@@ -156,10 +156,6 @@ class TestClusteredStore:
         assert store.find(query) == []
         assert store.count("f") == 100
 
-    def test_drop_file_clears_clusters(self, store):
-        store.drop_file("f")
-        assert store.cluster_count("f") == 0
-
     def test_clear(self, store):
         store.clear()
         assert store.count() == 0 and store.cluster_count("f") == 0

@@ -114,12 +114,6 @@ class TestIndexedMutations:
         assert indexed.find(eq_query("x", 1)) == []
         assert len(indexed.find(eq_query("x", 100))) == 6
 
-    def test_drop_file_drops_the_index(self, indexed):
-        indexed.drop_file("data")
-        assert indexed.find(eq_query("x", 3)) == []
-        indexed.insert(record("data", "d$0", x=3))
-        assert len(indexed.find(eq_query("x", 3))) == 1
-
     def test_clear_resets_indexes(self, indexed):
         indexed.clear()
         assert indexed.find(eq_query("x", 3)) == []

@@ -149,7 +149,3 @@ class TestIntrospection:
     def test_clear(self, store):
         store.clear()
         assert store.count() == 0
-
-    def test_drop_file(self, store):
-        store.drop_file("course")
-        assert store.count() == 3

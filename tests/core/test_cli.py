@@ -239,8 +239,8 @@ class TestCachesCommand:
 
 class TestRecoverFlags:
     def test_recover_applies_wal_and_read_path_flags(self, tmp_path, monkeypatch):
-        """``--recover`` honours --group-window-ms / --no-snapshot-reads and
-        sizes the farm from the WAL directory, not from --backends."""
+        """``--recover`` honours --no-snapshot-reads and sizes the farm
+        from the WAL directory, not from --backends."""
         from repro.abdl import parse_request
         from repro.cli import main
         from repro.wal.log import WalManager
@@ -276,15 +276,13 @@ class TestRecoverFlags:
         monkeypatch.setattr(MLDSShell, "run", fake_run)
         assert main(
             [
-                "--recover", "--wal-dir", str(wal_dir),
-                "--group-window-ms", "5", "--no-snapshot-reads",
+                "--recover", "--wal-dir", str(wal_dir), "--no-snapshot-reads",
                 "--metrics-out", str(tmp_path / "metrics.json"),
             ]
         ) == 0
 
         assert seen["backends"] == 2 and seen["records"] == 4
         assert opened == [seen["wal"]]  # exactly one manager holds the directory
-        assert seen["metrics"]["wal.group_commits"]["value"] >= 1.0
         assert seen["snapshot_reads"] is False
         assert "kds.snapshot_reads" not in seen["metrics"]
 
@@ -302,7 +300,7 @@ class TestReplacingTheSystem:
             backend_count=2,
             engine="process",
             workers=1,
-            wal=WalManager(wal_dir, 2, group_window_ms=3.0),
+            wal=WalManager(wal_dir, 2),  # flush-only: `.recover` must keep it
             snapshot_reads=False,
         )
         mlds.kds.controller.add_index("id", "bal")
@@ -335,7 +333,21 @@ class TestReplacingTheSystem:
             self.assert_inherited(shell, workers)
             wal = shell.mlds.kds.wal
             assert wal is not None and wal is not old.kds.wal
-            assert (wal.directory, wal.group_window_ms) == (tmp_path / "wal", 3.0)
+            assert (wal.directory, wal.sync) == (tmp_path / "wal", False)
+        finally:
+            shell.mlds.kds.shutdown()
+
+    def test_recover_into_a_shell_without_a_wal_fsyncs(self, tmp_path):
+        from repro.abdl import parse_request
+
+        writer = MLDS(backend_count=2, wal=tmp_path / "wal")
+        writer.kds.execute(parse_request("INSERT (<FILE, f>, <f, f$0>, <id, 0>)"))
+        writer.kds.shutdown()
+        writer.kds.wal.close()
+        shell = MLDSShell(MLDS(backend_count=2))
+        try:
+            assert "(1 records)" in shell.handle_line(f".recover {tmp_path / 'wal'}")
+            assert shell.mlds.kds.wal.sync is True
         finally:
             shell.mlds.kds.shutdown()
 
@@ -389,6 +401,32 @@ class TestRetiredFlags:
         assert done.returncode == 2
         assert done.stderr.startswith("usage: mlds")
         assert argv[0] in done.stderr
+
+
+class TestDurability:
+    def test_wal_dir_fsyncs_every_commit(self, tmp_path):
+        """``--wal-dir`` promises durability: every commit the shell makes
+        is fsynced before it returns, not merely flushed to the OS."""
+        import json
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        metrics_out = tmp_path / "metrics.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--demo",
+             "--wal-dir", str(tmp_path / "wal"), "--metrics-out", str(metrics_out)],
+            input=".quit\n",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads(metrics_out.read_text())["metrics"]
+        commits = metrics["wal.commits"]["value"]
+        assert commits > 0
+        assert metrics.get("wal.fsyncs", {}).get("value") == commits
 
 
 class TestServe:

@@ -24,6 +24,7 @@ from repro.abdm.record import Record
 from repro.abdm.store import ABStore
 from repro.core.mlds import MLDS
 from repro.errors import ExecutionError
+from repro.mbds.kds import KernelDatabaseSystem
 from repro.mbds.placement import RoundRobinPlacement
 from repro.persistence import load_mlds, save_mlds
 
@@ -56,9 +57,9 @@ def mixed_records(n):
     return out
 
 
-def farm_state(mlds):
+def farm_state(kds):
     """Everything the load may not change: stores, placement, indexes."""
-    controller = mlds.kds.controller
+    controller = kds.controller
     return {
         "snapshots": [b.store.snapshot() for b in controller.backends],
         "distribution": controller.distribution(),
@@ -124,17 +125,17 @@ class TestKernelEquivalence:
     """bulk_insert == insert-per-record across engines and placements."""
 
     def _load(self, engine, workers, bulk, placement=None, rows=None):
-        mlds = MLDS(
+        kds = KernelDatabaseSystem(
             backend_count=3, engine=engine, workers=workers, placement=placement
         )
-        mlds.kds.controller.add_index("a")
+        kds.controller.add_index("a")
         rows = rows if rows is not None else mixed_records(90)
         if bulk:
-            mlds.kds.bulk_insert(rows)
+            kds.bulk_insert(rows)
         else:
             for row in rows:
-                mlds.kds.execute(InsertRequest(row))
-        return mlds
+                kds.execute(InsertRequest(row))
+        return kds
 
     @pytest.mark.parametrize("engine,workers", ENGINES, ids=[e for e, _ in ENGINES])
     def test_engine_equivalence(self, engine, workers):
@@ -143,8 +144,8 @@ class TestKernelEquivalence:
         try:
             assert farm_state(bulk) == farm_state(incremental)
         finally:
-            bulk.kds.shutdown()
-            incremental.kds.shutdown()
+            bulk.shutdown()
+            incremental.shutdown()
 
     @pytest.mark.parametrize(
         "placement_factory",
@@ -160,24 +161,24 @@ class TestKernelEquivalence:
             assert farm_state(bulk) == farm_state(incremental)
             # Post-load inserts land identically too: placement state is equal.
             probe = Record.from_pairs([("FILE", "file1"), ("a", 9999)])
-            bulk.kds.execute(InsertRequest(probe.copy()))
-            incremental.kds.execute(InsertRequest(probe.copy()))
+            bulk.execute(InsertRequest(probe.copy()))
+            incremental.execute(InsertRequest(probe.copy()))
             assert (
-                bulk.kds.controller.distribution()
-                == incremental.kds.controller.distribution()
+                bulk.controller.distribution()
+                == incremental.controller.distribution()
             )
         finally:
-            bulk.kds.shutdown()
-            incremental.kds.shutdown()
+            bulk.shutdown()
+            incremental.shutdown()
 
     def test_queries_after_bulk_load(self):
-        mlds = self._load("serial", None, bulk=True)
+        kds = self._load("serial", None, bulk=True)
         try:
             query = Query([Conjunction([Predicate("FILE", "=", "file1")])])
-            trace = mlds.kds.execute(RetrieveRequest(query, (TargetItem("a"),)))
+            trace = kds.execute(RetrieveRequest(query, (TargetItem("a"),)))
             assert trace.result.count == 30
         finally:
-            mlds.kds.shutdown()
+            kds.shutdown()
 
     def test_result_merges_all_shards(self):
         mlds = MLDS(backend_count=3)
@@ -265,7 +266,7 @@ class TestPersistenceRoundTrip:
         from repro.wal.log import WalManager
         from repro.wal.recovery import checkpoint_mlds, recover_mlds
 
-        wal = WalManager(tmp_path / "wal", 3, group_window_ms=0.0)
+        wal = WalManager(tmp_path / "wal", 3)
         mlds = MLDS(backend_count=3, wal=wal)
         mlds.kds.bulk_insert(mixed_records(60))
         checkpoint_mlds(mlds)

@@ -61,16 +61,14 @@ class TestPipeline:
 
     def test_report_counts_wal_work(self, tmp_path):
         obs = Observability()
-        wal = WalManager(tmp_path / "wal", 3, sync=True, group_window_ms=0.0)
+        wal = WalManager(tmp_path / "wal", 3, sync=True)
         mlds = MLDS(backend_count=3, wal=wal, obs=obs)
         try:
             report = bulk_load(
                 mlds.kds, stream_university_records(2_000), batch_size=500
             )
             assert report.commits == 4  # one auto-commit per batch
-            assert report.group_commits == 4
-            assert report.fsyncs > 0
-            assert report.fsyncs_per_commit == report.fsyncs / report.commits
+            assert report.fsyncs_per_commit == 1.0  # one fsync per commit
             assert report.records_per_second > 0
             payload = report.as_dict()
             assert payload["records"] == 2_000
@@ -155,9 +153,6 @@ class TestCliSurface:
 
     def test_parser_accepts_bulk_load_flags(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["--bulk-load", "100000", "--bulk-batch", "5000", "--group-window-ms", "2"]
-        )
+        args = parser.parse_args(["--bulk-load", "100000", "--bulk-batch", "5000"])
         assert args.bulk_load == 100_000
         assert args.bulk_batch == 5_000
-        assert args.group_window_ms == 2.0

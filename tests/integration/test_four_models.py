@@ -109,18 +109,3 @@ class TestIsolation:
         # A SQL scan of pay never sees university or fleet records.
         session = world.open_sql_session("payroll")
         assert session.execute("SELECT COUNT(*) FROM pay").rows[0]["COUNT(*)"] == 1
-
-    def test_drop_one_database_leaves_others(self, world):
-        import copy
-
-        # Work on a private copy of the world to keep the fixture intact.
-        mlds = MLDS(backend_count=2)
-        mlds.define_relational_database(REL_DDL)
-        mlds.open_sql_session("payroll").execute("INSERT INTO pay VALUES (1, 1.0)")
-        mlds.define_hierarchical_database(HIE_DDL)
-        dl1 = mlds.open_dli_session("archive")
-        dl1.run("FLD label = 'keep'")
-        dl1.execute("ISRT box")
-        mlds.kds.drop_database("payroll")
-        assert dl1.execute("GU box(label = 'keep')").ok
-        assert mlds.open_sql_session("payroll").execute("SELECT COUNT(*) FROM pay").rows[0]["COUNT(*)"] == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.abdl import parse_request
-from repro.errors import ExecutionError, LockTimeout
+from repro.errors import ExecutionError
 from repro.mbds import KernelDatabaseSystem
 from repro.mbds.timing import ResponseTime
 
@@ -34,37 +34,6 @@ class TestCatalog:
     def test_unknown_database(self, kds):
         with pytest.raises(ExecutionError):
             kds.database("ghost")
-
-    def test_drop_database_removes_files(self, kds):
-        kds.define_database("uni", "functional", ["course"])
-        kds.drop_database("uni")
-        assert kds.record_count() == 0
-        with pytest.raises(ExecutionError):
-            kds.database("uni")
-
-    def test_database_recreated_after_drop_is_visible(self, kds):
-        kds.define_database("uni", "functional", ["course"])
-        kds.drop_database("uni")
-        kds.define_database("uni", "functional", ["course"])
-        kds.execute(parse_request("INSERT (<FILE, course>, <course, course$99>)"))
-        trace = kds.execute(parse_request("RETRIEVE (FILE = course) (*)"))
-        assert trace.result.count == 1
-
-    def test_drop_database_waits_for_the_global_exclusive_lock(self):
-        kds = KernelDatabaseSystem(backend_count=2, lock_timeout=0.05)
-        kds.define_database("uni", "functional", ["course"])
-        kds.execute(parse_request("INSERT (<FILE, course>, <course, course$0>)"))
-        writer = kds.create_session("writer")
-        kds.session_begin(writer)
-        kds.execute(parse_request("DELETE (FILE = course)"), session=writer)
-        # The writer's IX on the whole store excludes the drop's X.
-        with pytest.raises(LockTimeout):
-            kds.drop_database("uni")
-        assert kds.database("uni").files == ["course"]
-        kds.session_abort(writer)
-        kds.drop_database("uni")
-        assert kds.record_count() == 0
-        assert kds.locks.held_by("kernel") == {}
 
 
 class TestAggregateMerging:

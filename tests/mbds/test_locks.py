@@ -127,20 +127,6 @@ class TestLockManager:
         assert locks.held_by("a") == {}
         locks.acquire("b", [("f", LockMode.X)])  # free again
 
-    def test_exclusive_release_bumps_epoch(self):
-        locks = LockManager()
-        before = locks.epoch("f")
-        locks.acquire("a", [("f", LockMode.X)])
-        locks.release_all("a")
-        assert locks.epoch("f") == before + 1
-
-    def test_shared_release_keeps_epoch(self):
-        locks = LockManager()
-        before = locks.epoch("f")
-        locks.acquire("a", [("f", LockMode.S)])
-        locks.release_all("a")
-        assert locks.epoch("f") == before
-
     def test_stats_count_waits_and_timeouts(self):
         locks = LockManager(timeout=0.05)
         locks.acquire("w", [("f", LockMode.X)])

@@ -13,6 +13,8 @@ demands, and must *never* replay the spectator's uncommitted writes.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.abdl.ast import Modifier
@@ -110,8 +112,6 @@ EXPECTED = {
     CrashPoint.BEFORE_APPLY: "pre",
     CrashPoint.AFTER_APPLY: "pre",
     CrashPoint.BEFORE_COMMIT: "pre",
-    CrashPoint.BEFORE_GROUP_FSYNC: "pre",
-    CrashPoint.AFTER_GROUP_FSYNC: "post",
     CrashPoint.AFTER_COMMIT: "post",
     # session_commit seals the version chains only after the commit
     # record is durable: dying mid-seal (or mid-GC, just after) loses
@@ -173,9 +173,7 @@ def assert_no_marker(mlds):
 @pytest.mark.parametrize("point", CRASH_MATRIX, ids=lambda p: p.name)
 def test_recovery_never_replays_the_uncommitted_session(tmp_path, point):
     injector = FaultInjector()
-    # group_window_ms=0: commits go through the group-commit coordinator
-    # so the GROUP_FSYNC crash points fire (batching stays opportunistic).
-    wal = WalManager(tmp_path / "wal", BACKENDS, injector=injector, group_window_ms=0.0)
+    wal = WalManager(tmp_path / "wal", BACKENDS, injector=injector)
     mlds = MLDS(backend_count=BACKENDS, wal=wal)
     seed(mlds.kds)
 
@@ -202,6 +200,51 @@ def test_recovery_never_replays_the_uncommitted_session(tmp_path, point):
     finally:
         recovered.kds.shutdown()
         mlds.kds.shutdown()
+
+
+@pytest.mark.parametrize("dies", [False, True], ids=["both-commit", "second-dies"])
+def test_concurrent_commits_recover_independently(tmp_path, dies):
+    """Two sessions on distinct files commit at once.  Each commit record
+    is its own fsync and its own commit point: both recover, or — when
+    the machine dies before the second commit record — the first alone."""
+    injector = FaultInjector()
+    wal = WalManager(tmp_path / "wal", BACKENDS, injector=injector, sync=True)
+    mlds = MLDS(backend_count=BACKENDS, wal=wal)
+    if dies:
+        injector.arm(CrashPoint.BEFORE_COMMIT, hits=2)
+    barrier = threading.Barrier(2)
+    crashed = []
+
+    def work(owner):
+        session = mlds.kds.create_session(owner)
+        barrier.wait(timeout=10)
+        try:
+            mlds.kds.execute(bulk(owner, range(5)), session=session)
+        except InjectedCrash:
+            crashed.append(owner)
+
+    threads = [threading.Thread(target=work, args=(o,)) for o in ("alice", "bob")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    wal.close()
+    mlds.kds.controller.engine.shutdown()
+
+    survivors = sorted({"alice", "bob"} - set(crashed))
+    assert len(crashed) == (1 if dies else 0)
+    assert sorted(t.owner for t in read_wal(tmp_path / "wal").committed) == survivors
+    recovered = recover_mlds(tmp_path / "wal", attach_wal=False)
+    try:
+        files = [
+            r.get("FILE")
+            for backend in recovered.kds.controller.backends
+            for r in backend.store.all_records()
+        ]
+        assert sorted(files) == sorted(owner for owner in survivors for _ in range(5))
+    finally:
+        recovered.kds.shutdown()
 
 
 class TestAutoCommitApplyFailure:

@@ -37,12 +37,10 @@ EXPECTED = {
     CrashPoint.BEFORE_APPLY: "pre",
     CrashPoint.AFTER_APPLY: "pre",
     CrashPoint.BEFORE_COMMIT: "pre",
-    CrashPoint.BEFORE_GROUP_FSYNC: "pre",
     # A commit unit seals the version chains once, after its commit
     # record: a crash at either seal point finds the transaction durable.
     CrashPoint.BEFORE_VERSION_SEAL: "post",
     CrashPoint.AFTER_VERSION_SEAL: "post",
-    CrashPoint.AFTER_GROUP_FSYNC: "post",
     CrashPoint.AFTER_COMMIT: "post",
     CrashPoint.BEFORE_CHECKPOINT: "post",
     CrashPoint.AFTER_CHECKPOINT_SNAPSHOT: "post",
@@ -88,10 +86,7 @@ def crash_and_recover(tmp_path, point, engine, workers):
     """Run the scenario for one (point, engine) cell; return the images."""
     wal_dir = tmp_path / f"wal-{engine}"
     injector = FaultInjector()
-    # group_window_ms=0 routes every commit through the group-commit
-    # coordinator (batching only concurrent arrivals), so the
-    # BEFORE/AFTER_GROUP_FSYNC points fire even for this single committer.
-    wal = WalManager(wal_dir, BACKENDS, injector=injector, group_window_ms=0.0)
+    wal = WalManager(wal_dir, BACKENDS, injector=injector)
     mlds = MLDS(backend_count=BACKENDS, engine=engine, workers=workers, wal=wal)
     seed(mlds.kds)
 

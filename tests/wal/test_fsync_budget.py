@@ -10,7 +10,6 @@ per segment, not per commit, and is counted as ``wal.dir_fsyncs``.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -89,31 +88,6 @@ def test_bulk_batch_over_four_shards_is_one_fsync(system):
     ops_before = obs.metrics.counter_value("wal.bulk_ops")
     assert fsyncs_of(obs, lambda: mlds.kds.execute(bulk("f", range(100, 108)))) == 1
     assert obs.metrics.counter_value("wal.bulk_ops") - ops_before == BACKENDS
-
-
-def test_grouped_committers_share_one_fsync(tmp_path):
-    obs = Observability()
-    wal = WalManager(tmp_path / "wal", 2, sync=True, group_window_ms=200.0)
-    wal.bind_obs(obs)
-    txns = [wal.begin(f"owner-{i}") for i in range(3)]
-    for txn in txns:
-        wal.log_op([0, 1], insert("f", a=txn), txn)
-    barrier = threading.Barrier(len(txns))
-
-    def commit(txn):
-        barrier.wait(timeout=10)
-        wal.commit(txn)
-
-    threads = [threading.Thread(target=commit, args=(txn,)) for txn in txns]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10)
-    wal.close()
-    assert not any(thread.is_alive() for thread in threads)
-    assert obs.metrics.counter_value("wal.commits") == len(txns)
-    assert obs.metrics.counter_value("wal.group_commits") == 1
-    assert obs.metrics.counter_value("wal.fsyncs") == 1
 
 
 def test_read_only_transaction_is_no_fsync_and_no_bytes(system):

@@ -32,7 +32,6 @@ from tests.wal.conftest import bulk, farm_image, insert, update
 
 BACKENDS = 4
 
-GROUP_POINTS = {CrashPoint.BEFORE_GROUP_FSYNC, CrashPoint.AFTER_GROUP_FSYNC}
 CHECKPOINT_POINTS = {
     CrashPoint.BEFORE_CHECKPOINT,
     CrashPoint.AFTER_CHECKPOINT_SNAPSHOT,
@@ -164,17 +163,11 @@ class Outage:
         assert image == self.images[survivors], f"torn or wrong recovery at cut {cut}"
 
 
-def lose_power(wal_dir, steps, point, hits=1, grouped=False) -> Outage:
+def lose_power(wal_dir, steps, point, hits=1) -> Outage:
     """Run SEED then *steps* with *point* armed; the crash (or the end)
     is the moment the power goes."""
     injector = FaultInjector()
-    wal = WalManager(
-        wal_dir,
-        BACKENDS,
-        injector=injector,
-        sync=True,
-        group_window_ms=0.0 if grouped else None,
-    )
+    wal = WalManager(wal_dir, BACKENDS, injector=injector, sync=True)
     mlds = MLDS(backend_count=BACKENDS, wal=wal)
     acked: list = []
     assert drive(mlds.kds, SEED, acked) is None
@@ -198,9 +191,7 @@ def lose_power(wal_dir, steps, point, hits=1, grouped=False) -> Outage:
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("point", CRASH_MATRIX, ids=lambda p: p.value)
 def test_any_cut_past_the_last_sync_recovers_whole_transactions(tmp_path, point, scenario):
-    outage = lose_power(
-        tmp_path / "wal", SCENARIOS[scenario], point, grouped=point in GROUP_POINTS
-    )
+    outage = lose_power(tmp_path / "wal", SCENARIOS[scenario], point)
     for cut in cuts_between(outage.data, outage.synced):
         outage.check(cut)
 
@@ -210,15 +201,14 @@ def test_any_cut_past_the_last_sync_recovers_whole_transactions(tmp_path, point,
     names=st.lists(st.sampled_from(sorted(SCENARIOS)), min_size=1, max_size=4),
     point=st.sampled_from(sorted(set(CRASH_MATRIX) - CHECKPOINT_POINTS, key=lambda p: p.value)),
     hits=st.integers(min_value=1, max_value=6),
-    grouped=st.booleans(),
     fraction=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_random_cut_points(names, point, hits, grouped, fraction):
+def test_random_cut_points(names, point, hits, fraction):
     """Random workloads, crashes and cuts; *fraction* picks the cut
     between the last sync and the size, any byte of it."""
     steps = [step for name in names for step in SCENARIOS[name]]
     with tempfile.TemporaryDirectory() as scratch:
-        outage = lose_power(Path(scratch) / "wal", steps, point, hits, grouped)
+        outage = lose_power(Path(scratch) / "wal", steps, point, hits)
         outage.check(outage.synced + round(fraction * (len(outage.data) - outage.synced)))
 
 
