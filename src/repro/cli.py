@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import signal
 import sys
+from dataclasses import asdict
 from typing import Optional
 
-from repro.core.mlds import MLDS
+from repro.core.mlds import MLDS, MLDSConfig
 from repro.core.session import CodasylSession, DaplexSession, DliSession, SqlSession
 from repro.errors import MLDSError
 from repro.kfs import format_table
@@ -161,7 +162,7 @@ class MLDSShell:
                 return "usage: .load <path>"
             from repro.persistence import load_mlds
 
-            self._replace(load_mlds(args[0], **self._kernel_knobs()))
+            self._replace(load_mlds(args[0], self.mlds.config, obs=self.mlds.obs))
             return f"loaded {args[0]} ({len(self.mlds.database_names())} databases)"
         if command == ".ingest":
             if not args or len(args) > 2:
@@ -193,21 +194,7 @@ class MLDSShell:
         if command == ".recover":
             if len(args) != 1:
                 return "usage: .recover <wal-dir>"
-            from repro.wal.log import WalManager
-            from repro.wal.recovery import recover_mlds
-
-            # Keep the replaced WAL's sync mode; a shell that had none
-            # gets the CLI's own, which fsyncs every commit.
-            wal = self.mlds.kds.wal
-            sync = wal.sync if wal is not None else True
-            recovered = recover_mlds(args[0], attach_wal=False, **self._kernel_knobs())
-            try:
-                backend_count = recovered.kds.controller.backend_count
-                recovered.attach_wal(WalManager(args[0], backend_count, sync=sync))
-            except BaseException:
-                recovered.kds.shutdown()
-                raise
-            self._replace(recovered)
+            self._replace(_recover_durably(args[0], self.mlds.config, self.mlds.obs))
             return (
                 f"recovered from {args[0]} "
                 f"({self.mlds.kds.record_count()} records)"
@@ -256,23 +243,11 @@ class MLDSShell:
             return "\n".join(log) if log else "(no requests yet)"
         return f"unknown command {command!r} (try .help)"
 
-    def _kernel_knobs(self) -> dict:
-        """What a replacement system keeps of this one's configuration:
-        the engine and its worker count, and the observability bundle
-        (so --trace / --metrics-out keep working after the swap)."""
-        engine = self.mlds.kds.controller.engine
-        return dict(
-            engine=engine.name, workers=getattr(engine, "workers", None), obs=self.mlds.obs
-        )
-
     def _replace(self, mlds: MLDS) -> None:
-        """Swap in *mlds* (already built, so a failed build leaves the shell
-        on the old system): it inherits the indexes and the read path,
-        and the replaced system's workers and WAL handle are released."""
+        """Swap in *mlds* (already built from this system's config, so a
+        failed build leaves the shell on the old system) and release the
+        replaced system's workers and WAL handle."""
         old = self.mlds
-        mlds.kds.snapshot_reads = old.kds.snapshot_reads
-        if old.kds.controller.indexed_attributes:
-            mlds.kds.controller.add_index(*old.kds.controller.indexed_attributes)
         self.mlds = mlds
         self.session = None
         old.kds.shutdown()
@@ -376,6 +351,30 @@ class MLDSShell:
             output = self.handle_line(line)
             if output:
                 stdout.write(output + "\n")
+
+
+def _durable_wal(wal_dir, backend_count: int):
+    """The CLI's WAL on *wal_dir*: durability means a commit survives a
+    power cut, so it fsyncs every commit."""
+    from repro.wal.log import WalManager
+
+    return WalManager(wal_dir, backend_count, sync=True)
+
+
+def _recover_durably(wal_dir, config: MLDSConfig, obs) -> MLDS:
+    """:func:`~repro.wal.recovery.recover_mlds` for the shell and the
+    CLI: the durable settings come from *wal_dir*, the machine settings
+    from *config*, and the recovered system journals through
+    :func:`_durable_wal` whatever sync mode the directory records."""
+    from repro.wal.recovery import recover_mlds
+
+    mlds = recover_mlds(wal_dir, config=config, attach_wal=False, obs=obs)
+    try:
+        mlds.attach_wal(_durable_wal(wal_dir, mlds.kds.controller.backend_count))
+    except BaseException:
+        mlds.kds.shutdown()
+        raise
+    return mlds
 
 
 def _ingest_summary(verb: str, report, kds) -> str:
@@ -573,13 +572,11 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
     parser = build_parser()
     args = parser.parse_args(argv)
     wal_dir = None if args.no_wal else args.wal_dir
-
-    def open_wal(backend_count: int):
-        from repro.wal.log import WalManager
-
-        # Durability means a commit survives a power cut: fsync each one.
-        return WalManager(wal_dir, backend_count, sync=True)
-
+    config = MLDSConfig(
+        engine=args.engine,
+        workers=args.workers,
+        snapshot_reads=not args.no_snapshot_reads,
+    )
     obs = None
     if args.trace or args.slow_ms is not None or args.metrics_out:
         from repro.obs import Observability
@@ -589,27 +586,16 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         if args.recover:
             if wal_dir is None:
                 parser.error("--recover requires --wal-dir")
-            from repro.wal.recovery import recover_mlds
-
-            # The directory says how many backends it was written for;
-            # --backends only sizes a fresh system.
-            mlds = recover_mlds(
-                wal_dir,
-                engine=args.engine,
-                workers=args.workers,
-                attach_wal=False,
-                obs=obs,
-            )
-            mlds.attach_wal(open_wal(mlds.kds.controller.backend_count))
-            mlds.kds.snapshot_reads = not args.no_snapshot_reads
+            # The directory says how many backends it was written for and
+            # which attributes its snapshot indexes; --backends only sizes
+            # a fresh system.
+            mlds = _recover_durably(wal_dir, config, obs)
         else:
             mlds = MLDS(
                 backend_count=args.backends,
-                engine=args.engine,
-                workers=args.workers,
-                wal=None if wal_dir is None else open_wal(args.backends),
+                wal=None if wal_dir is None else _durable_wal(wal_dir, args.backends),
                 obs=obs,
-                snapshot_reads=not args.no_snapshot_reads,
+                **asdict(config),
             )
     except ValueError as exc:
         parser.error(str(exc))

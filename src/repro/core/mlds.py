@@ -15,6 +15,7 @@ know which kind of database answered.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -47,6 +48,24 @@ from repro.network.model import NetworkSchema
 from repro.wal.log import WalManager
 
 
+@dataclass(frozen=True)
+class MLDSConfig:
+    """The machine settings of a running :class:`MLDS`: its ``MLDS(...)``
+    keywords that describe the running system, not the data.
+
+    Read off a live system as :attr:`MLDS.config`; every path that builds
+    a replacement system (``load_mlds``, ``recover_mlds``, the shell's
+    ``.load`` / ``.recover``) takes it whole.  The durable settings travel
+    with the data instead: the backend count and the WAL's sync mode in
+    ``wal-meta.json``, the index attributes in the checkpoint snapshot.
+    """
+
+    engine: str = "serial"
+    workers: Optional[int] = None
+    lock_timeout: float = 10.0
+    snapshot_reads: bool = True
+
+
 class MLDS:
     """The Multi-Lingual Database System.
 
@@ -63,7 +82,7 @@ class MLDS:
         backend_count: int = 4,
         timing: Optional[TimingModel] = None,
         store_factory=None,
-        engine=None,
+        engine="serial",
         workers: Optional[int] = None,
         wal: Union[None, str, Path, WalManager] = None,
         obs: ObsSpec = None,
@@ -115,6 +134,17 @@ class MLDS:
         #: :func:`repro.persistence.load_mlds`; 0 for a system built
         #: empty or from a snapshot saved without a WAL.
         self.restored_txn = 0
+
+    @property
+    def config(self) -> MLDSConfig:
+        """This system's machine settings, read off the live kernel."""
+        engine = self.kds.controller.engine
+        return MLDSConfig(
+            engine=engine.name,
+            workers=getattr(engine, "workers", None),
+            lock_timeout=self.kds.locks.timeout,
+            snapshot_reads=self.kds.snapshot_reads,
+        )
 
     @property
     def obs(self):

@@ -124,8 +124,8 @@ class BackendController:
         #: to the executing backends' logs before it is applied.
         self.wal = wal
         #: Indexed attributes added at runtime (see :meth:`add_index`) —
-        #: schema state a healed farm must rebuild, since the WAL only
-        #: journals data mutations.
+        #: schema state the snapshot carries and a restored or healed
+        #: farm rebuilds, since the WAL only journals data mutations.
         self.indexed_attributes: list[str] = []
         if wal is not None and self.obs.enabled:
             wal.bind_obs(self.obs)
@@ -382,7 +382,9 @@ class BackendController:
         records examined), so each store bumps its epoch and any cached
         results priced under the unindexed accounting are invalidated.
         The attribute set is remembered: indexes are schema the WAL does
-        not journal, so farm healing re-adds them after a respawn.
+        not journal, so the checkpoint snapshot records them and
+        :func:`~repro.wal.recovery.restore_farm` rebuilds them on a
+        restored or healed farm.
         """
         for backend in self.backends:
             for attribute in attributes:

@@ -860,8 +860,9 @@ class KernelDatabaseSystem:
         redoing such a request against its live state would double-apply
         non-idempotent mutations.  The empty farm is then rebuilt to
         exactly the durable baseline: checkpoint snapshot, committed WAL
-        tail, runtime-added indexes.  Returns the number of WAL
-        transactions replayed.
+        tail, and the controller's indexes (built by
+        :func:`~repro.wal.recovery.restore_farm` before the records go
+        in).  Returns the number of WAL transactions replayed.
         """
         from repro.wal.log import CHECKPOINT_NAME
         from repro.wal.reader import read_wal
@@ -875,8 +876,6 @@ class KernelDatabaseSystem:
                 watermark = restore_backend_state(self.controller, checkpoint)
                 view = read_wal(self.wal.directory, self.controller.backend_count)
                 replayed = replay_committed(self.controller, view, watermark)
-                if self.controller.indexed_attributes:
-                    self.controller.add_index(*self.controller.indexed_attributes)
                 if span:
                     span.record(replayed=replayed, watermark=watermark)
         metrics = self.obs.metrics

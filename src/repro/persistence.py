@@ -21,9 +21,14 @@ Format **2** (the only one :func:`load_mlds` restores) carries, beside
 schemas, timing, key counters and per-backend records, ``wal`` (the
 durability watermark: the last committed WAL transaction the snapshot
 contains, written when the system has a write-ahead log attached — see
-:mod:`repro.wal`) and ``placement`` (the round-robin counters, so
+:mod:`repro.wal`), ``placement`` (the round-robin counters, so
 inserts after a restore land on the same backends they would have
-without the restart).
+without the restart) and, when the controller indexes any, ``indexes``
+(its index attributes, rebuilt on the restored farm; a snapshot without
+the key, such as one written before the key existed, loads with none).
+The machine settings — engine, workers, lock timeout, read path — are
+not in the file: the loader takes them as one
+:class:`~repro.core.mlds.MLDSConfig`.
 
 The file is one line of compact JSON, written by the C encoder in one
 pass (an ``indent`` would send CPython back to its pure-Python
@@ -40,10 +45,11 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from repro.core.mlds import MLDS
+from repro.core.mlds import MLDS, MLDSConfig
 from repro.errors import MLDSError
 from repro.mbds.timing import TimingModel
 from repro.wal.recovery import restore_farm
@@ -90,22 +96,13 @@ def save_mlds(mlds: MLDS, path: Union[str, Path]) -> None:
 
 def _snapshot(mlds: MLDS) -> dict:
     """The format-2 snapshot of *mlds* as plain JSON-ready data."""
-    timing = mlds.kds.controller.timing
     wal = mlds.kds.wal
-    return {
+    snapshot = {
         "format": FORMAT_VERSION,
         "backend_count": mlds.kds.controller.backend_count,
         "wal": wal.checkpoint_state() if wal is not None else None,
         "placement": mlds.kds.controller.placement.snapshot_state(),
-        "timing": {
-            "broadcast_ms": timing.broadcast_ms,
-            "access_ms": timing.access_ms,
-            "page_scan_ms": timing.page_scan_ms,
-            "records_per_page": timing.records_per_page,
-            "select_record_ms": timing.select_record_ms,
-            "merge_record_ms": timing.merge_record_ms,
-            "insert_ms": timing.insert_ms,
-        },
+        "timing": asdict(mlds.kds.controller.timing),
         "functional": {
             name: {
                 "ddl": schema.render(),
@@ -140,32 +137,35 @@ def _snapshot(mlds: MLDS) -> dict:
         },
         "backends": _dump_records(mlds),
     }
+    indexes = mlds.kds.controller.indexed_attributes
+    if indexes:  # absent means none, as in snapshots written before the key
+        snapshot["indexes"] = list(indexes)
+    return snapshot
 
 
 def load_mlds(
     path: Union[str, Path],
+    config: MLDSConfig = MLDSConfig(),
     *,
-    engine=None,
-    workers: Optional[int] = None,
     store_factory=None,
     obs=None,
 ) -> MLDS:
     """Restore an :class:`MLDS` from a snapshot written by :func:`save_mlds`.
 
-    The kernel knobs (*engine*, *workers*, *store_factory*, *obs*) are
-    not part of the snapshot — they describe the machine, not
-    the data — so callers pick them at load time, defaulting to the
-    serial, untraced, round-robin configuration.
+    The machine settings are not part of the snapshot — they describe
+    the machine, not the data — so the caller passes them whole as
+    *config* (a replacement system passes the replaced one's
+    :attr:`~repro.core.mlds.MLDS.config`).  *store_factory* and *obs* are
+    handed to the new system as they are.
 
-    The farm section — per-backend records and the round-robin counters
-    — is read by :func:`~repro.wal.recovery.restore_farm`, the same
-    reader farm healing uses.  Records go back through each backend's
-    store, which rebuilds hash indexes and clustering as it inserts.  A
-    snapshot whose ``placement`` names a retired kind (``hash_shard``,
-    ``least_loaded``) still restores every record; only the counters
-    start empty.  The snapshot's WAL watermark is left on the returned
-    system as :attr:`~repro.core.mlds.MLDS.restored_txn`, so recovery
-    need not read the file again.
+    The farm section — per-backend records, index attributes and the
+    round-robin counters — is read by
+    :func:`~repro.wal.recovery.restore_farm`, the same reader farm
+    healing uses.  A snapshot whose ``placement`` names a retired kind
+    (``hash_shard``, ``least_loaded``) still restores every record; only
+    the counters start empty.  The snapshot's WAL watermark is left on
+    the returned system as :attr:`~repro.core.mlds.MLDS.restored_txn`, so
+    recovery need not read the file again.
     """
     with collector_paused():
         snapshot = json.loads(Path(path).read_text())
@@ -180,10 +180,9 @@ def load_mlds(
     mlds = MLDS(
         backend_count=snapshot["backend_count"],
         timing=TimingModel(**snapshot["timing"]),
-        engine=engine,
-        workers=workers,
         store_factory=store_factory,
         obs=obs,
+        **asdict(config),
     )
     with collector_paused():
         for name, entry in snapshot["functional"].items():

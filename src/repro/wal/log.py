@@ -2,8 +2,8 @@
 
 Layout of a WAL directory (one per MLDS instance)::
 
-    wal-meta.json          {"format": 2, "backend_count": N, "segment": s,
-                            "next_txn": t}
+    wal-meta.json          {"format": 2, "backend_count": N, "sync": b,
+                            "segment": s, "next_txn": t}
     wal-000000.jsonl       the stream's current segment
     checkpoint.mlds.json   last snapshot (written by checkpoint_mlds)
 
@@ -36,6 +36,11 @@ matters only if its commit record exists, so it need only be durable
 then the commit durable in order.  A power cut can only shorten the
 unsynced tail, which loses whole unacknowledged transactions; an abort
 need never be durable.
+
+The metadata records the sync mode of the manager that writes the
+directory (one that opens it in another mode rewrites it), so
+:func:`~repro.wal.recovery.recover_mlds` reattaches in the same mode.  A
+file without the key was written before it existed, by a flush-only log.
 
 Checkpoints (see :mod:`repro.wal.recovery`) write a snapshot and then
 call :meth:`WalManager.start_new_segment`, which bumps the segment
@@ -213,6 +218,7 @@ class WalManager:
             {
                 "format": WAL_FORMAT,
                 "backend_count": self.backend_count,
+                "sync": self.sync,
                 "segment": self.segment,
                 # The id floor: a truncated log no longer shows which txn
                 # ids the checkpoint's snapshot already accounts for.
@@ -245,6 +251,8 @@ class WalManager:
             # The crash hit mid-append.  The reader dropped the half-line;
             # cut it off, or the next record would be glued onto it.
             os.truncate(*view.torn_tail)
+        if meta.get("sync", False) != self.sync:
+            self._write_meta()
 
     def _open_writer(self) -> None:
         self._log = _StreamWriter(

@@ -90,11 +90,6 @@ def read_meta(directory: Union[str, Path]) -> dict:
     return meta
 
 
-def read_backend_count(directory: Union[str, Path]) -> int:
-    """The backend count recorded in the WAL directory's metadata."""
-    return int(read_meta(directory)["backend_count"])
-
-
 def read_wal(directory: Union[str, Path], backend_count: Optional[int] = None) -> WalView:
     """Parse every surviving segment in *directory* into a :class:`WalView`."""
     directory = Path(directory)

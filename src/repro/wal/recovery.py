@@ -37,17 +37,18 @@ skipped, not double-applied.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
+from repro.core.mlds import MLDS, MLDSConfig
 from repro.errors import MLDSError, WalError
 from repro.wal.codec import decode_request
 from repro.wal.faults import CrashPoint, FaultInjector
 from repro.wal.log import CHECKPOINT_NAME, WalManager, replace_durably
-from repro.wal.reader import WalView, read_backend_count, read_wal
+from repro.wal.reader import WalView, read_meta, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.mlds import MLDS
     from repro.mbds.controller import BackendController
 
 
@@ -95,11 +96,14 @@ def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -
     """Load a parsed snapshot's farm section into *controller*.
 
     The one reader of that layout, shared by
-    :func:`repro.persistence.load_mlds` and :func:`restore_backend_state`:
-    each backend's record dump goes back onto the same backend in one
-    ``bulk_insert`` (indexes and clustering build collect-then-sort-once,
-    to the exact store state the per-record path produced), and the
-    round-robin counters are reset to the snapshot's (see
+    :func:`repro.persistence.load_mlds` and :func:`restore_backend_state`,
+    and the one place a farm's indexes are built.  The snapshot's index
+    attributes (and, on a healed farm, any the controller gained since)
+    go onto the empty stores first; then each backend's record dump goes
+    back onto the same backend in one ``bulk_insert``, which builds the
+    indexes and clustering collect-then-sort-once, to the exact store
+    state the per-record path produced.  The round-robin counters are
+    reset to the snapshot's (see
     :meth:`~repro.mbds.placement.RoundRobinPlacement.restore_state`).
 
     Returns the snapshot's transaction watermark; 0 when it was saved
@@ -113,6 +117,7 @@ def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -
             f"snapshot has {len(rows_per_backend)} backends "
             f"but the farm has {controller.backend_count}"
         )
+    controller.add_index(*controller.indexed_attributes, *snapshot.get("indexes", ()))
     for backend, rows in zip(controller.backends, rows_per_backend):
         if rows:
             backend.store.bulk_insert(
@@ -141,8 +146,8 @@ def restore_backend_state(
     caller has just respawned every worker (empty stores), and this
     restores exactly the durable baseline (see :func:`restore_farm`) so
     :func:`replay_committed` can redo the WAL tail on top.  Schema-level
-    state (catalog, language mappings, store factory) lives outside the
-    farm and needs no repair.
+    state (catalog, language mappings, store factory, the controller's
+    index attributes) lives outside the farm and needs no repair.
 
     Returns the snapshot's transaction watermark; 0 when *snapshot_path*
     is None or missing (heal-from-empty: the whole log replays).
@@ -160,38 +165,39 @@ def recover_mlds(
     wal_dir: Union[str, Path],
     snapshot: Union[str, Path, None] = None,
     *,
-    engine=None,
+    config: MLDSConfig = MLDSConfig(),
+    engine: Optional[str] = None,
     workers: Optional[int] = None,
     store_factory=None,
     attach_wal: bool = True,
     injector: Optional[FaultInjector] = None,
     obs=None,
-) -> "MLDS":
+) -> MLDS:
     """Rebuild an :class:`~repro.core.mlds.MLDS` from *wal_dir*.
 
     *snapshot* defaults to the checkpoint kept inside the WAL directory;
     when neither exists the system is rebuilt from an empty farm by
     replaying the whole log (store contents recover fully; schema
-    definitions only exist once a checkpoint has been taken).  With
+    definitions and index attributes only exist once a checkpoint has
+    been taken).  The durable settings come from the files: the backend
+    count and sync mode from ``wal-meta.json``, the index attributes
+    from the snapshot.  The machine settings come whole from *config*;
+    *engine* and *workers*, when given, fill the same record.  With
     *attach_wal* (the default) the recovered system resumes journaling
-    to the same directory, with transaction ids continuing after
-    everything already on disk.
+    to the same directory in its recorded sync mode, with transaction
+    ids continuing after everything already on disk.
     """
-    from repro.core.mlds import MLDS
     from repro.persistence import load_mlds
 
+    if engine is not None or workers is not None:
+        config = replace(config, engine=engine or config.engine, workers=workers)
     wal_dir = Path(wal_dir)
-    backend_count = read_backend_count(wal_dir)
+    meta = read_meta(wal_dir)
+    backend_count = int(meta["backend_count"])
     snapshot_path = Path(snapshot) if snapshot is not None else wal_dir / CHECKPOINT_NAME
 
-    kwargs = dict(
-        engine=engine,
-        workers=workers,
-        store_factory=store_factory,
-        obs=obs,
-    )
     if snapshot_path.exists():
-        mlds = load_mlds(snapshot_path, **kwargs)
+        mlds = load_mlds(snapshot_path, config, store_factory=store_factory, obs=obs)
         if mlds.kds.controller.backend_count != backend_count:
             mlds.kds.shutdown()
             raise WalError(
@@ -199,17 +205,18 @@ def recover_mlds(
                 f"but the WAL was written for {backend_count}"
             )
     else:
-        mlds = MLDS(backend_count=backend_count, **kwargs)
+        mlds = MLDS(backend_count, store_factory=store_factory, obs=obs, **asdict(config))
 
     view = read_wal(wal_dir, backend_count)
     replay_committed(mlds.kds.controller, view, mlds.restored_txn)
 
     if attach_wal:
-        mlds.attach_wal(WalManager(wal_dir, backend_count, injector=injector))
+        sync = meta.get("sync", False)
+        mlds.attach_wal(WalManager(wal_dir, backend_count, injector=injector, sync=sync))
     return mlds
 
 
-def checkpoint_mlds(mlds: "MLDS", path: Union[str, Path, None] = None) -> Path:
+def checkpoint_mlds(mlds: MLDS, path: Union[str, Path, None] = None) -> Path:
     """Snapshot *mlds* and truncate its WAL (snapshot-then-truncate).
 
     The snapshot is written atomically (temp file + rename), so a crash

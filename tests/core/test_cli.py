@@ -300,7 +300,8 @@ class TestReplacingTheSystem:
             backend_count=2,
             engine="process",
             workers=1,
-            wal=WalManager(wal_dir, 2),  # flush-only: `.recover` must keep it
+            wal=WalManager(wal_dir, 2),  # flush-only: `.recover` reopens it synced
+            lock_timeout=0.5,
             snapshot_reads=False,
         )
         mlds.kds.controller.add_index("id", "bal")
@@ -316,6 +317,7 @@ class TestReplacingTheSystem:
         engine = kds.controller.engine
         assert (engine.name, engine.workers) == ("process", 1)
         assert kds.snapshot_reads is False
+        assert kds.locks.timeout == 0.5
         assert kds.record_count() == 4
         report = json.loads(shell.handle_line(".indexes"))
         for backend in report["backends"].values():
@@ -333,7 +335,9 @@ class TestReplacingTheSystem:
             self.assert_inherited(shell, workers)
             wal = shell.mlds.kds.wal
             assert wal is not None and wal is not old.kds.wal
-            assert (wal.directory, wal.sync) == (tmp_path / "wal", False)
+            # Every WAL the shell opens fsyncs, and the directory records it.
+            assert (wal.directory, wal.sync) == (tmp_path / "wal", True)
+            assert '"sync": true' in (tmp_path / "wal" / "wal-meta.json").read_text()
         finally:
             shell.mlds.kds.shutdown()
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import MLDS
+from repro.core.mlds import MLDSConfig
 from repro.errors import MLDSError
 from repro.persistence import FORMAT_VERSION, load_mlds, save_mlds
 from repro.university import generate_university, load_university
@@ -93,7 +94,7 @@ class TestRoundTrip:
 
     def test_load_accepts_engine_knobs(self, populated):
         original, path = populated
-        restored = load_mlds(path, engine="process", workers=2)
+        restored = load_mlds(path, MLDSConfig(engine="process", workers=2))
         try:
             assert restored.kds.record_count() == original.kds.record_count()
             assert restored.kds.controller.engine.name == "process"

@@ -9,6 +9,7 @@ import pytest
 
 from repro import MLDS
 from repro import persistence
+from repro.core.mlds import MLDSConfig
 from repro.errors import MLDSError, WalError
 from repro.persistence import load_mlds, save_mlds
 from repro.university import generate_university, load_university
@@ -196,7 +197,7 @@ def test_workers_are_forked_outside_the_pause(tmp_path, monkeypatch):
         mlds.kds.shutdown()
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         for restored in (
-            load_mlds(wal_dir / CHECKPOINT_NAME, engine="process", workers=2),
+            load_mlds(wal_dir / CHECKPOINT_NAME, MLDSConfig(engine="process", workers=2)),
             recover_mlds(wal_dir, engine="process", workers=2),
         ):
             assert farm_image(restored) == farm_image(mlds)

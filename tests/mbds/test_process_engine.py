@@ -159,7 +159,7 @@ class TestProcessEngineLifecycle:
 
 class TestProcessEnginePersistence:
     def test_snapshot_round_trips_worker_resident_stores(self, tmp_path):
-        from repro.core.mlds import MLDS
+        from repro.core.mlds import MLDS, MLDSConfig
         from repro.persistence import load_mlds, save_mlds
 
         mlds = MLDS(backend_count=3, engine="process")
@@ -174,7 +174,7 @@ class TestProcessEnginePersistence:
         mlds.kds.shutdown()
 
         for engine in ("serial", "process"):
-            restored = load_mlds(path, engine=engine)
+            restored = load_mlds(path, MLDSConfig(engine=engine))
             assert [
                 b.store.snapshot() for b in restored.kds.controller.backends
             ] == expected

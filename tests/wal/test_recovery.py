@@ -290,3 +290,66 @@ def test_wrong_backend_count_snapshot_rejected_by_recovery(tmp_path):
     save_mlds(other, snapshot)
     with pytest.raises(WalError, match="backends"):
         recover_mlds(wal_dir, snapshot=snapshot)
+
+
+class TestDurableSettings:
+    """The WAL's sync mode and the index attributes travel with the data:
+    ``recover_mlds(dir)`` with no other argument restores them."""
+
+    @pytest.mark.parametrize("sync", [True, False], ids=["synced", "flush-only"])
+    def test_recovery_reattaches_the_recorded_sync_mode(self, tmp_path, sync):
+        wal_dir = tmp_path / "wal"
+        mlds = MLDS(backend_count=2, wal=WalManager(wal_dir, 2, sync=sync))
+        small_workload(mlds.kds)
+        checkpoint_mlds(mlds)
+        mlds.kds.shutdown()
+
+        recovered = recover_mlds(wal_dir)
+        try:
+            assert recovered.kds.wal.sync is sync
+        finally:
+            recovered.kds.shutdown()
+
+    def test_metadata_without_the_key_reattaches_flush_only(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        mlds = MLDS(backend_count=2, wal=WalManager(wal_dir, 2, sync=True))
+        mlds.kds.execute(insert("f", a=1))
+        mlds.kds.shutdown()
+        meta = json.loads((wal_dir / META_NAME).read_text())
+        del meta["sync"]  # as every directory was written before the key
+        (wal_dir / META_NAME).write_text(json.dumps(meta))
+
+        recovered = recover_mlds(wal_dir)
+        try:
+            assert recovered.kds.wal.sync is False
+        finally:
+            recovered.kds.shutdown()
+
+    def test_reopening_in_another_mode_rewrites_the_record(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        WalManager(wal_dir, 2).close()
+        WalManager(wal_dir, 2, sync=True).close()
+        assert json.loads((wal_dir / META_NAME).read_text())["sync"] is True
+
+    def test_checkpointed_indexes_come_back_built(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        mlds = MLDS(backend_count=2, wal=wal_dir)
+        mlds.kds.controller.add_index("a", "b")
+        small_workload(mlds.kds)
+        checkpoint_mlds(mlds)
+        mlds.kds.execute(insert("f", a=99))  # a tail replayed onto the indexes
+
+        def built(system):
+            return [b.store.index_snapshot()["files"] for b in system.kds.controller.backends]
+
+        live = built(mlds)
+        mlds.kds.shutdown()
+        recovered = recover_mlds(wal_dir)
+        try:
+            assert recovered.kds.controller.indexed_attributes == ["a", "b"]
+            assert built(recovered) == live
+            recovered.kds.execute(parse_request("RETRIEVE ((FILE = f) AND (a >= 60)) (*)"))
+            stores = [b.store for b in recovered.kds.controller.backends]
+            assert sum(store.stats.range_hits for store in stores) > 0
+        finally:
+            recovered.kds.shutdown()

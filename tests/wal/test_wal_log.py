@@ -9,7 +9,7 @@ import pytest
 from repro.core.mlds import MLDS
 from repro.errors import WalError
 from repro.wal.log import META_NAME, WAL_FORMAT, WalManager, segment_name
-from repro.wal.reader import read_backend_count, read_wal
+from repro.wal.reader import read_meta, read_wal
 from repro.wal.recovery import recover_mlds
 
 from tests.wal.conftest import delete, farm_image, insert
@@ -84,7 +84,7 @@ def test_reopen_rejects_wrong_backend_count(tmp_path):
     manager(tmp_path, backends=2).close()
     with pytest.raises(WalError):
         manager(tmp_path, backends=3)
-    assert read_backend_count(tmp_path / "wal") == 2
+    assert read_meta(tmp_path / "wal")["backend_count"] == 2
 
 
 def test_torn_final_line_is_dropped(tmp_path):
