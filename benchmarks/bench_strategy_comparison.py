@@ -47,34 +47,33 @@ def comparison_series():
         ("wide-60", _wide_schema(60)),
     ]:
         schema = parse_schema(text)
-        reps = 200
+        batch, rounds = 20, 10
         # Warm both paths so neither pays first-call costs in the measure.
         for _ in range(10):
             transform_schema(schema)
             transform_schema_two_step(schema)
 
-        start = time.perf_counter()
-        for _ in range(reps):
-            transform_schema(schema)
-        direct = (time.perf_counter() - start) / reps
-
-        start = time.perf_counter()
-        for _ in range(reps):
-            transform_schema_two_step(schema)
-        two_step = (time.perf_counter() - start) / reps
-
+        # Alternate the two in batches, swapping which goes first each
+        # round, and keep each side's fastest batch: a burst of machine
+        # noise then lands on one batch, not on one whole side.
+        best = {transform_schema: float("inf"), transform_schema_two_step: float("inf")}
+        for round_ in range(rounds):
+            order = list(best) if round_ % 2 == 0 else list(best)[::-1]
+            for transform in order:
+                start = time.perf_counter()
+                for _ in range(batch):
+                    transform(schema)
+                best[transform] = min(best[transform], time.perf_counter() - start)
         rows.append(
-            (
-                label,
-                f"{direct * 1e6:.0f}",
-                f"{two_step * 1e6:.0f}",
-                f"{two_step / direct:.2f}x",
-            )
+            (label, best[transform_schema] / batch, best[transform_schema_two_step] / batch)
         )
     print_series(
         "CLAIM-III.B  direct vs two-step schema transformation",
         ["schema", "direct us", "two-step us", "two-step/direct"],
-        rows,
+        [
+            (label, f"{direct * 1e6:.0f}", f"{two_step * 1e6:.0f}", f"{two_step / direct:.2f}x")
+            for label, direct, two_step in rows
+        ],
     )
     return rows
 
@@ -93,5 +92,5 @@ def test_two_step_strategy_benchmark(benchmark, comparison_series):
 
 def test_direct_is_faster(comparison_series):
     """The paper's qualitative claim, measured: one step beats two."""
-    for label, direct, two_step, _ in comparison_series:
-        assert float(two_step) > float(direct), (label, direct, two_step)
+    for label, direct, two_step in comparison_series:
+        assert two_step > direct, (label, direct, two_step)

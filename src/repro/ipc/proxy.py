@@ -15,6 +15,8 @@ Three details carry the engine contract:
   sends; :meth:`ProcessBackend.finish_execute` receives.  The engine
   sends one request to every target worker before collecting any reply,
   which is what turns N CPU-bound scans into N concurrent processes.
+  A restore's snapshot dumps go the same way
+  (:meth:`~ProcessBackend.start_restore` / :meth:`~ProcessBackend.finish_restore`).
 * **Request coalescing** — commands that need no immediate answer
   (WAL replay during recovery, ``seal_versions`` at commit) are
   buffered controller-side and shipped
@@ -85,11 +87,6 @@ class ProcessStore:
     def all_records(self) -> Iterator["Record"]:
         reply = self._backend._call({"cmd": "store_all_records"})
         return iter([codec.decode_record(r) for r in reply["records"]])
-
-    def insert(self, record: "Record") -> None:
-        self._backend._call(
-            {"cmd": "store_insert", "record": codec.encode_record(record)}
-        )
 
     def bulk_insert(self, records: Sequence["Record"]) -> int:
         reply = self._backend._call(
@@ -316,6 +313,19 @@ class ProcessBackend:
         return self.finish_execute()
 
     # -- durability support ----------------------------------------------------
+
+    def start_restore(self, rows: Sequence[Any]) -> None:
+        """Ship a snapshot dump to the worker without waiting.
+
+        The rows cross as parsed: the worker's
+        :meth:`~repro.mbds.backend.Backend.restore` reads the same
+        ``{"pairs", "text"}`` rows the serial engine's does.
+        """
+        self._send({"cmd": "restore", "rows": rows})
+
+    def finish_restore(self) -> None:
+        """Collect the reply for the last :meth:`start_restore`."""
+        self._receive()
 
     def replay(self, request: "Request") -> None:
         # Recovery replays whole WALs op by op; nobody reads the acks

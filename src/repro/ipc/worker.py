@@ -26,10 +26,20 @@ of needing cross-process repair.
 Errors are shipped back as ``{"error": {"type", "message"}}`` and
 re-raised by the proxy, mapped onto the matching
 :class:`~repro.errors.MLDSError` subclass by name.
+
+A worker is forked, so it is born holding a copy of the coordinator's
+whole heap — after a restart, every list and dict of the parsed
+snapshot.  None of it is garbage the worker could free, and a collector
+pass over it would also write the GC header of every object, copying
+each page fork had shared.  :func:`worker_main` therefore freezes what
+it inherited (``gc.freeze()``) before it serves its first command,
+first spawn and respawn alike; the collector stays on for everything
+the worker allocates itself.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict
 from typing import Any, Callable, Mapping, Optional
 
@@ -117,6 +127,9 @@ class _Worker:
         backend = self.backend
         if cmd == "execute":
             return self.execute(message)
+        if cmd == "restore":
+            backend.restore(message["rows"])
+            return {"ok": True}
         if cmd == "replay":
             backend.replay(codec.decode_any_request(message["request"]))
             return {"ok": True}
@@ -169,9 +182,6 @@ class _Worker:
                     codec.encode_record(r) for r in backend.store.all_records()
                 ]
             }
-        if cmd == "store_insert":
-            backend.store.insert(codec.decode_record(message["record"]))
-            return {"ok": True}
         if cmd == "store_bulk_insert":
             count = backend.store.bulk_insert(
                 [codec.decode_record(r) for r in message["records"]]
@@ -196,6 +206,9 @@ def worker_main(
     connection: Any,
 ) -> None:
     """Serve one backend until a ``stop`` command (or pipe EOF) arrives."""
+    # Everything tracked now came with the fork: out of the collector's
+    # reach (see the module docstring).
+    gc.freeze()
     apply_config_state(config)
     transport = PipeTransport(connection)
     worker = _Worker(backend_id, timing_state, store_factory)

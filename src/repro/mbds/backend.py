@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.abdl.aggregates import is_aggregate
 from repro.abdl.ast import (
@@ -34,6 +34,7 @@ from repro.abdl.ast import (
 )
 from repro.abdl.executor import Executor, RequestResult
 from repro.abdm.plan import AttributeIndexDigest
+from repro.abdm.record import Record
 from repro.abdm.store import ABStore
 from repro.mbds.timing import TimingModel
 from repro.obs import ObsSpec, resolve_obs
@@ -283,6 +284,20 @@ class Backend:
         """
         with self._lock:
             self.executor.execute(request)
+
+    def restore(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Load this backend's slice of a checkpoint snapshot.
+
+        *rows* are the snapshot's rows as parsed —
+        ``{"pairs": [[attribute, value], ...], "text": ...}`` — and go
+        into the store in one ``bulk_insert``, which builds indexes and
+        clustering collect-then-sort-once.  Like :meth:`replay`, no time
+        is charged.
+        """
+        with self._lock:
+            self.store.bulk_insert(
+                Record.from_pairs(row["pairs"], text=row["text"]) for row in rows
+            )
 
     # -- version chains (MVCC snapshot reads) ------------------------------------
 

@@ -40,7 +40,7 @@ With the default null bundle the traced path is skipped entirely.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.errors import WorkerCrashed
 from repro.mbds.timing import PHASE_BROADCAST
@@ -130,6 +130,19 @@ class ExecutionEngine:
             self.execute_one(backend, request, label)
             for backend, request in zip(backends, requests)
         ]
+
+    def restore(
+        self, backends: Sequence["Backend"], dumps: Sequence[Sequence[Any]]
+    ) -> None:
+        """Load ``dumps[i]`` (a snapshot's rows as parsed) onto ``backends[i]``.
+
+        The farm half of every restore (see
+        :func:`~repro.wal.recovery.restore_farm`).  Backends with an
+        empty dump are skipped.  The default loads them one after another.
+        """
+        for backend, rows in zip(backends, dumps):
+            if rows:
+                backend.restore(rows)
 
     def execute_one(
         self,
@@ -377,6 +390,34 @@ class ProcessPoolEngine(ExecutionEngine):
                 self._note_crash(exc)
                 raise
         return results
+
+    def restore(
+        self, backends: Sequence["Backend"], dumps: Sequence[Sequence[Any]]
+    ) -> None:
+        """Send every worker its dump, then collect every reply.
+
+        A broadcast's send-all, collect-all: the workers decode and
+        insert their slices concurrently.  Every dump goes out at once,
+        whatever the *workers* cap: each worker loads only its own slice.
+        """
+        loading = [(b, rows) for b, rows in zip(backends, dumps) if rows]
+        with self._io_lock:
+            self._check_crashed()
+            try:
+                for backend, rows in loading:
+                    backend.start_restore(rows)  # type: ignore[attr-defined]
+                # Collect every reply even if one raises, as _dispatch does.
+                error: Optional[Exception] = None
+                for backend, _ in loading:
+                    try:
+                        backend.finish_restore()  # type: ignore[attr-defined]
+                    except Exception as exc:
+                        error = error or exc
+                if error is not None:
+                    raise error
+            except WorkerCrashed as exc:
+                self._note_crash(exc)
+                raise
 
     def shutdown(self) -> None:
         with self._io_lock:

@@ -176,7 +176,9 @@ def load_mlds(
             f"(expected {FORMAT_VERSION})"
         )
     # Built between the two pauses: a process engine forks its workers
-    # here, and a forked worker keeps the collector state it was born with.
+    # here, each keeps the collector state it was born with, and each
+    # freezes the parsed snapshot it inherits before it serves (see
+    # repro.ipc.worker) — its collector never walks that heap.
     mlds = MLDS(
         backend_count=snapshot["backend_count"],
         timing=TimingModel(**snapshot["timing"]),
@@ -184,21 +186,25 @@ def load_mlds(
         obs=obs,
         **asdict(config),
     )
-    with collector_paused():
-        for name, entry in snapshot["functional"].items():
-            schema = mlds.define_functional_database(entry["ddl"])
-            for entity_name, last_key in entry["key_counters"].items():
-                schema.entity_types[entity_name].last_key = last_key
-        for name, entry in snapshot["network"].items():
-            mlds.define_network_database(entry["ddl"])
-            mlds._network_mappings[name]._key_counters.update(entry["key_counters"])
-        for name, entry in snapshot["relational"].items():
-            mlds.define_relational_database(entry["ddl"])
-            mlds._relational_mappings[name]._key_counters.update(entry["key_counters"])
-        for name, entry in snapshot["hierarchical"].items():
-            mlds.define_hierarchical_database(entry["ddl"])
-            mapping = mlds._hierarchical_mappings[name]
-            mapping._key_counters.update(entry["key_counters"])
-            mapping._sequence = entry["sequence"]
-        mlds.restored_txn = restore_farm(mlds.kds.controller, snapshot)
+    try:
+        with collector_paused():
+            for name, entry in snapshot["functional"].items():
+                schema = mlds.define_functional_database(entry["ddl"])
+                for entity_name, last_key in entry["key_counters"].items():
+                    schema.entity_types[entity_name].last_key = last_key
+            for name, entry in snapshot["network"].items():
+                mlds.define_network_database(entry["ddl"])
+                mlds._network_mappings[name]._key_counters.update(entry["key_counters"])
+            for name, entry in snapshot["relational"].items():
+                mlds.define_relational_database(entry["ddl"])
+                mlds._relational_mappings[name]._key_counters.update(entry["key_counters"])
+            for name, entry in snapshot["hierarchical"].items():
+                mlds.define_hierarchical_database(entry["ddl"])
+                mapping = mlds._hierarchical_mappings[name]
+                mapping._key_counters.update(entry["key_counters"])
+                mapping._sequence = entry["sequence"]
+            mlds.restored_txn = restore_farm(mlds.kds.controller, snapshot)
+    except BaseException:
+        mlds.kds.shutdown()  # no half-loaded system keeps workers alive
+        raise
     return mlds

@@ -99,18 +99,19 @@ def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -
     :func:`repro.persistence.load_mlds` and :func:`restore_backend_state`,
     and the one place a farm's indexes are built.  The snapshot's index
     attributes (and, on a healed farm, any the controller gained since)
-    go onto the empty stores first; then each backend's record dump goes
-    back onto the same backend in one ``bulk_insert``, which builds the
-    indexes and clustering collect-then-sort-once, to the exact store
-    state the per-record path produced.  The round-robin counters are
-    reset to the snapshot's (see
+    go onto the empty stores first; then the engine puts each backend's
+    record dump back onto the same backend
+    (:meth:`~repro.mbds.engine.ExecutionEngine.restore`): one
+    ``bulk_insert`` per backend, which builds the indexes and clustering
+    collect-then-sort-once, to the exact store state the per-record path
+    produced.  The rows go as parsed; a process engine sends every
+    worker its dump before it waits for any reply.  The round-robin
+    counters are reset to the snapshot's (see
     :meth:`~repro.mbds.placement.RoundRobinPlacement.restore_state`).
 
     Returns the snapshot's transaction watermark; 0 when it was saved
     without a WAL (or *snapshot* is empty: heal-from-empty).
     """
-    from repro.abdm.record import Record
-
     rows_per_backend = snapshot.get("backends") or []
     if rows_per_backend and len(rows_per_backend) != controller.backend_count:
         raise MLDSError(
@@ -118,15 +119,7 @@ def restore_farm(controller: "BackendController", snapshot: Mapping[str, Any]) -
             f"but the farm has {controller.backend_count}"
         )
     controller.add_index(*controller.indexed_attributes, *snapshot.get("indexes", ()))
-    for backend, rows in zip(controller.backends, rows_per_backend):
-        if rows:
-            backend.store.bulk_insert(
-                Record.from_pairs(
-                    [(attribute, value) for attribute, value in row["pairs"]],
-                    text=row["text"],
-                )
-                for row in rows
-            )
+    controller.engine.restore(controller.backends, rows_per_backend)
     # Reset live counters to the durable baseline: a crashed run's may
     # include placements from work that never committed.
     # replay_committed's observe_replay then re-applies the committed
