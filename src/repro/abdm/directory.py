@@ -325,23 +325,23 @@ class ClusteredStore(ABStore):
         self.stats.records_touched += len(found)
         return found
 
-    def _snapshot_candidates(self, name, state, query):
+    def _snapshot_candidates(self, name, snapshot, query):
         """Snapshot reads keep directory pruning.
 
-        A superseded file regroups its pre-image records into a cluster
-        map (first-appearance key order — identical to both the
-        incremental build order and :meth:`_rebuild_clusters`) and runs
-        the same descriptor search the live path uses, so candidate
-        order matches a store replayed to the snapshot exactly.
+        A superseded file regroups :meth:`records_at`'s rebuilt pre-image
+        into a cluster map (first-appearance key order — identical to
+        both the incremental build order and :meth:`_rebuild_clusters`)
+        and runs the same descriptor search the live path uses, so
+        candidate order matches a store replayed to the snapshot exactly.
         """
         if not query.file_names():
-            return super()._snapshot_candidates(name, state, query)
-        if state is None:
-            return self._candidate_clusters(name, query)
+            return super()._snapshot_candidates(name, snapshot, query)
+        if self.snapshot_live([name], snapshot):
+            return self._candidate_clusters(name, query), "clusters"
         regrouped: dict[tuple[int, ...], list[Record]] = {}
-        for record in state:
+        for record in self.records_at(name, snapshot):
             regrouped.setdefault(self.directory.cluster_key(record), []).append(record)
-        return self._scan_clusters(regrouped, query)
+        return self._scan_clusters(regrouped, query), "clusters"
 
     def delete(self, query: Query) -> int:
         deleted = super().delete(query)

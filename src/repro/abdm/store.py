@@ -86,15 +86,24 @@ class ScanStats:
 
 
 class _Version:
-    """One link of a file's version chain: a superseded record list.
+    """One link of a file's version chain: what one commit unit overwrote.
 
-    *records* is the file's full record list as it stood immediately
-    before the mutation that superseded it.  The list is **shallow**
-    (record objects are shared with older versions, with the live file
-    for unmodified records, and with any result still holding them) —
-    safe because stored records are sealed: nothing modifies a
-    :class:`~repro.abdm.record.Record` a store has taken (UPDATE swaps in
-    a sealed copy, see :meth:`ABStore.update`).
+    *length* is the file's length when the unit first wrote it, and
+    *before* maps each position below *length* that the unit overwrote
+    to the committed record that stood there.  The unit's pre-image is
+    the state it left (the next entry's pre-image, or the live file for
+    the newest entry) with those positions put back, cut to *length*.
+    That is exact under one invariant, which every write keeps (see
+    :meth:`ABStore._ensure_pending`): each position below *length* whose
+    record differs from the committed one is in *before*.  An INSERT
+    appends, so *length* alone bounds it; an UPDATE parks the record it
+    swaps; a DELETE compacts, so it parks every position from its first
+    victim on.  Opening an entry is O(1), and no record list is copied.
+
+    Records are shared, never copied — safe because stored records are
+    sealed: nothing modifies a :class:`~repro.abdm.record.Record` a
+    store has taken (UPDATE swaps in a sealed copy, see
+    :meth:`ABStore.update`).
 
     *superseded_at* is the commit seq of the transaction that replaced
     this state, or None while that transaction is still pending (not yet
@@ -103,15 +112,32 @@ class _Version:
     the pre-image of an uncommitted write *is* the committed state).
     """
 
-    __slots__ = ("superseded_at", "records")
+    __slots__ = ("superseded_at", "length", "before")
 
-    def __init__(self, superseded_at: Optional[int], records: list[Record]) -> None:
+    def __init__(
+        self, superseded_at: Optional[int], length: int, before: dict[int, Record]
+    ) -> None:
         self.superseded_at = superseded_at
-        self.records = records
+        self.length = length
+        self.before = before
 
     def __repr__(self) -> str:
         state = "pending" if self.superseded_at is None else f"<{self.superseded_at}"
-        return f"_Version({state}, {len(self.records)} records)"
+        return f"_Version({state}, length {self.length}, {len(self.before)} parked)"
+
+
+def _patched(
+    live: list[Record], length: int, before: dict[int, Record]
+) -> list[Record]:
+    """``live[:length]`` with every position *before* holds below
+    *length* put back: a pre-image, materialised."""
+    records = live[:length]
+    if len(records) < length:  # a DELETE shortened the file; *before* has the rest
+        records.extend([None] * (length - len(records)))  # type: ignore[list-item]
+    for seq, record in before.items():
+        if seq < length:
+            records[seq] = record
+    return records
 
 
 #: Default cap on sealed version-chain entries retained per file.  The
@@ -191,13 +217,13 @@ class ABStore:
         # MVCC version chains (snapshot reads).  While _capture is True
         # (the backend sets it around every mutating request), the first
         # mutation of a file in a commit cycle appends a *pending* chain
-        # entry holding the file's pre-image; seal_versions() stamps it
-        # with the commit seq once the transaction is durable.  Replay,
-        # recovery, persistence, and direct store use leave _capture
-        # False and park no pre-image.
+        # entry, the delta that leads back to the file's pre-image (see
+        # _Version); seal_versions() stamps it with the commit seq once
+        # the transaction is durable.  Replay, recovery, persistence, and
+        # direct store use leave _capture False and open no entry.
         self._capture = False
         self.version_retain = DEFAULT_VERSION_RETAIN
-        #: file name -> oldest-first chain of superseded record lists
+        #: file name -> oldest-first chain of version deltas
         self._versions: dict[str, list[_Version]] = {}
         #: file name -> lowest snapshot seq still reconstructable; reads
         #: below it raise SnapshotTooOld (their version was trimmed).
@@ -284,21 +310,26 @@ class ABStore:
 
     # -- version chains (MVCC snapshot reads) ---------------------------------
 
-    def _ensure_pending(self, name: str) -> None:
-        """Capture *name*'s pre-image before the first mutation of a cycle.
+    def _ensure_pending(self, name: str) -> Optional[_Version]:
+        """The pending chain entry a write to *name* records into.
 
-        No-op unless capture mode is on (i.e. the mutation came through a
-        backend request).  The pre-image is a shallow copy of the live
-        record list; at most one pending entry exists per file at a time
-        (writers on one file serialize under X locks).
+        Under capture mode (the mutation came through a backend request)
+        the first write of a commit cycle opens one: the file's length
+        and an empty delta, O(1) whatever the file's size.  A write
+        outside capture mode opens none, but still records into an entry
+        its cycle already opened, so an abort undoes it too.  None means
+        there is nothing to record into.  At most one pending entry
+        exists per file at a time (writers on one file serialize under X
+        locks).
         """
-        if not self._capture:
-            return
-        chain = self._versions.setdefault(name, [])
+        chain = self._versions.get(name)
         if chain and chain[-1].superseded_at is None:
-            return
-        abfile = self._files.get(name)
-        chain.append(_Version(None, list(abfile.records()) if abfile else []))
+            return chain[-1]
+        if not self._capture:
+            return None
+        entry = _Version(None, self.count(name), {})
+        self._versions.setdefault(name, []).append(entry)
+        return entry
 
     def seal_versions(
         self, files: Optional[Iterable[str]], seq: int, watermark: int
@@ -353,8 +384,9 @@ class ABStore:
             if not chain:
                 del self._versions[name]
 
-    def _version_state(self, name: str, snapshot: int) -> Optional[list[Record]]:
-        """The record list of *name* at *snapshot*, or None if live serves.
+    def _serving(self, name: str, snapshot: int) -> Optional[int]:
+        """The index of the chain entry whose pre-image is *name* at
+        *snapshot*, or None if the live state serves.
 
         Raises :class:`SnapshotTooOld` when the version that would serve
         *snapshot* has been trimmed from the chain.
@@ -366,21 +398,48 @@ class ABStore:
                 f"(oldest reconstructable seq is {trimmed}); retry at a "
                 "fresher snapshot"
             )
-        chain = self._versions.get(name)
-        if chain:
-            for entry in chain:
-                sup = entry.superseded_at
-                if sup is None or sup > snapshot:
-                    return entry.records
+        for index, entry in enumerate(self._versions.get(name, ())):
+            sup = entry.superseded_at
+            if sup is None or sup > snapshot:
+                return index
         return None
 
-    def records_at(self, name: str, snapshot: int) -> list[Record]:
-        """*name*'s committed records as of commit seq *snapshot*."""
-        state = self._version_state(name, snapshot)
-        if state is not None:
-            return state
+    def _version_delta(
+        self, name: str, snapshot: int
+    ) -> Optional[tuple[int, dict[int, Record]]]:
+        """``(length, before)`` that turn the live *name* back into its
+        state at *snapshot*, or None if the live state serves.
+
+        The state at *snapshot* is the serving entry's pre-image, so the
+        deltas from that entry up to the newest compose: a position takes
+        the record the oldest of them parked there (it stood at
+        *snapshot*), else the live one.  *length* is the serving entry's.
+        """
+        index = self._serving(name, snapshot)
+        if index is None:
+            return None
+        chain = self._versions[name]
+        if index == len(chain) - 1:
+            return chain[index].length, chain[index].before
+        before: dict[int, Record] = {}
+        for later in reversed(chain[index:]):  # the oldest updates last, so wins
+            before.update(later.before)
+        return chain[index].length, before
+
+    def _live_records(self, name: str) -> list[Record]:
         abfile = self._files.get(name)
         return abfile.records() if abfile else []
+
+    def records_at(self, name: str, snapshot: int) -> list[Record]:
+        """*name*'s committed records as of commit seq *snapshot*: the
+        live list, or the pre-image rebuilt from the version deltas
+        (counted in ``abdm.snapshot.rebuilt``)."""
+        delta = self._version_delta(name, snapshot)
+        live = self._live_records(name)
+        if delta is None:
+            return live
+        self._obs.metrics.inc("abdm.snapshot.rebuilt")
+        return _patched(live, *delta)
 
     def snapshot_live(self, pinned: Iterable[str], snapshot: int) -> bool:
         """True when the live state of every queried file is valid at
@@ -390,58 +449,74 @@ class ABStore:
             return True
         names = sorted(set(pinned)) or sorted(self._files)
         try:
-            return all(self._version_state(n, snapshot) is None for n in names)
+            return all(self._serving(n, snapshot) is None for n in names)
         except SnapshotTooOld:
             return False
-
-    def _snapshot_file_names(self, query: Query) -> list[str]:
-        pinned = query.file_names()
-        if pinned:
-            return sorted(pinned)
-        return sorted(self._files)
 
     def find_at(self, query: Query, snapshot: int) -> list[Record]:
         """RETRIEVE evaluation against the committed state at *snapshot*.
 
-        Files whose live state is already valid at *snapshot* take the
-        ordinary (index-planned) path; files superseded past it scan the
-        reconstructed pre-image.  Record content and order are identical
-        to running :meth:`find` against a store replayed to *snapshot*.
+        Each file is planned on its live index, and a superseded file's
+        candidates are corrected with its version deltas (see
+        :meth:`_snapshot_candidates`).  Record content and order are
+        identical to running :meth:`find` against a store replayed to
+        *snapshot*.
         """
-        if not self._versions and not self._trimmed_below:
-            return self.find(query)
-        names = self._snapshot_file_names(query)
-        states = {name: self._version_state(name, snapshot) for name in names}
-        if all(state is None for state in states.values()):
+        pinned = query.file_names()
+        if self.snapshot_live(pinned, snapshot):
             return self.find(query)
         found: list[Record] = []
         select = self.selector(query)
-        for name in names:
-            found += self._scan(select, self._snapshot_candidates(name, states[name], query))
+        paths: set[str] = set()
+        for name in sorted(pinned) or sorted(self._files):
+            candidates, label = self._snapshot_candidates(name, snapshot, query)
+            paths.add(label)
+            found += self._scan(select, candidates)
         self.stats.records_touched += len(found)
+        span = self._obs.tracer.current
+        if span is not None:
+            span.record(**{"plan.access_path": "+".join(sorted(paths)) or "none"})
         return found
 
     def _snapshot_candidates(
-        self, name: str, state: Optional[list[Record]], query: Query
-    ) -> Sequence[Record]:
-        """What a snapshot read of *query* examines in file *name*: the
-        superseded record list *state*, or (None) the still-valid live file."""
-        if state is not None:
-            return state
-        abfile = self._files.get(name)
-        return abfile.records() if abfile else []
+        self, name: str, snapshot: int, query: Query
+    ) -> tuple[Sequence[Record], str]:
+        """What a snapshot read of *query* examines in file *name*, in
+        file order, and the label of its access path.
+
+        A planned file takes the live candidates whose position is below
+        the snapshot's length and was not overwritten since, plus the
+        parked records below that length.  An unplanned file scans
+        :meth:`records_at`.
+        """
+        candidates, label = self._served_candidates(name, query)
+        if candidates is None:
+            return self.records_at(name, snapshot), label
+        delta = self._version_delta(name, snapshot)
+        if delta is None:
+            return _records(candidates), label
+        length, before = delta
+        entries = [
+            (seq, record)
+            for seq, record in candidates
+            if seq < length and seq not in before
+        ]
+        entries.extend((seq, record) for seq, record in before.items() if seq < length)
+        entries.sort()  # positions are distinct, so no two records are compared
+        return _records(entries), label
 
     def rollback_pending(self, files: Optional[Iterable[str]] = None) -> list[str]:
         """Undo the uncommitted writes to *files* (None = every file).
 
-        A pending version entry *is* the committed state its transaction
-        must return to on abort: its record pointers are copied back into
-        the live list (never aliased — readers may still hold the entry),
-        the file's index is rebuilt once, and the entry is discarded.  The
-        sealed chain and the trim horizon stay, so concurrent snapshot
-        readers keep reconstructing older states.  An empty pre-image
-        means the transaction created the file, which is dropped.
-        Returns the names of the files rolled back.
+        A pending version entry's delta turns the live file back into
+        the committed state its transaction must return to on abort:
+        the live list is cut to the entry's length and the parked
+        records go back to their positions, the file's index is rebuilt
+        once, and the entry is discarded.  The sealed chain and
+        the trim horizon stay, so concurrent snapshot readers keep
+        reconstructing older states.  A length of 0 means the
+        transaction created the file, which is dropped.  Returns the
+        names of the files rolled back.
         """
         names = sorted(files) if files is not None else sorted(self._versions)
         rolled: list[str] = []
@@ -449,11 +524,12 @@ class ABStore:
             chain = self._versions.get(name)
             if not chain or chain[-1].superseded_at is not None:
                 continue
-            committed = chain.pop().records
+            entry = chain.pop()
             if not chain:
                 del self._versions[name]
-            if committed:
-                self.file(name).records()[:] = committed
+            if entry.length:
+                live = self.file(name).records()
+                live[:] = _patched(live, entry.length, entry.before)
             else:
                 self._files.pop(name, None)
             self._bump_epoch(name)
@@ -682,7 +758,8 @@ class ABStore:
         for record in batch:
             name = record.file_name
             assert name is not None
-            self._ensure_pending(name)
+            if name not in touched:
+                self._ensure_pending(name)
             self.file(name).insert(record.seal())
             if self._indexed:
                 self._index_add_deferred(name, record)
@@ -731,9 +808,18 @@ class ABStore:
                 select, records if candidates is None else _records(candidates)
             )
             if victims:
-                self._ensure_pending(abfile.name)
+                # Compaction moves every record after the first victim, so
+                # the pending delta parks that whole suffix.
+                head = victims[0]
+                entries = enumerate(records) if candidates is None else candidates
+                first = next(seq for seq, record in entries if record is head)
+                pending = self._ensure_pending(abfile.name)
+                if pending is not None:
+                    park = pending.before.setdefault
+                    for seq in range(first, min(len(records), pending.length)):
+                        park(seq, records[seq])
                 victim_ids = {id(record) for record in victims}
-                records[:] = [r for r in records if id(r) not in victim_ids]
+                records[first:] = [r for r in records[first:] if id(r) not in victim_ids]
                 self._bump_epoch(abfile.name)
                 if self._indexed:
                     self._rebuild_index(abfile.name)
@@ -753,9 +839,9 @@ class ABStore:
         are sealed and shared — by version pre-images, the result cache
         and results callers still hold — so each match is copied,
         modified, sealed, and swapped into the live list at its seq,
-        leaving the original untouched for everyone holding it.  Under
-        version capture the pre-image is parked once something matched,
-        while the live list is still pristine.
+        leaving the original untouched for everyone holding it.  A
+        pending version entry parks each swapped record once, the first
+        time its seq is swapped in the commit cycle.
 
         The cost is what the statement touches: the planner hands back
         each candidate's seq, which *is* its live position, and only the
@@ -777,10 +863,11 @@ class ABStore:
             table = self._indexes.get(name, {})
             patch_limit = len(live) // 4
             touched = 0
-            if hits:
-                self._ensure_pending(name)
+            pending = self._ensure_pending(name) if hits else None
             for record in hits:
                 seq = seq_of[id(record)]
+                if pending is not None and seq < pending.length:
+                    pending.before.setdefault(seq, record)
                 keys = record.keyword_map()
                 before = [keys.get(attribute, _ABSENT) for attribute in table]
                 record = record.copy()

@@ -15,7 +15,7 @@ statement with :meth:`KernelController.mark` /
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, ContextManager, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mbds.sessions import KernelSession
@@ -89,6 +89,11 @@ class KernelController:
         )
         with scope:
             yield
+
+    def exclusive(self, files: Sequence[str]) -> ContextManager["KernelSession"]:
+        """Hold X locks on *files* around a check-then-write — see
+        :meth:`repro.mbds.kds.KernelDatabaseSystem.exclusive`."""
+        return self.kds.exclusive(files, self.session)
 
     def retrieve(
         self,

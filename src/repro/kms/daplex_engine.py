@@ -419,18 +419,22 @@ class DaplexEngine:
         for name in values:
             if name not in known:
                 raise SchemaError(f"{type_name!r} declares no function {name!r}")
-        if type_name in self.schema.entity_types:
-            if statement.selector is not None:
-                raise TranslationError(
-                    f"{type_name!r} is a base entity type; the OF clause applies "
-                    f"to subtypes"
-                )
-            dbkey = self.schema.entity_types[type_name].next_key()
-        else:
-            dbkey = self._select_supertype_entity(statement)
-        self._check_uniqueness(type_name, values)
-        for record in self.mapping.build_records(type_name, dbkey, values):
-            self.kc.execute(InsertRequest(record))
+        if type_name in self.schema.entity_types and statement.selector is not None:
+            raise TranslationError(
+                f"{type_name!r} is a base entity type; the OF clause applies "
+                f"to subtypes"
+            )
+        # The probes (is the entity already in the subtype? UNIQUE?) are
+        # locking reads: they and the INSERTs they guard hold the file's
+        # X lock as one unit.
+        with self.kc.exclusive([type_name]):
+            if type_name in self.schema.entity_types:
+                dbkey = self.schema.entity_types[type_name].next_key()
+            else:
+                dbkey = self._select_supertype_entity(statement)
+            self._check_uniqueness(type_name, values)
+            for record in self.mapping.build_records(type_name, dbkey, values):
+                self.kc.execute(InsertRequest(record))
         result = DaplexResult(type_name, touched=1)
         result.rows.append({type_name: dbkey})
         return result

@@ -303,22 +303,27 @@ class FunctionalTargetAdapter(TargetAdapter):
     ) -> tuple[str, Record]:
         if self.is_link(record_type):
             return self._store_link(record_type)
-        if record_type in self.functional.subtypes:
-            dbkey = self._subtype_store_key(record_type, cit)
-        elif record_type in self.functional.entity_types:
-            dbkey = self.functional.entity_types[record_type].next_key()
-        else:
+        subtype = record_type in self.functional.subtypes
+        if not subtype and record_type not in self.functional.entity_types:
             raise SchemaError(f"{record_type!r} is not a record type of this database")
-        self._check_duplicates(record_type, template)
-        node = self.functional.entity_or_subtype(record_type)
-        values = {
-            function.name: template[function.name]
-            for function in node.functions
-            if function.name in template and not function.is_entity_valued
-        }
-        records = self.mapping.build_records(record_type, dbkey, values)
-        for record in records:
-            self.kc.execute(InsertRequest(record))
+        # The probes (is the entity already in the subtype? a duplicate?)
+        # are locking reads: they and the INSERTs they guard hold the
+        # file's X lock as one unit.
+        with self.kc.exclusive([record_type]):
+            if subtype:
+                dbkey = self._subtype_store_key(record_type, cit)
+            else:
+                dbkey = self.functional.entity_types[record_type].next_key()
+            self._check_duplicates(record_type, template)
+            node = self.functional.entity_or_subtype(record_type)
+            values = {
+                function.name: template[function.name]
+                for function in node.functions
+                if function.name in template and not function.is_entity_valued
+            }
+            records = self.mapping.build_records(record_type, dbkey, values)
+            for record in records:
+                self.kc.execute(InsertRequest(record))
         return dbkey, records[0]
 
     def _store_link(self, link_name: str) -> tuple[str, Record]:

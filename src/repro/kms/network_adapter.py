@@ -108,35 +108,37 @@ class NetworkTargetAdapter(TargetAdapter):
             for name in (a.name for a in record_def.attributes)
             if name in template and name != record_type
         }
-        # Duplicates check (VI.G): one auxiliary RETRIEVE over the items
-        # whose duplicates flag is cleared.
         constrained = [
             a.name
             for a in record_def.attributes
             if not a.duplicates_allowed and a.name in values and a.name != record_type
         ]
-        if constrained:
-            predicates = [Predicate("FILE", "=", record_type)]
-            predicates.extend(Predicate(item, "=", values[item]) for item in constrained)
-            duplicates = self.kc.execute(
-                RetrieveRequest(Query.conjunction(predicates), (TargetItem(record_type),))
-            ).records
-            if duplicates:
-                raise ConstraintViolation(
-                    f"STORE {record_type}: DUPLICATES ARE NOT ALLOWED for "
-                    f"{', '.join(constrained)}"
-                )
-        # Automatic sets connect to their current occurrence (selection is
-        # BY APPLICATION); manual sets start disconnected.
-        memberships: dict[str, Optional[str]] = {}
-        for set_def in self.schema.sets_with_member(record_type):
-            if set_def.insertion is InsertionMode.AUTOMATIC and not set_def.system_owned:
-                memberships[set_def.name] = cit.require_set_owner(set_def.name)
-            else:
-                memberships[set_def.name] = None
-        dbkey = self.mapping.mint_key(record_type)
-        record = self.mapping.build_record(record_type, dbkey, values, memberships)
-        self.kc.execute(InsertRequest(record))
+        # Duplicates check (VI.G): one auxiliary RETRIEVE over the items
+        # whose duplicates flag is cleared — a locking read that holds
+        # the file's X lock with the INSERT it guards, as one unit.
+        with self.kc.exclusive([record_type]):
+            if constrained:
+                predicates = [Predicate("FILE", "=", record_type)]
+                predicates.extend(Predicate(item, "=", values[item]) for item in constrained)
+                duplicates = self.kc.execute(
+                    RetrieveRequest(Query.conjunction(predicates), (TargetItem(record_type),))
+                ).records
+                if duplicates:
+                    raise ConstraintViolation(
+                        f"STORE {record_type}: DUPLICATES ARE NOT ALLOWED for "
+                        f"{', '.join(constrained)}"
+                    )
+            # Automatic sets connect to their current occurrence (selection
+            # is BY APPLICATION); manual sets start disconnected.
+            memberships: dict[str, Optional[str]] = {}
+            for set_def in self.schema.sets_with_member(record_type):
+                if set_def.insertion is InsertionMode.AUTOMATIC and not set_def.system_owned:
+                    memberships[set_def.name] = cit.require_set_owner(set_def.name)
+                else:
+                    memberships[set_def.name] = None
+            dbkey = self.mapping.mint_key(record_type)
+            record = self.mapping.build_record(record_type, dbkey, values, memberships)
+            self.kc.execute(InsertRequest(record))
         return dbkey, record
 
     def connect(

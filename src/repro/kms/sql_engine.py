@@ -262,22 +262,25 @@ class SqlEngine:
                 f"{len(statement.values)} values"
             )
         values = dict(zip(columns, statement.values))
-        if relation.primary_key:
-            predicates = [Predicate("FILE", "=", statement.table)]
-            complete = True
-            for key_column in relation.primary_key:
-                if values.get(key_column) is None:
-                    complete = False
-                    break
-                predicates.append(Predicate(key_column, "=", values[key_column]))
-            if complete and self.kc.retrieve(Query.conjunction(predicates)):
-                raise ConstraintViolation(
-                    f"INSERT INTO {statement.table}: duplicate primary key "
-                    f"({', '.join(relation.primary_key)})"
-                )
-        dbkey = self.mapping.mint_key(statement.table)
-        record = self.mapping.build_record(statement.table, dbkey, values)
-        self.kc.execute(InsertRequest(record))
+        # The key probe is a locking read: it and the INSERT it guards
+        # hold the table's X lock as one unit.
+        with self.kc.exclusive([statement.table]):
+            if relation.primary_key:
+                predicates = [Predicate("FILE", "=", statement.table)]
+                complete = True
+                for key_column in relation.primary_key:
+                    if values.get(key_column) is None:
+                        complete = False
+                        break
+                    predicates.append(Predicate(key_column, "=", values[key_column]))
+                if complete and self.kc.retrieve(Query.conjunction(predicates)):
+                    raise ConstraintViolation(
+                        f"INSERT INTO {statement.table}: duplicate primary key "
+                        f"({', '.join(relation.primary_key)})"
+                    )
+            dbkey = self.mapping.mint_key(statement.table)
+            record = self.mapping.build_record(statement.table, dbkey, values)
+            self.kc.execute(InsertRequest(record))
         return SqlResult(statement.table, touched=1)
 
     # -- UPDATE / DELETE ------------------------------------------------------------------

@@ -57,7 +57,7 @@ RESULT_CACHE_MAX_RECORDS = 256
 RESULT_CACHE_SIZE = 128
 
 #: Request types that change what a backend's slice contains (and so
-#: park a version pre-image of each file they touch).
+#: open a version delta for each file they touch).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
 
 
@@ -160,7 +160,7 @@ class Backend:
         state at that commit seq (MVCC).  The result cache still serves
         — but only when every queried file's live state is valid at the
         snapshot (``snapshot_live``); a file superseded past the
-        snapshot forces the uncached reconstruction path.
+        snapshot forces the uncached snapshot path.
         """
         with self._lock:
             use_cache = (
@@ -205,9 +205,9 @@ class Backend:
         before = self.store.stats.copy()
         mutating = isinstance(request, _MUTATING_REQUESTS)
         if mutating:
-            # Version capture: the store parks a pre-image of each file
-            # this request touches, sealed with the commit seq once the
-            # transaction is durable (or restored from on abort).
+            # Version capture: the store opens a version delta for each
+            # file this request touches, sealed with the commit seq once
+            # the transaction is durable (or rolled back with on abort).
             self.store._capture = True
         try:
             if is_aggregate(request):
@@ -313,9 +313,9 @@ class Backend:
 
         *files* is the transaction's write set (None = it wrote
         unpinned, under the global exclusive lock, so every pending
-        entry is its own).  The store restores each from the pending
-        pre-image it parked at the first write; returns how many files
-        this slice rolled back.
+        entry is its own).  The store turns each back with the pending
+        version delta it recorded since the first write; returns how many
+        files this slice rolled back.
         """
         with self._lock:
             return len(self.store.rollback_pending(files))
@@ -349,7 +349,7 @@ class Backend:
         is why the fast path charges a single disk access per backend.
         A snapshot read can only use the digests when the file's live
         state is valid at the snapshot; otherwise it falls back to the
-        scan, which reconstructs.
+        scan path, which corrects for the version deltas.
         """
         with self._lock:
             if snapshot is not None and not self.store.snapshot_live(

@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.mbds.controller import BackendController, ExecutionTrace
 from repro.mbds.engine import EngineSpec, ProcessPoolEngine
-from repro.mbds.locks import LockManager, affected_files, lock_items
+from repro.mbds.locks import LockManager, affected_files, exclusive_items, lock_items
 from repro.mbds.placement import RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
 from repro.mbds.timing import (
@@ -237,8 +237,9 @@ class KernelDatabaseSystem:
         version chains sealed at the new seq while the session still
         holds every lock it acquired (strict two-phase locking), which
         is what makes the concurrent history conflict-equivalent to
-        commit_seq order — and what makes the sealed pre-images the
-        committed state every snapshot below the seq must see.
+        commit_seq order — and what makes the sealed version deltas
+        lead back to the committed state every snapshot below the seq
+        must see.
 
         A doomed transaction (see :meth:`_refuse_doomed`) is aborted
         instead, with :class:`~repro.errors.TransactionAborted`.
@@ -260,11 +261,12 @@ class KernelDatabaseSystem:
         """Abort *session*'s transaction: WAL abort plus file-level undo.
 
         Undo rolls back exactly the transaction's write set: each backend
-        restores those files from the pending pre-images its store parked
-        at the first write — still under the transaction's exclusive
-        locks, so no other session can have observed the rolled-back
-        state.  The placement counters the transaction's INSERTs advanced
-        are rewound too, and finally the locks are released.
+        turns those files back with the pending version deltas its store
+        recorded since the first write — still under the transaction's
+        exclusive locks, so no other session can have observed the
+        rolled-back state.  The placement counters the transaction's
+        INSERTs advanced are rewound too, and finally the locks are
+        released.
 
         A farm that lost a worker is not asked to undo anything: the
         dead worker cannot answer and a survivor may still hold the
@@ -329,8 +331,8 @@ class KernelDatabaseSystem:
         half of, or none of.  No commit record may ever follow it:
         recovery would replay the op in full (or fail where the live
         apply failed) and the log would disagree with the farm it
-        describes.  The transaction can only abort, which restores the
-        stores from their pending pre-images.
+        describes.  The transaction can only abort, which turns the
+        stores back with their pending version deltas.
         """
         if session.doomed:
             self.session_abort(session)
@@ -354,9 +356,10 @@ class KernelDatabaseSystem:
         RETRIEVE / RETRIEVE-COMMON from a session that has not yet
         written in its transaction take the lock-free snapshot path
         instead (when ``snapshot_reads`` is on): the read pins the
-        newest stable commit seq and reconstructs that committed state
-        from the stores' version chains, acquiring no S locks at all —
-        readers never block writers and writers never block readers.  A
+        newest stable commit seq, and each store plans it on its live
+        index and corrects the candidates with its version deltas,
+        acquiring no S locks at all — readers never block writers and
+        writers never block readers.  A
         session that has mutated must read its own uncommitted writes,
         which no snapshot contains, so it falls back to locking reads.
         """
@@ -393,6 +396,38 @@ class KernelDatabaseSystem:
             if release_after:
                 # A no-op after a unit, whose commit or abort released.
                 self.locks.release_all(session.owner)
+
+    @contextmanager
+    def exclusive(
+        self, files: Sequence[str], session: Optional[KernelSession] = None
+    ) -> Iterator[KernelSession]:
+        """Run a check-then-write on *files* under their X locks.
+
+        A uniqueness probe and the INSERT it guards must read and write
+        one state: were the probe a lock-free snapshot read, two
+        sessions could both probe, both see no row and both commit one.
+        Inside the block *session* holds X on every file of *files*, and
+        they count as written, so its reads of them lock and see the
+        live state.  In a transaction the locks stay to its end (2PL);
+        outside one the block is one commit unit, opened once the locks
+        are granted, as a single mutation's is (see
+        :meth:`_execute_session`).
+        """
+        session = session or self._own
+        self._refuse_doomed(session)
+        items = exclusive_items(files)
+        if session.in_transaction:
+            self.locks.acquire(session.owner, items, session.lock_timeout)
+            session.written.update(files)
+            yield session
+            return
+        try:
+            self.locks.acquire(session.owner, items, session.lock_timeout)
+            with self.session_transaction(session):
+                session.written.update(files)
+                yield session
+        finally:
+            self.locks.release_all(session.owner)
 
     def _mutate(self, request: Request, session: KernelSession) -> ExecutionTrace:
         """Run one mutation inside *session*'s open transaction.
@@ -466,8 +501,9 @@ class KernelDatabaseSystem:
     # after its commit record, with its commit seq (repro.abdm.store
     # keeps the chains), then publishes the seq as *stable* once every
     # earlier seq is sealed too.  A lock-free read pins the stable seq;
-    # the stores reconstruct that committed state from their chains.  The
-    # pin holds the GC watermark down so the entries the read needs
+    # each store plans it on its live index and corrects the candidates
+    # with the deltas its chain parked since (repro.abdm.store._Version).
+    # The pin holds the GC watermark down so the entries the read needs
     # cannot be trimmed out from under it (and a retain-cap trim that
     # gets there anyway surfaces as SnapshotTooOld, answered by retrying
     # fresher).

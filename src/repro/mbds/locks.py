@@ -155,6 +155,11 @@ def affected_files(query: Query) -> Optional[frozenset[str]]:
     return frozenset(names)
 
 
+def exclusive_items(files: Iterable[str]) -> List[LockItem]:
+    """The lock set of a mutation pinned to *files*."""
+    return [(GLOBAL_RESOURCE, _M.IX)] + [(f, _M.X) for f in sorted(set(files))]
+
+
 def lock_items(request: Request) -> List[LockItem]:
     """The lock set a kernel request must hold before executing.
 
@@ -165,19 +170,17 @@ def lock_items(request: Request) -> List[LockItem]:
         file_name = request.record.file_name
         if file_name is None:
             return [(GLOBAL_RESOURCE, _M.X)]
-        return [(GLOBAL_RESOURCE, _M.IX), (file_name, _M.X)]
+        return exclusive_items([file_name])
     if isinstance(request, BulkInsertRequest):
         files = {record.file_name for record in request.records}
         if None in files:
             return [(GLOBAL_RESOURCE, _M.X)]
-        return [(GLOBAL_RESOURCE, _M.IX)] + [
-            (f, _M.X) for f in sorted(files)  # type: ignore[type-var]
-        ]
+        return exclusive_items(files)  # type: ignore[arg-type]
     if isinstance(request, (DeleteRequest, UpdateRequest)):
         files = affected_files(request.query)
         if files is None:
             return [(GLOBAL_RESOURCE, _M.X)]
-        return [(GLOBAL_RESOURCE, _M.IX)] + [(f, _M.X) for f in sorted(files)]
+        return exclusive_items(files)
     if isinstance(request, RetrieveCommonRequest):
         left = affected_files(request.left_query)
         right = affected_files(request.right_query)

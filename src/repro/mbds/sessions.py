@@ -15,10 +15,12 @@ Transaction-scoped fields:
 * ``wal_txn`` — the session's open WAL transaction id (None without a
   WAL or outside a transaction).
 * ``written`` — the names of the files this transaction's mutations
-  pinned: its write set, at the granule the lock manager protects.  The
-  pre-images themselves stay in the stores, as the pending version
-  entries the first write to each file parked; commit seals exactly
-  these files and abort rolls exactly these back.
+  pinned, or that it locked for a check-then-write
+  (``KernelDatabaseSystem.exclusive``): its write set, at the granule
+  the lock manager protects.  The undo information stays in the
+  stores, as the pending version deltas the first write to each file
+  opened; commit seals exactly these files and abort rolls exactly
+  these back.
 * ``wrote_unpinned`` — a mutation left the file open, so it could touch
   any file (and held the global exclusive lock): commit and abort then
   settle every pending entry on the farm.

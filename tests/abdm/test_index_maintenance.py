@@ -326,7 +326,7 @@ def run(store, script, captures):
             store.seal_versions(None, seq, seq - 1)
         else:
             before = {
-                name: [id(r) for r in chain[-1].records]
+                name: [id(r) for r in store.records_at(name, seq)]
                 for name, chain in store._versions.items()
                 if chain[-1].superseded_at is None
             }

@@ -152,3 +152,134 @@ def test_snapshot_reads_equal_committed_prefix_serial(actions):
 @given(scripts())
 def test_snapshot_reads_equal_committed_prefix_process(actions):
     check_engine(actions, "process", workers=2)
+
+
+# -- deltas on an indexed file -----------------------------------------------------
+#
+# One writer session runs units one after another on file ``f``, whose
+# attribute ``x`` is indexed, so UPDATE and DELETE overwrite indexed
+# records and an abort has to put them back.  A reader pins snapshots
+# between the units and reads them again after later units, so a read
+# composes the deltas of every commit since its pin.  With one writer,
+# placement is the commit-order replay's, so the check is on record
+# order too, not only on the record set.
+
+INDEXED_READS = (
+    "RETRIEVE ((FILE = f) AND (x = {v})) (*)",
+    "RETRIEVE ((FILE = f) AND (x >= {v})) (*)",
+    "RETRIEVE (FILE = f) (*)",
+)
+VALUES = st.integers(0, 5)
+
+
+@st.composite
+def indexed_ops(draw):
+    kind = draw(st.sampled_from(["insert", "update", "update", "delete", "read"]))
+    if kind == "insert":
+        return ("write", f"INSERT (<FILE, f>, <x, {draw(VALUES)}>)")
+    if kind == "update":
+        return ("write", f"UPDATE ((FILE = f) AND (x = {draw(VALUES)})) (x = {draw(VALUES)})")
+    if kind == "delete":
+        return ("write", f"DELETE ((FILE = f) AND (x = {draw(VALUES)}))")
+    query = draw(st.sampled_from(INDEXED_READS)).format(v=draw(VALUES))
+    return ("read", draw(st.integers(0, 9)), query)
+
+
+@st.composite
+def indexed_histories(draw):
+    """Units (auto / commit / abort) with pins between them; the first
+    two units commit, so the first pin outlives at least two commits."""
+    steps = [("pin",)]
+    for index in range(draw(st.integers(3, 6))):
+        ends = ["auto", "commit"] if index < 2 else ["auto", "commit", "abort"]
+        end = draw(st.sampled_from(ends))
+        ops = draw(st.lists(indexed_ops(), min_size=1, max_size=1 if end == "auto" else 4))
+        if end == "auto":  # one write, read by nobody inside its unit
+            ops = [op for op in ops if op[0] == "write"][:1] or [
+                ("write", "INSERT (<FILE, f>, <x, 0>)")
+            ]
+        steps.append(("unit", end, ops))
+        if draw(st.booleans()):
+            steps.append(("pin",))
+    return steps
+
+
+def indexed_kernel(engine, workers=None):
+    kds = KernelDatabaseSystem(backend_count=2, engine=engine, workers=workers)
+    kds.controller.add_index("x")
+    for value in (0, 1, 2, 3, 4, 5, 2, 4):
+        kds.execute(parse_request(f"INSERT (<FILE, f>, <x, {value}>)"))
+    return kds
+
+
+def ordered_image(trace):
+    return [(tuple(r.pairs()), r.text) for r in trace.result.records]
+
+
+def run_indexed(steps, engine, workers=None):
+    """Execute *steps*; return (committed units, reads as (seq, query, image))."""
+    kds = indexed_kernel(engine, workers)
+    try:
+        writer = kds.create_session("writer")
+        committed: list[tuple[int, list[str]]] = []
+        pins: list[int] = []
+        reads: list[tuple[int, str, list]] = []
+
+        def read(pin, query):
+            seq = pins[pin % len(pins)]
+            trace = kds.controller.execute(parse_request(query), snapshot=seq)
+            reads.append((seq, query, ordered_image(trace)))
+
+        for step in steps:
+            if step[0] == "pin":
+                pins.append(kds._open_snapshot()[1])
+                continue
+            _, end, ops = step
+            texts = [op[1] for op in ops if op[0] == "write"]
+            if end == "auto":
+                trace = kds.execute(parse_request(texts[0]), session=writer)
+                committed.append((trace.commit_seq, texts))
+                continue
+            kds.session_begin(writer)
+            for op in ops:
+                if op[0] == "write":
+                    kds.execute(parse_request(op[1]), session=writer)
+                else:
+                    read(op[1], op[2])
+            if end == "commit":
+                committed.append((kds.session_commit(writer), texts))
+            else:
+                kds.session_abort(writer)
+        for pin in range(len(pins)):
+            for query in INDEXED_READS:
+                read(pin, query.format(v=2))
+        return committed, reads
+    finally:
+        kds.shutdown()
+
+
+def check_indexed(steps, engine, workers=None):
+    committed, reads = run_indexed(steps, engine, workers)
+    for seq, query, image in reads:
+        replay = indexed_kernel("serial")
+        try:
+            for unit_seq, texts in sorted(committed):
+                if unit_seq > seq:
+                    break
+                for text in texts:
+                    replay.execute(parse_request(text))
+            assert image == ordered_image(replay.execute(parse_request(query)))
+        finally:
+            replay.shutdown()
+
+
+@settings(max_examples=15, deadline=None)
+@given(indexed_histories())
+def test_indexed_snapshot_reads_equal_committed_prefix_in_order_serial(steps):
+    check_indexed(steps, "serial")
+
+
+@settings(max_examples=5, deadline=None)
+@given(indexed_histories())
+def test_indexed_snapshot_reads_equal_committed_prefix_in_order_process(steps):
+    check_indexed(steps, "process", workers=2)
