@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.abdm.predicate import Query
-from repro.abdm.record import Record
+from repro.abdm.record import FILE_ATTRIBUTE, Record
 from repro.abdm.values import Value, render
 from repro.errors import ExecutionError
 
@@ -142,7 +142,11 @@ class Modifier:
     A modifier that could only fail once it meets a record — an unknown
     operator, a zero divisor — is refused here, at construction: an
     UPDATE is journaled before it is applied, and a journaled request
-    that cannot apply would make the log unreplayable.
+    that cannot apply would make the log unreplayable.  So is a modifier
+    of ``FILE``: a record's file is the one its ``FILE`` keyword named
+    when it was stored, and rewriting the keyword would leave the record
+    in a file it no longer names (file-scoped scans rely on every record
+    of file *f* carrying ``FILE = f``).
     """
 
     attribute: str
@@ -151,6 +155,11 @@ class Modifier:
     operand: Value = None
 
     def __post_init__(self) -> None:
+        if self.attribute == FILE_ATTRIBUTE:
+            raise ExecutionError(
+                f"the modifier {self.render()} rewrites FILE; a record's "
+                "file cannot change (delete it and insert it anew)"
+            )
         if self.arithmetic is None:
             return
         if self.arithmetic not in _ARITHMETIC:

@@ -210,13 +210,14 @@ def project(records: Sequence[Record], request: RetrieveRequest) -> list[Record]
         if request.wants_all:
             output = list(records)
         else:
-            output = []
-            for record in records:
-                projected = Record()
-                for item in request.target:
-                    if item.attribute in record:
-                        projected.set(item.attribute, record.get(item.attribute))
-                output.append(projected.seal())
+            # One dict per row, in target order; a repeated target keeps
+            # its first place and an attribute the record lacks is left out.
+            names = [item.attribute for item in request.target]
+            output = [
+                Record.sealed({a: m[a] for a in names if a in m})
+                for record in records
+                for m in (record.keyword_map(),)
+            ]
         if request.by is not None:
             # A BY clause without aggregates orders the output by the
             # grouping attribute, keeping groups contiguous.

@@ -319,9 +319,11 @@ class ClusteredStore(ABStore):
         if not pinned:
             return super().find(query)
         found: list[Record] = []
-        select = self.selector(query)
         for file_name in sorted(pinned):
-            found += self._scan(select, self._candidate_clusters(file_name, query))
+            found += self._scan(
+                self.selector(query, file_name),
+                self._candidate_clusters(file_name, query),
+            )
         self.stats.records_touched += len(found)
         return found
 

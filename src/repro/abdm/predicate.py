@@ -52,6 +52,15 @@ class Predicate:
         return f"({self.attribute} {self.operator} {render(self.value)})"
 
 
+def _pins(predicate: Predicate, file: str) -> bool:
+    """True for ``FILE = '<file>'``: in a clause whose ``file_names()`` is
+    ``{file}``, exactly the terms it counted (in the kernel's value
+    domain only a str equals the str *file*)."""
+    return (
+        predicate.attribute == "FILE" and predicate.operator == "=" and predicate.value == file
+    )
+
+
 @dataclass(frozen=True)
 class Conjunction:
     """A conjunction of keyword predicates (one DNF clause)."""
@@ -139,6 +148,35 @@ class Query:
                 return set()
             names |= pinned
         return names
+
+    def within(self, file: str) -> "Query":
+        """This query as it acts on the records of file *file*.
+
+        Every record a store keeps in file *f* carries ``FILE = f`` (the
+        store files a record by that keyword, and no modifier may
+        rewrite it), so over those records a clause pinning exactly
+        *file* needs no ``FILE = '<file>'`` term: they are dropped.  A
+        clause pinning another file — or two files at once — matches
+        none of them and is dropped whole; a clause pinning no file is
+        kept as it is.  For every record ``r`` of *file*,
+        ``self.within(file).matches(r) == self.matches(r)``.
+        """
+        # The last answer is cached on the instance, like render(): every
+        # backend a request is broadcast to asks for the same file's
+        # scope on a compile miss, and then shares one scoped query.
+        cached = self.__dict__.get("_within")
+        if cached is not None and cached[0] == file:
+            return cached[1]
+        clauses = []
+        for clause in self.clauses:
+            pinned = clause.file_names()
+            if not pinned:
+                clauses.append(clause)
+            elif pinned == {file}:
+                clauses.append(Conjunction([p for p in clause if not _pins(p, file)]))
+        scoped = Query(clauses)
+        object.__setattr__(self, "_within", (file, scoped))
+        return scoped
 
     def render(self) -> str:
         # Cached like Conjunction.render — see the comment there.

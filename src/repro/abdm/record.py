@@ -74,6 +74,20 @@ class Record:
         record._sealed = False
         return record
 
+    @classmethod
+    def sealed(cls, keywords: dict[str, Value]) -> "Record":
+        """A sealed, text-less record that takes *keywords* as its own dict.
+
+        The one-pass constructor for rows a read builds: the caller
+        hands over a fresh dict (keyword order is its insertion order)
+        and never touches it again.
+        """
+        record = cls.__new__(cls)
+        record._index = keywords
+        record.text = ""
+        record._sealed = True
+        return record
+
     # -- mapping-style access -------------------------------------------------
 
     def set(self, attribute: str, value: Value) -> None:

@@ -236,18 +236,22 @@ class ABStore:
 
     # -- query compilation ----------------------------------------------------
 
-    def _compile(self, query: Query) -> CompiledQuery:
-        """*query*'s cached compilation.
+    def _compile(self, query: Query, file: str) -> CompiledQuery:
+        """*query*'s cached compilation for a scan of file *file*.
 
-        The cache key carries the clause count besides the rendered text
-        because the empty query and the empty-clause query both render
-        as ``()`` while matching nothing / everything respectively.
+        What is compiled is ``query.within(file)``: the clauses as they
+        act on that file's records (see
+        :meth:`~repro.abdm.predicate.Query.within`), which only a cache
+        miss computes.  The key carries the clause count besides the
+        rendered text because the empty query and the empty-clause query
+        both render as ``()`` while matching nothing / everything
+        respectively.
         """
-        key = (query.render(), len(query.clauses))
+        key = (query.render(), len(query.clauses), file)
         compiled = self._compiled.get(key)
         if compiled is MISSING:
             with self._obs.tracer.span("qc.compile", query=key[0]):
-                compiled = compile_query(query)
+                compiled = compile_query(query.within(file))
             if compiled.inset_groups:
                 self._obs.metrics.inc("qc.compile.inset_groups", compiled.inset_groups)
             if compiled.codegen:
@@ -255,24 +259,20 @@ class ABStore:
             self._compiled.put(key, compiled)
         return compiled
 
-    def matcher(self, query: Query) -> Callable[[Record], bool]:
-        """The fastest available single-record matcher for *query*.
+    def selector(
+        self, query: Query, file: str
+    ) -> Callable[[Sequence[Record]], list[Record]]:
+        """The fastest available filter of file *file*'s records by
+        *query*: the ones that satisfy it, in order, from one call.
 
         With compilation enabled this is a cached CompiledQuery's
-        ``matches``; otherwise it is the interpreted ``query.matches``
+        ``select``; otherwise it is the interpreted ``query.select``
         bound method, the reference the compiled path is held
         bit-identical to.
         """
         if not qc_runtime.config.compile_enabled:
-            return query.matches
-        return self._compile(query).matches
-
-    def selector(self, query: Query) -> Callable[[Sequence[Record]], list[Record]]:
-        """:meth:`matcher` for a whole candidate list: the records of it
-        that satisfy *query*, in order, from one call."""
-        if not qc_runtime.config.compile_enabled:
             return query.select
-        return self._compile(query).select
+        return self._compile(query, file).select
 
     def _scan(
         self,
@@ -466,12 +466,11 @@ class ABStore:
         if self.snapshot_live(pinned, snapshot):
             return self.find(query)
         found: list[Record] = []
-        select = self.selector(query)
         paths: set[str] = set()
         for name in sorted(pinned) or sorted(self._files):
             candidates, label = self._snapshot_candidates(name, snapshot, query)
             paths.add(label)
-            found += self._scan(select, candidates)
+            found += self._scan(self.selector(query, name), candidates)
         self.stats.records_touched += len(found)
         span = self._obs.tracer.current
         if span is not None:
@@ -783,13 +782,14 @@ class ABStore:
     def find(self, query: Query) -> list[Record]:
         """Return every record satisfying *query* (in file/insertion order)."""
         found: list[Record] = []
-        select = self.selector(query)
         paths: set[str] = set()
         for abfile in self._candidate_files(query):
-            candidates, label = self._served_candidates(abfile.name, query)
+            name = abfile.name
+            candidates, label = self._served_candidates(name, query)
             paths.add(label)
             found += self._scan(
-                select, abfile.records() if candidates is None else _records(candidates)
+                self.selector(query, name),
+                abfile.records() if candidates is None else _records(candidates),
             )
         self.stats.records_touched += len(found)
         span = self._obs.tracer.current
@@ -800,12 +800,12 @@ class ABStore:
     def delete(self, query: Query) -> int:
         """Delete every record satisfying *query*; return the count."""
         deleted = 0
-        select = self.selector(query)
         for abfile in self._candidate_files(query):
             records = abfile.records()
             candidates, _ = self._served_candidates(abfile.name, query)
             victims = self._scan(
-                select, records if candidates is None else _records(candidates)
+                self.selector(query, abfile.name),
+                records if candidates is None else _records(candidates),
             )
             if victims:
                 # Compaction moves every record after the first victim, so
@@ -834,6 +834,10 @@ class ABStore:
     ) -> int:
         """Apply *modify* to every record satisfying *query*.
 
+        *modify* must leave ``FILE`` as it is: a record stays in the file
+        its ``FILE`` keyword named when it was stored (an ABDL
+        ``Modifier`` of ``FILE`` is refused when it is built).
+
         Every update is copy-on-write, whoever calls it (a served
         request, WAL replay, recovery, direct store use): stored records
         are sealed and shared — by version pre-images, the result cache
@@ -851,12 +855,14 @@ class ABStore:
         once instead — per record a rebuild is the cheaper of the two.
         """
         updated = 0
-        select = self.selector(query)
         for abfile in self._candidate_files(query):
             name = abfile.name
             live = abfile.records()
             candidates, _ = self._served_candidates(name, query)
-            hits = self._scan(select, live if candidates is None else _records(candidates))
+            hits = self._scan(
+                self.selector(query, name),
+                live if candidates is None else _records(candidates),
+            )
             # A record's seq is its live position (see _plan_candidates).
             entries = enumerate(live) if candidates is None else candidates
             seq_of = {id(record): seq for seq, record in entries} if hits else {}

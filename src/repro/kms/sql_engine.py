@@ -163,14 +163,13 @@ class SqlEngine:
         if group_column and group_column not in columns:
             columns.insert(0, group_column)
         records = self.kc.execute(RetrieveRequest(query, target, by=group_column)).records
-        result = SqlResult(table, columns=columns)
-        for record in records:
-            result.rows.append({c: record.get(self._record_key(c)) for c in columns})
-        return result
-
-    @staticmethod
-    def _record_key(column: str) -> str:
-        return column  # aggregate columns already render as AVG(x) etc.
+        # Aggregate columns already render as AVG(x) etc., the row's keys.
+        rows = [
+            {c: m.get(c) for c in columns}
+            for record in records
+            for m in (record.keyword_map(),)
+        ]
+        return SqlResult(table, columns=columns, rows=rows)
 
     @staticmethod
     def _dedupe(names: list[str]) -> list[str]:

@@ -5,9 +5,16 @@ Interpreted matching walks three layers per record — ``Query.matches`` →
 re-dispatching on the operator string every time.  :func:`compile_query`
 does that dispatch **once per query shape**: it generates one function
 ``select(records, *consts)`` whose body is a single list comprehension
-over each record's keyword map, plus the single-record ``matches``
-built from the same boolean expression, so a scan costs one Python call
-per *statement*, not several per record.
+over each record's keyword map, so a scan costs one Python call per
+*statement*, not several per record.  ``select`` is the only thing a
+kernel offers: every store scan filters a candidate list.
+
+What a store compiles is the query *as its file sees it*: each per-file
+scan compiles ``query.within(file)``
+(:meth:`~repro.abdm.predicate.Query.within`), which drops the
+``FILE = '<file>'`` terms every record of that file satisfies by
+construction, and the clauses that pin some other file.  A kernel thus
+tests only what the file does not already say.
 
 A *shape* is everything about a query except its constants: the clause
 structure, each predicate's operator and the domain its constant orders
@@ -47,10 +54,11 @@ same records, same order — proven against :mod:`repro.abdm.values`:
   anything outside those four types, stays on the clause-by-clause path.
   A stored value that cannot be hashed makes the probe raise
   ``TypeError``; the statement is then answered by the interpreted
-  matcher, which is the reference anyway.
+  ``Query.select``, which is the reference anyway.
 
 Compiled queries are cached by their callers (each store keeps a bounded
-LRU keyed on the rendered query); the kernels are cached here.
+LRU keyed on the rendered query and the file scanned); the kernels are
+cached here.
 """
 
 from __future__ import annotations
@@ -92,8 +100,8 @@ class _Probe(NamedTuple):
 _Term = Union[Predicate, _Probe]
 
 
-#: One shape's generated ``select`` and ``matches``, and their source text.
-_Kernel = tuple[Callable[..., list[Record]], Callable[..., bool], str]
+#: One shape's generated ``select`` and its source text.
+_Kernel = tuple[Callable[..., list[Record]], str]
 
 _kernels = LRUCache(KERNEL_CACHE_SIZE, prefix="qc.kernels")
 
@@ -171,7 +179,7 @@ def _shape_and_arguments(clauses: Sequence[Sequence[_Term]]) -> tuple[tuple, lis
 
 
 def _generate(shape: tuple) -> _Kernel:
-    """Write and compile the two functions of one query shape."""
+    """Write and compile the ``select`` function of one query shape."""
     disjuncts = []
     slot = 0  # terms are numbered through the whole query: a<slot>, c<slot>
     for tokens in shape:
@@ -212,34 +220,29 @@ def _generate(shape: tuple) -> _Kernel:
     source = (
         f"def select(records{parameters}):\n"
         f"    return [r for r in records for m in (r._index,) if {expression}]\n"
-        f"def matches(r{parameters}):\n"
-        f"    m = r._index\n"
-        f"    return {expression}\n"
     )
     namespace = dict(_KERNEL_GLOBALS)
     exec(compile(source, "<qc kernel>", "exec"), namespace)
-    return namespace["select"], namespace["matches"], source
+    return namespace["select"], source
 
 
 class CompiledQuery:
     """A query bound to the generated kernel of its shape.
 
-    ``select`` filters a record sequence in one call and ``matches``
-    tests one record (mirroring ``Query.matches``); ``source`` is the
-    rendered query, ``kernel_source`` the generated text;
-    ``inset_groups`` counts the key-list groups that compiled to a set
-    probe and ``codegen`` is 1 when this compilation had to generate its
-    shape's code, 0 when the process had it already.
+    ``select`` filters a record sequence in one call (mirroring
+    ``Query.select``); ``source`` is the rendered query,
+    ``kernel_source`` the generated text; ``inset_groups`` counts the
+    key-list groups that compiled to a set probe and ``codegen`` is 1
+    when this compilation had to generate its shape's code, 0 when the
+    process had it already.
     """
 
     __slots__ = (
-        "query", "source", "inset_groups", "codegen", "kernel_source",
-        "_select", "_matches", "_arguments",
+        "query", "inset_groups", "codegen", "kernel_source", "_select", "_arguments",
     )
 
     def __init__(self, query: Query) -> None:
         self.query = query
-        self.source = query.render()
         terms, self.inset_groups = _factor_key_lists(query.clauses)
         shape, self._arguments = _shape_and_arguments(terms)
         kernel = _kernels.get(shape)
@@ -247,7 +250,13 @@ class CompiledQuery:
         if self.codegen:
             kernel = _generate(shape)
             _kernels.put(shape, kernel)
-        self._select, self._matches, self.kernel_source = kernel
+        self._select, self.kernel_source = kernel
+
+    @property
+    def source(self) -> str:
+        """The rendered query (rendered when asked: a store compiles a
+        scoped query that nothing else renders)."""
+        return self.query.render()
 
     def select(self, records: Sequence[Record]) -> list[Record]:
         """Exactly ``self.query.select(records)``, in one call."""
@@ -255,13 +264,6 @@ class CompiledQuery:
             return self._select(records, *self._arguments)
         except TypeError:  # an unhashable stored value met a key-list probe
             return self.query.select(records)
-
-    def matches(self, record: Record) -> bool:
-        """Exactly ``self.query.matches(record)``, minus the dispatch."""
-        try:
-            return self._matches(record, *self._arguments)
-        except TypeError:
-            return self.query.matches(record)
 
     def __repr__(self) -> str:
         return f"CompiledQuery({self.source})"

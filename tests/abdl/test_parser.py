@@ -101,6 +101,15 @@ class TestOtherRequests:
             parse_request(f"UPDATE (FILE = e) (salary = salary / {zero})")
         assert parse_request("UPDATE (FILE = e) (salary = salary / 4)")
 
+    @pytest.mark.parametrize("modifier", ["(FILE = b)", "(FILE = NULL)", "(FILE = FILE + 1)"])
+    def test_update_rewriting_file_is_refused_at_parse(self, modifier):
+        # A record's file is fixed when it is stored; refused before the
+        # request exists, so it can never be journaled.
+        with pytest.raises(ExecutionError, match="rewrites FILE"):
+            parse_request(f"UPDATE ((FILE = a) AND (x = 1)) {modifier}")
+        with pytest.raises(ExecutionError, match="rewrites FILE"):
+            Modifier("FILE", value="b")
+
     def test_modifier_with_an_unknown_operator_is_refused(self):
         with pytest.raises(ExecutionError, match="unknown arithmetic operator"):
             Modifier("salary", arithmetic="%", operand=2)

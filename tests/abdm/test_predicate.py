@@ -122,3 +122,57 @@ class TestQuery:
         query = Query.conjunction([Predicate("a", "=", 1)])
         assert len(query) == 1
         assert len(list(query)[0]) == 1
+
+
+def pin(file):
+    return Predicate("FILE", "=", file)
+
+
+class TestWithin:
+    """``Query.within(f)``: the query as it acts on the records of file f."""
+
+    def test_a_clause_pinning_the_file_loses_exactly_its_pins(self):
+        query = Query(
+            [Conjunction([pin("f"), Predicate("x", "=", 1), pin("f"), Predicate("FILE", "!=", "g")])]
+        )
+        assert query.within("f") == Query.conjunction(
+            [Predicate("x", "=", 1), Predicate("FILE", "!=", "g")]
+        )
+
+    def test_non_string_file_terms_stay(self):
+        clause = Conjunction([pin("f"), Predicate("FILE", "=", 5), Predicate("FILE", "<", "z")])
+        assert Query([clause]).within("f") == Query.conjunction(
+            [Predicate("FILE", "=", 5), Predicate("FILE", "<", "z")]
+        )
+        unpinned = Query.conjunction([Predicate("FILE", "=", 5)])
+        assert unpinned.within("f") == unpinned
+
+    def test_a_clause_pinning_another_file_is_dropped(self):
+        query = Query(
+            [
+                Conjunction([pin("g"), Predicate("x", "=", 1)]),
+                Conjunction([pin("f"), pin("g")]),  # pins two files: matches nothing
+                Conjunction([pin("f"), Predicate("x", "=", 2)]),
+            ]
+        )
+        assert query.within("f") == Query.single("x", "=", 2)
+        assert query.within("h") == Query(())
+        assert query.within("f") == Query.single("x", "=", 2)  # not h's cached answer
+        assert query.within("f") is query.within("f")  # backends share one scope
+
+    def test_an_unpinned_clause_is_kept_whole(self):
+        open_clause = Conjunction([Predicate("x", "=", 1)])
+        query = Query([open_clause, Conjunction([pin("f")])])
+        assert query.within("f") == Query([open_clause, Conjunction(())])
+        assert query.within("g") == Query([open_clause])
+
+    def test_within_agrees_with_matches_on_the_files_records(self, record):
+        query = Query(
+            [
+                Conjunction([pin("course"), Predicate("credits", ">", 3)]),
+                Conjunction([pin("faculty"), Predicate("credits", ">", 0)]),
+            ]
+        )
+        scoped = query.within("course")
+        assert scoped == Query.single("credits", ">", 3)
+        assert scoped.matches(record) == query.matches(record) is True

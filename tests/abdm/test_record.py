@@ -119,8 +119,20 @@ class TestSealing:
         its keyword dict holds only strings and scalars."""
         built = Record([Keyword("a", 1), Keyword("b", None)])
         built.set("c", 2.5)
-        for record in (course_record, course_record.copy(), built):
+        keys = course_record.keyword_map()
+        projected = Record.sealed({a: keys[a] for a in ("title", "credits") if a in keys})
+        for record in (course_record, course_record.copy(), built, projected):
             assert not gc.is_tracked(record.keyword_map())
+
+    def test_sealed_takes_the_dict_it_is_given_and_is_sealed(self):
+        keywords = {"b": 2, "a": None}
+        row = Record.sealed(keywords)
+        assert row.keyword_map() is keywords
+        assert row.pairs() == [("b", 2), ("a", None)]
+        assert row.text == ""
+        assert row == Record.from_pairs([("b", 2), ("a", None)])
+        with pytest.raises(RecordSealed):
+            row.set("c", 1)
 
 
 class TestRendering:

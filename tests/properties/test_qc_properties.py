@@ -3,9 +3,9 @@
 Random queries over the full operator set and random records over a
 value domain mixing ints, floats (incl. NaN/inf), bools, strings, nulls
 and absent attributes: for every (query, record) pair the generated
-``matches`` must return exactly what ``Query.matches`` returns, the
-generated ``select`` must pick the very same record objects in the same
-order, and a full store scan must agree likewise.
+``select`` over that one record must keep it exactly when
+``Query.matches`` does, over a list it must pick the very same record
+objects in the same order, and a full store scan must agree likewise.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ records = st.dictionaries(st.sampled_from(ATTRS), values, max_size=4).map(
 @settings(max_examples=300)
 @given(queries, records)
 def test_compiled_matches_agree_with_interpreted(query, record):
-    assert compile_query(query).matches(record) == query.matches(record)
+    selected = compile_query(query).select([record])
+    assert [id(r) for r in selected] == [id(record)] * query.matches(record)
 
 
 @settings(max_examples=300)
@@ -71,8 +72,8 @@ def test_store_scan_identical_compiled_and_interpreted(query, rows):
         copy.set("FILE", "f")
         copy.set("rowid", i)
         store.insert(copy)
-    matcher = store.matcher(query)
-    compiled_scan = [r for r in store.file("f").records() if matcher(r)]
+    select = store.selector(query, "f")
+    compiled_scan = [r for r in store.file("f").records() if select([r])]
     interpreted_scan = [r for r in store.file("f").records() if query.matches(r)]
     assert compiled_scan == interpreted_scan
-    assert store.selector(query)(store.file("f").records()) == interpreted_scan
+    assert select(store.file("f").records()) == interpreted_scan

@@ -15,6 +15,14 @@ def record(**attrs) -> Record:
     return Record.from_pairs(attrs.items())
 
 
+def selects(select, rec: Record) -> bool:
+    """A ``select``'s verdict on one record: its result over the
+    one-record list, which must be that very record or nothing."""
+    selected = select([rec])
+    assert [id(r) for r in selected] in ([], [id(rec)])
+    return bool(selected)
+
+
 # (query, record) pairs covering every operator/domain corner the
 # interpreted comparator (repro.abdm.values.compare) defines.
 CASES = [
@@ -58,7 +66,7 @@ CASES = [
 
 @pytest.mark.parametrize("query,rec", CASES)
 def test_compiled_agrees_with_interpreted(query, rec):
-    assert compile_query(query).matches(rec) == query.matches(rec)
+    assert selects(compile_query(query).select, rec) == query.matches(rec)
 
 
 def test_compiled_query_exposes_source():
@@ -69,36 +77,53 @@ def test_compiled_query_exposes_source():
     assert compiled.source == query.render()
 
 
-def test_store_matcher_caches_compilations():
+def test_store_selector_caches_compilations():
     store = ABStore()
     query = Query.single("a", "=", 1)
-    first = store.matcher(query)
-    second = store.matcher(Query.single("a", "=", 1))  # equal, distinct object
+    first = store.selector(query, "f")
+    second = store.selector(Query.single("a", "=", 1), "f")  # equal, distinct object
     assert first.__self__ is second.__self__  # same CompiledQuery reused
     snap = store.cache_snapshot()
     assert snap["misses"] == 1
     assert snap["hits"] == 1
 
 
-def test_store_matcher_distinguishes_empty_query_from_empty_clause():
+def test_store_selector_keys_its_cache_on_the_file():
+    # One query compiles once per file it scans: within("f") and
+    # within("g") are different queries.
+    store = ABStore()
+    query = Query(
+        (
+            Conjunction([Predicate("FILE", "=", "f"), Predicate("a", "=", 1)]),
+            Conjunction([Predicate("FILE", "=", "g"), Predicate("a", "=", 2)]),
+        )
+    )
+    in_f, in_g = store.selector(query, "f"), store.selector(query, "g")
+    assert in_f.__self__ is not in_g.__self__
+    assert in_f.__self__.query == Query.single("a", "=", 1)
+    assert in_g.__self__.query == Query.single("a", "=", 2)
+    assert store.cache_snapshot()["misses"] == 2
+
+
+def test_store_selector_distinguishes_empty_query_from_empty_clause():
     # Both render "()" — one matches nothing, the other everything.
     store = ABStore()
     rec = record(a=1)
-    match_none = store.matcher(Query(()))
-    match_all = store.matcher(Query((Conjunction(()),)))
+    match_none = store.selector(Query(()), "f")
+    match_all = store.selector(Query((Conjunction(()),)), "f")
     assert match_none is not match_all
-    assert not match_none(rec)
-    assert match_all(rec)
+    assert not selects(match_none, rec)
+    assert selects(match_all, rec)
 
 
 def test_disabled_compile_falls_back_to_interpreted(config):
     store = ABStore()
     query = Query.single("a", "=", 1)
     config.compile_enabled = False
-    assert store.matcher(query) == query.matches
+    assert store.selector(query, "f") == query.select
     assert store.cache_snapshot()["misses"] == 0
     config.compile_enabled = True
-    assert store.matcher(query) != query.matches
+    assert store.selector(query, "f") != query.select
 
 
 def test_store_find_results_identical_with_and_without_compile(config):

@@ -39,10 +39,18 @@ def record(**attrs) -> Record:
     return Record.from_pairs([("FILE", "f"), *attrs.items()])
 
 
+def selects(compiled, rec: Record) -> bool:
+    """The kernel's verdict on one record: its ``select`` over the
+    one-record list, which must be that very record or nothing."""
+    selected = compiled.select([rec])
+    assert [id(r) for r in selected] in ([], [id(rec)])
+    return bool(selected)
+
+
 def agree(query: Query, rec: Record) -> bool:
-    compiled = compile_query(query)
-    assert compiled.matches(rec) == query.matches(rec), (query.render(), rec.pairs())
-    return compiled.matches(rec)
+    verdict = selects(compile_query(query), rec)
+    assert verdict == query.matches(rec), (query.render(), rec.pairs())
+    return verdict
 
 
 class TestPitfalls:
@@ -84,7 +92,7 @@ class TestPitfalls:
         assert compile_query(query).inset_groups == 1
         rec = record()
         rec.set("k", [1])
-        assert not compile_query(query).matches(rec)
+        assert not selects(compile_query(query), rec)
 
 
 class TestWhatIsFolded:
@@ -208,7 +216,7 @@ def test_batch_kernel_pitfall_catalog(query, rows, expected):
     selected = compiled.select(rows)
     assert [id(r) for r in selected] == [id(rows[n]) for n in expected]
     assert selected == query.select(rows)
-    assert [compiled.matches(r) for r in rows] == [query.matches(r) for r in rows]
+    assert [selects(compiled, r) for r in rows] == [query.matches(r) for r in rows]
 
 
 values = st.sampled_from(PITFALLS)
@@ -243,5 +251,5 @@ records = st.dictionaries(attributes, values, max_size=3).map(
 def test_factored_dnf_matches_exactly_what_the_interpreter_matches(query, rows):
     compiled = compile_query(query)
     for row in rows:
-        assert compiled.matches(row) == query.matches(row), (query.render(), row.pairs())
+        assert selects(compiled, row) == query.matches(row), (query.render(), row.pairs())
     assert [id(r) for r in compiled.select(rows)] == [id(r) for r in rows if query.matches(r)]
